@@ -310,13 +310,20 @@ def cmd_pseudo(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _solve_seed(op: ParametricOperator, u: float, chi: complex, tol: float) -> EigenPoint:
+    """Eigenpoint at airspeed u, started from chi and its sigma_min vector.
+
+    Raises ConvergenceError when the airspeed-fixed solve fails.
+    """
+    _, x = sigma_min(op, chi, u)
+    guess = EigenPoint.from_vector(op, chi.real, chi.imag, u, x)
+    return cont.solve_at_airspeed(op, u, guess, tol=tol)
+
+
 def _resolve_trace_start(cfg: RunConfig, op: ParametricOperator, args) -> Optional[object]:
     if args.start_point is not None:
         u, wr, wi = (float(v) for v in args.start_point.split(","))
-        _, x = sigma_min(op, complex(wr, wi), u)
-        guess = EigenPoint.from_vector(op, wr, wi, u, x)
-        settings = _continuation_settings(cfg)
-        return cont.solve_at_airspeed(op, u, guess, tol=settings.corrector_tol)
+        return _solve_seed(op, u, complex(wr, wi), _continuation_settings(cfg).corrector_tol)
     window = cfg.window or op.window
     points = find_flutter_points(op, window, _flutter_settings(cfg))
     if not points:
@@ -372,10 +379,8 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     settings = _continuation_settings(cfg)
     u0 = float(nat["u_start"])
     chi = complex(float(nat["seed_chi_r"]), float(nat.get("seed_chi_i", 0.0)))
-    _, x = sigma_min(op, chi, u0)
-    guess = EigenPoint.from_vector(op, chi.real, chi.imag, u0, x)
     try:
-        seed = cont.solve_at_airspeed(op, u0, guess, tol=settings.corrector_tol)
+        seed = _solve_seed(op, u0, chi, settings.corrector_tol)
         path = cont.natural_continuation(op, u0, float(nat["u_end"]), float(nat["du"]),
                                          seed, tol=settings.corrector_tol)
     except ConvergenceError as exc:

@@ -223,9 +223,14 @@ def build_normal_operator(eigenvalues: Sequence[complex],
     return ParametricOperator(name="normal", dim=n, func=func, window=window, derivs=derivs)
 
 
+def _beta_l(i: int) -> float:
+    """beta*L of clamped-free bending mode i (1-based); (2i - 1)*pi/2 past the table."""
+    return _CANTILEVER_BETA_L[i - 1] if i <= len(_CANTILEVER_BETA_L) else (2 * i - 1) * math.pi / 2.0
+
+
 def _bending_shape(i: int, y: np.ndarray, span: float) -> np.ndarray:
     """Clamped-free bending mode i (1-based), tip amplitude 2."""
-    bl = _CANTILEVER_BETA_L[i - 1] if i <= len(_CANTILEVER_BETA_L) else (2 * i - 1) * math.pi / 2.0
+    bl = _beta_l(i)
     beta = bl / span
     sigma = (math.sinh(bl) - math.sin(bl)) / (math.cosh(bl) + math.cos(bl))
     by = beta * y
@@ -233,7 +238,7 @@ def _bending_shape(i: int, y: np.ndarray, span: float) -> np.ndarray:
 
 
 def _bending_shape_dd(i: int, y: np.ndarray, span: float) -> np.ndarray:
-    bl = _CANTILEVER_BETA_L[i - 1] if i <= len(_CANTILEVER_BETA_L) else (2 * i - 1) * math.pi / 2.0
+    bl = _beta_l(i)
     beta = bl / span
     sigma = (math.sinh(bl) - math.sin(bl)) / (math.cosh(bl) + math.cos(bl))
     by = beta * y
@@ -252,11 +257,8 @@ def _torsion_shape_d(j: int, y: np.ndarray, span: float) -> np.ndarray:
 
 def cantilever_bending_frequencies(spec: GalerkinWingSpec) -> np.ndarray:
     """Closed-form clamped-free bending frequencies, rad/s."""
-    out = []
-    for i in range(1, spec.n_bending + 1):
-        bl = _CANTILEVER_BETA_L[i - 1] if i <= len(_CANTILEVER_BETA_L) else (2 * i - 1) * math.pi / 2.0
-        out.append((bl / spec.span) ** 2 * math.sqrt(spec.EI / spec.mass_per_span))
-    return np.array(out)
+    return np.array([(_beta_l(i) / spec.span) ** 2 * math.sqrt(spec.EI / spec.mass_per_span)
+                     for i in range(1, spec.n_bending + 1)])
 
 
 def cantilever_torsion_frequencies(spec: GalerkinWingSpec) -> np.ndarray:

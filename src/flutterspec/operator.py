@@ -81,9 +81,9 @@ class ParametricOperator:
     """A matrix family A(chi, U) with its admissible window.
 
     ``func`` must be pure: repeated evaluation at identical arguments is
-    bit-identical, and concurrent calls are safe.  ``derivs``, when given,
-    returns (dA/dchi_R, dA/dchi_I, dA/dU); otherwise central finite
-    differences with ``fd_step`` base step sizes are used.
+    bit-identical.  ``derivs``, when given, returns (dA/dchi_R, dA/dchi_I,
+    dA/dU); otherwise central finite differences with ``fd_step`` base
+    step sizes are used.
     """
 
     name: str

@@ -11,16 +11,13 @@ exactly where the unscaled values would put them.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalError
-from .operator import ParametricOperator, Window, evaluate, sigma_min
+from .operator import ParametricOperator, Window, evaluate
 
 __all__ = [
     "Grid2D",
@@ -36,27 +33,9 @@ __all__ = [
     "find_borderline_regions",
 ]
 
-THREADS_ENV_VAR = "FLUTTERSPEC_THREADS"
-
 # Relative size below which a det component counts as identically zero
 # along a grid row (real pencils give |sin(phase)| at rounding level).
 DEGENERATE_COMPONENT_TOL = 1e-12
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            return 1
-    if threads < 0:
-        raise ValueError("thread count must be >= 0")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
 
 
 @dataclass(frozen=True)
@@ -168,56 +147,44 @@ def _check_grid_window(op: ParametricOperator, grid: Grid2D):
                          f"operator window {op.window}")
 
 
-def _fill_rows(fill_row, n_rows: int, threads: int):
-    if threads <= 1:
-        for i in range(n_rows):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n_rows)))
+def _row_stacks(op: ParametricOperator, grid: Grid2D):
+    """Yield (i, u_i, stack) per U row, stack[j] = A(w_j + i*chi_I_fixed, u_i).
 
-
-def compute_sigma_field(op: ParametricOperator, grid: Grid2D,
-                        threads: Optional[int] = None) -> ScalarField:
-    """Minimum-singular-value field over the grid.
-
-    Rows may be evaluated concurrently (capped by FLUTTERSPEC_THREADS);
-    every node is computed independently, so the result does not depend
-    on scheduling.
+    The stack is one buffer refilled for every row, so memory grows by
+    w_count*n*n entries rather than the whole grid's; use it before
+    advancing.
     """
     _check_grid_window(op, grid)
-    us, ws = grid.u_values(), grid.w_values()
-    values = np.empty((us.size, ws.size))
-
-    def fill_row(i: int):
-        u = us[i]
+    ws = grid.w_values()
+    stack = np.empty((ws.size, op.dim, op.dim), dtype=complex)
+    for i, u in enumerate(grid.u_values()):
         for j, w in enumerate(ws):
-            try:
-                values[i, j] = sigma_min(op, complex(w, grid.chi_I_fixed), u)[0]
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"sigma field node (i={i}, j={j}), U={u}, chi_R={w}: {exc}") from exc
+            stack[j] = evaluate(op, complex(w, grid.chi_I_fixed), u)
+        yield i, u, stack
 
-    _fill_rows(fill_row, us.size, _resolve_threads(threads))
+
+def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
+    """Minimum-singular-value field over the grid, one batched SVD per U row."""
+    values = np.empty((grid.u_axis[2], grid.w_axis[2]))
+    for i, u, stack in _row_stacks(op, grid):
+        try:
+            values[i] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"sigma field row i={i}, U={u} of operator '{op.name}': {exc}") from exc
     return ScalarField(grid, values)
 
 
-def compute_det_field(op: ParametricOperator, grid: Grid2D,
-                      threads: Optional[int] = None) -> ComplexField:
-    """Determinant field via pivoted LU, in (log|det|, phase) form."""
-    _check_grid_window(op, grid)
-    us, ws = grid.u_values(), grid.w_values()
-    log_mag = np.empty((us.size, ws.size))
-    phase = np.empty((us.size, ws.size))
+def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
+    """Determinant field in (log|det|, phase) form, one batched slogdet per U row.
 
-    def fill_row(i: int):
-        u = us[i]
-        for j, w in enumerate(ws):
-            sign, logdet = np.linalg.slogdet(evaluate(op, complex(w, grid.chi_I_fixed), u))
-            log_mag[i, j] = logdet
-            phase[i, j] = np.angle(sign) if sign != 0.0 else 0.0
-
-    _fill_rows(fill_row, us.size, _resolve_threads(threads))
+    A singular node gets log|det| = -inf and phase 0 (the angle of sign 0).
+    """
+    log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
+    phase = np.empty_like(log_mag)
+    for i, _, stack in _row_stacks(op, grid):
+        sign, log_mag[i] = np.linalg.slogdet(stack)
+        phase[i] = np.angle(sign)
     return ComplexField(grid, log_mag, phase)
 
 
@@ -382,24 +349,15 @@ def extract_contours(fld: Union[ScalarField, DetComponentField], level: float) -
 
 
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,
-                           eps_list: Sequence[float],
-                           threads: Optional[int] = None) -> List[ContourSet]:
+                           eps_list: Sequence[float]) -> List[ContourSet]:
     """One contour set per epsilon, all from a single shared sigma field."""
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("eps_list must be nonempty")
     if any(e <= 0.0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly ascending and positive")
-    fld = compute_sigma_field(op, grid, threads=threads)
+    fld = compute_sigma_field(op, grid)
     return [extract_contours(fld, e) for e in eps]
-
-
-def _flutter_uw(fp) -> Tuple[float, float]:
-    if hasattr(fp, "point"):
-        return float(fp.point.U), float(fp.point.chi_R)
-    if hasattr(fp, "U"):
-        return float(fp.U), float(fp.chi_R)
-    return float(fp[0]), float(fp[1])
 
 
 def find_borderline_regions(fld: ScalarField, threshold: float,
@@ -410,14 +368,16 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
 
     Each region reports its minimizing node as center; near_flutter is set
     when the center falls inside the axis-aligned exclusion ellipse of some
-    supplied flutter point (default semi-axes: 5% of each grid span).
+    supplied flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
+    ``fp.point.chi_R``; default semi-axes: 5% of each grid span).
     """
+    from scipy import ndimage  # lazy: only this function needs it
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     if exclusion_radius is None:
         exclusion_radius = (0.05 * (us[-1] - us[0]), 0.05 * (ws[-1] - ws[0]))
-    centers = [_flutter_uw(fp) for fp in flutter_points]
+    centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]
 
     mask = fld.values < threshold
     labels, n_regions = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])

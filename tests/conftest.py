@@ -9,12 +9,18 @@ determinant scan with bisection refinement for the typical section.
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
 
 from flutterspec import (ContinuationSettings, EigenPoint, Window, evaluate,
                          build_normal_operator, build_trajectory_operator,
                          build_typical_section, find_flutter_points,
                          reference_restabilization_spec, trace_path)
+
+# Property tests run a fixed example sequence with no per-example deadline,
+# so a slow or loaded machine cannot make them flaky.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 # ---------------------------------------------------------------------------
 # closed-form oracle for the reference restabilization trajectory

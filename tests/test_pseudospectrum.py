@@ -1,12 +1,17 @@
 """Fields, marching-squares contours, pseudospectra, borderline regions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flutterspec import (Grid2D, ScalarField, Window, build_normal_operator,
-                         build_trajectory_operator, compute_det_field, compute_sigma_field,
-                         epsilon_pseudospectrum, extract_contours, find_borderline_regions,
-                         sigma_min)
+from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOperator,
+                         ScalarField, Window, build_galerkin_wing, build_normal_operator,
+                         build_trajectory_operator, build_typical_section, compute_det_field,
+                         compute_sigma_field, epsilon_pseudospectrum, extract_contours,
+                         find_borderline_regions, sigma_min)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
@@ -76,21 +81,33 @@ class TestSigmaField:
         j = np.nonzero(grid.w_values() == 54.0)[0][0]
         assert fld.values[i, j] <= 1e-10
 
-    def test_thread_determinism(self, traj_op):
-        grid = Grid2D((50.0, 300.0, 24), (30.0, 80.0, 21))
-        serial = compute_sigma_field(traj_op, grid, threads=1)
-        threaded = compute_sigma_field(traj_op, grid, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
+    @settings(max_examples=25)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_normal_spectrum_equals_distance(self, n, seed):
+        # Q diag(eigs) Q^H - chi*I with a random unitary Q: normal, not diagonal
+        rng = np.random.default_rng(seed)
+        eigs = rng.uniform(0.0, 10.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a0 = q @ np.diag(eigs) @ q.conj().T
+        op = ParametricOperator("rotated_normal", n, lambda chi, u: a0 - chi * np.eye(n),
+                                Window(-1.0, 1.0, -1.0, 11.0))
+        grid = Grid2D((-1.0, 1.0, 3), (-1.0, 11.0, 41), chi_I_fixed=rng.uniform(-0.5, 0.5))
+        fld = compute_sigma_field(op, grid)
+        chis = grid.w_values() + 1j * grid.chi_I_fixed
+        expected = np.abs(chis[:, None] - eigs[None, :]).min(axis=1)
+        assert np.abs(fld.values - expected[None, :]).max() <= 1e-9
 
-    def test_threads_env_var(self, traj_op, monkeypatch):
-        grid = Grid2D((50.0, 300.0, 16), (30.0, 80.0, 11))
-        reference = compute_sigma_field(traj_op, grid, threads=1)
-        for value in ("2", "0"):  # explicit cap and 0 = auto
-            monkeypatch.setenv("FLUTTERSPEC_THREADS", value)
-            fld = compute_sigma_field(traj_op, grid)
-            assert np.array_equal(fld.values, reference.values)
-        monkeypatch.setenv("FLUTTERSPEC_THREADS", "not-a-number")
-        assert np.array_equal(compute_sigma_field(traj_op, grid).values, reference.values)
+    def test_nan_row_names_its_airspeed(self):
+        base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
+
+        def func(chi, u):
+            a = base.func(chi, u)
+            return a * np.nan if u == 2.0 else a
+
+        op = dataclasses.replace(base, func=func)
+        grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
+        with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
+            compute_sigma_field(op, grid)
 
 
 class TestDetField:
@@ -141,18 +158,30 @@ class TestDetField:
         with pytest.raises(ValueError):
             extract_contours(fld.real_part(), 0.5)
 
-    def test_thread_determinism(self, traj_op):
-        grid = Grid2D((50.0, 300.0, 24), (30.0, 80.0, 21))
-        serial = compute_det_field(traj_op, grid, threads=1)
-        threaded = compute_det_field(traj_op, grid, threads=4)
-        assert np.array_equal(serial.log_magnitude, threaded.log_magnitude)
-        assert np.array_equal(serial.phase, threaded.phase)
-
 
 def build_typical_window_op(ts_op):
     """Same pencil, window widened to include U = 0 for the degenerate slice."""
-    import dataclasses
     return dataclasses.replace(ts_op, window=Window(0.0, 80.0, 5.0, 75.0))
+
+
+@pytest.mark.parametrize("model", ["typical_section", "wing_n8"])
+def test_batched_fields_match_per_node_numpy(model):
+    """Row-batched fields against per-node numpy svd/slogdet of op.func."""
+    if model == "typical_section":
+        op = build_typical_section()
+    else:
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=4, n_torsion=4))
+    grid = Grid2D.over_window(op.window, 9, 11, chi_I_fixed=0.5)
+    sig = compute_sigma_field(op, grid).values
+    det = compute_det_field(op, grid)
+    for i, u in enumerate(grid.u_values()):
+        for j, w in enumerate(grid.w_values()):
+            a = np.asarray(op.func(complex(w, 0.5), float(u)), dtype=complex)
+            s = np.linalg.svd(a, compute_uv=False)
+            assert sig[i, j] == pytest.approx(s[-1], rel=1e-13, abs=1e-13 * s[0])
+            sign, logdet = np.linalg.slogdet(a)
+            assert det.log_magnitude[i, j] == pytest.approx(logdet, rel=1e-13, abs=1e-13)
+            assert det.phase[i, j] == pytest.approx(np.angle(sign), rel=1e-13, abs=1e-13)
 
 
 class TestContours:
