@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,8 +202,11 @@ def write_path_json(path: Path, mode_path: cont.ModePath, model_doc: Dict[str, A
     })
 
 
-def read_path_file(path: Path) -> cont.ModePath:
-    """Rebuild a ModePath from a path JSON (full) or path CSV (values only)."""
+def read_path_file(path: Path) -> Tuple[cont.ModePath, Optional[Dict[str, Any]]]:
+    """Rebuild a ModePath from a path JSON (full) or path CSV (values only).
+
+    Also returns the JSON's model document, None for a CSV.
+    """
     if path.suffix.lower() == ".json":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -216,8 +219,7 @@ def read_path_file(path: Path) -> cont.ModePath:
                            direction=doc.get("direction", 1),
                            scale=tuple(doc.get("scale", (1.0, 1.0))),
                            termination_reason=doc.get("termination_reason"))
-        mp.model_doc = doc.get("model")  # carried for operator rebuild
-        return mp
+        return mp, doc.get("model")
 
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -230,9 +232,7 @@ def read_path_file(path: Path) -> cont.ModePath:
             sv, u, wr, wi, _zeta, res = (float(v) for v in line.strip().split(","))
             points.append(EigenPoint(wr, wi, u, np.array([1.0 + 0j]), res))
             s.append(sv)
-    mp = cont.ModePath(points=points, s=s, origin="natural")
-    mp.model_doc = None
-    return mp
+    return cont.ModePath(points=points, s=s, origin="natural"), None
 
 
 def _flutter_settings(cfg: RunConfig) -> FlutterSearchSettings:
@@ -354,8 +354,8 @@ def cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def cmd_envelope(path_file: Path, zeta_max: float, out_dir: Path) -> int:
-    mode_path = read_path_file(path_file)
-    op = build_model(mode_path.model_doc) if getattr(mode_path, "model_doc", None) else None
+    mode_path, model_doc = read_path_file(path_file)
+    op = build_model(model_doc) if model_doc else None
     crossings = cont.flight_envelope(mode_path, zeta_max, op=op)
     _write_json(out_dir / "envelope.json", {
         "zeta_max": zeta_max,

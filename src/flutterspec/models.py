@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operator import ParametricOperator, Window
+from .operator import ParametricOperator, Window, polynomial_pencil
 
 __all__ = [
     "ModeTrajectory",
@@ -169,19 +169,14 @@ def build_trajectory_operator(spec: TrajectorySpec,
         t_inv = np.linalg.inv(t)
     else:
         t = t_inv = np.eye(n)
-    modes = spec.modes
-
-    def func(chi: complex, U: float) -> np.ndarray:
-        d = np.array([chi - m.chi(U) for m in modes], dtype=complex)
-        return (t * d) @ t_inv
-
-    eye = np.eye(n, dtype=complex)
-
-    def derivs(chi: complex, U: float):
-        d_u = np.array([-(m.domega(U) + 1j * m.dg(U)) for m in modes], dtype=complex)
-        return eye, 1j * eye, (t * d_u) @ t_inv
-
-    return ParametricOperator(name="trajectory", dim=n, func=func, window=window, derivs=derivs)
+    # chi_k(U) = sum_b U^b (omega_k,b + i g_k,b): one mixed diagonal per power of U
+    degree = max(max(len(m.omega_coeffs), len(m.g_coeffs)) for m in spec.modes)
+    chi_coeffs = np.zeros((degree, n), dtype=complex)
+    for k, m in enumerate(spec.modes):
+        chi_coeffs[:len(m.omega_coeffs), k] += m.omega_coeffs
+        chi_coeffs[:len(m.g_coeffs), k] += 1j * np.asarray(m.g_coeffs, dtype=float)
+    terms = [(1, 0, np.eye(n))] + [(0, b, -(t * c) @ t_inv) for b, c in enumerate(chi_coeffs)]
+    return polynomial_pencil("trajectory", terms, window)
 
 
 def build_typical_section(spec: TypicalSectionSpec = TypicalSectionSpec(),
@@ -192,15 +187,7 @@ def build_typical_section(spec: TypicalSectionSpec = TypicalSectionSpec(),
     d_mat = q * np.array([[1.0, 0.0], [-spec.e, 0.0]], dtype=complex)
     e_mat = q * np.array([[0.0, 1.0], [0.0, -spec.e]], dtype=complex)
 
-    def func(chi: complex, U: float) -> np.ndarray:
-        return -chi * chi * mass + 1j * chi * U * d_mat + k_s + U * U * e_mat
-
-    def derivs(chi: complex, U: float):
-        d_chi = -2.0 * chi * mass + 1j * U * d_mat
-        return d_chi, 1j * d_chi, 1j * chi * d_mat + 2.0 * U * e_mat
-
-    return ParametricOperator(name="typical_section", dim=2, func=func, window=window,
-                              derivs=derivs)
+    return _aeroelastic_pencil("typical_section", mass, d_mat, k_s, e_mat, window)
 
 
 def build_normal_operator(eigenvalues: Sequence[complex],
@@ -209,18 +196,13 @@ def build_normal_operator(eigenvalues: Sequence[complex],
     lam = np.asarray(list(eigenvalues), dtype=complex)
     if lam.size == 0:
         raise ValueError("eigenvalue list must be nonempty")
-    n = lam.size
-    diag = np.diag(lam)
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
+    return polynomial_pencil("normal", [(0, 0, np.diag(lam)), (1, 0, -np.eye(lam.size))], window)
 
-    def func(chi: complex, U: float) -> np.ndarray:
-        return diag - chi * eye
 
-    def derivs(chi: complex, U: float):
-        return -eye, -1j * eye, zero
-
-    return ParametricOperator(name="normal", dim=n, func=func, window=window, derivs=derivs)
+def _aeroelastic_pencil(name: str, mass, d_mat, stiff, e_mat, window: Window) -> ParametricOperator:
+    """-chi^2 M + i chi U D + K + U^2 E, the quasi-steady aeroelastic pencil."""
+    return polynomial_pencil(name, [(2, 0, -mass), (1, 1, 1j * d_mat), (0, 0, stiff),
+                                    (0, 2, e_mat)], window)
 
 
 def _beta_l(i: int) -> float:
@@ -311,17 +293,4 @@ def build_galerkin_wing(spec: GalerkinWingSpec = GalerkinWingSpec(),
     e_mat[:nb, nb:] = q * bt
     e_mat[nb:, nb:] = -spec.aero_offset * q * tt
 
-    mass = mass.astype(complex)
-    stiff = stiff.astype(complex)
-    d_mat = d_mat.astype(complex)
-    e_mat = e_mat.astype(complex)
-
-    def func(chi: complex, U: float) -> np.ndarray:
-        return -chi * chi * mass + 1j * chi * U * d_mat + stiff + U * U * e_mat
-
-    def derivs(chi: complex, U: float):
-        d_chi = -2.0 * chi * mass + 1j * U * d_mat
-        return d_chi, 1j * d_chi, 1j * chi * d_mat + 2.0 * U * e_mat
-
-    return ParametricOperator(name="galerkin_wing", dim=n, func=func, window=window,
-                              derivs=derivs)
+    return _aeroelastic_pencil("galerkin_wing", mass, d_mat, stiff, e_mat, window)

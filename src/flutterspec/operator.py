@@ -14,7 +14,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,9 @@ __all__ = [
     "DampingParameterization",
     "ParametricOperator",
     "EigenPoint",
+    "polynomial_pencil",
     "evaluate",
+    "evaluate_batch",
     "residual_norm",
     "sigma_min",
     "param_derivatives",
@@ -76,6 +78,9 @@ class DampingParameterization(enum.Enum):
     XI = "xi"
 
 
+Term = Tuple[int, int, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ParametricOperator:
     """A matrix family A(chi, U) with its admissible window.
@@ -84,6 +89,12 @@ class ParametricOperator:
     bit-identical.  ``derivs``, when given, returns (dA/dchi_R, dA/dchi_I,
     dA/dU); otherwise central finite differences with ``fd_step`` base
     step sizes are used.
+
+    ``terms``, set by :func:`polynomial_pencil`, lists (a, b, C_ab) with
+    A = sum chi^a U^b C_ab; :func:`evaluate_batch` sums them over many
+    nodes at once and calls a plain callable (no terms) node by node.
+    Replacing ``func`` on a pencil needs ``terms=None`` too, or batched
+    evaluation keeps the old terms.
     """
 
     name: str
@@ -92,10 +103,58 @@ class ParametricOperator:
     window: Window
     derivs: Optional[Callable[[complex, float], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
     fd_step: Tuple[float, float] = (1e-6, 1e-6)
+    terms: Optional[Tuple[Term, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("operator dimension must be >= 1")
+        if any(c.shape != (self.dim, self.dim) for _, _, c in self.terms or ()):
+            raise ValueError(f"pencil terms of '{self.name}' must be {self.dim}x{self.dim}")
+
+
+def _pencil_sum(terms: Sequence[Term], chi, U) -> np.ndarray:
+    """sum chi^a U^b C in term order, powers by repeated multiplication.
+
+    Scalar ``chi``, ``U`` give (n, n); (N, 1, 1) arrays give (N, n, n).
+    """
+    pc, pu, out = [1 + 0 * chi], [1 + 0 * U], None
+    for a, b, c in terms:
+        while len(pc) <= a:
+            pc.append(pc[-1] * chi)
+        while len(pu) <= b:
+            pu.append(pu[-1] * U)
+        term = pc[a] * pu[b] * c
+        out = term if out is None else np.add(out, term, out=out)
+    return out
+
+
+def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> ParametricOperator:
+    """Operator A(chi, U) = sum over (a, b, C) in ``terms`` of chi^a U^b C.
+
+    ``func`` is the term-order sum :func:`evaluate_batch` takes over many
+    nodes (equal to rounding: numpy's vector loops may fuse multiply-adds).
+    Exact ``derivs`` sum the differentiated terms; dA/dchi_I = i dA/dchi_R.
+    """
+    terms = tuple((int(a), int(b), np.array(c, dtype=complex)) for a, b, c in terms)
+    if not terms or any(a < 0 or b < 0 for a, b, _ in terms):
+        raise ValueError("a polynomial pencil needs terms, with nonnegative exponents")
+    for _, _, c in terms:
+        c.flags.writeable = False
+    n = terms[0][2].shape[0]
+    d_chi_terms = tuple((a - 1, b, a * c) for a, b, c in terms if a > 0)
+    d_u_terms = tuple((a, b - 1, b * c) for a, b, c in terms if b > 0)
+    zero = np.zeros((n, n), dtype=complex)
+
+    def func(chi: complex, U: float) -> np.ndarray:
+        return _pencil_sum(terms, chi, U)
+
+    def derivs(chi: complex, U: float):
+        d_chi = _pencil_sum(d_chi_terms, chi, U) if d_chi_terms else zero
+        d_u = _pencil_sum(d_u_terms, chi, U) if d_u_terms else zero
+        return d_chi, 1j * d_chi, d_u
+
+    return ParametricOperator(name=name, dim=n, func=func, window=window, derivs=derivs,
+                              terms=terms)
 
 
 @dataclass(frozen=True)
@@ -142,6 +201,24 @@ def evaluate(op: ParametricOperator, chi: complex, U: float) -> np.ndarray:
     if a.shape != (op.dim, op.dim):
         raise ValueError(f"operator '{op.name}' returned shape {a.shape}, expected {(op.dim, op.dim)}")
     return a
+
+
+def evaluate_batch(op: ParametricOperator, chis, Us) -> np.ndarray:
+    """A(chi_k, U_k) as an (N, n, n) stack; ``chis`` and ``Us`` broadcast to N nodes.
+
+    A pencil sums its terms over all nodes at once; a plain callable is
+    evaluated node by node through :func:`evaluate`, with its checks.
+    """
+    chis, Us = np.broadcast_arrays(np.asarray(chis, dtype=complex), np.asarray(Us, dtype=float))
+    chis, Us = chis.ravel(), Us.ravel()
+    if op.terms is None:
+        out = np.empty((chis.size, op.dim, op.dim), dtype=complex)
+        for k in range(chis.size):
+            out[k] = evaluate(op, chis[k], Us[k])
+        return out
+    if not (np.isfinite(chis).all() and np.isfinite(Us).all()):
+        raise ValueError(f"non-finite arguments in batch evaluation of operator '{op.name}'")
+    return _pencil_sum(op.terms, chis[:, None, None], Us[:, None, None])
 
 
 def residual_norm(op: ParametricOperator, chi: complex, U: float, x: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import NumericalError
-from .operator import ParametricOperator, Window, evaluate
+from .operator import ParametricOperator, Window, evaluate_batch
 
 __all__ = [
     "Grid2D",
@@ -150,16 +150,15 @@ def _check_grid_window(op: ParametricOperator, grid: Grid2D):
 def _row_stacks(op: ParametricOperator, grid: Grid2D):
     """Yield (i, u_i, stack) per U row, stack[j] = A(w_j + i*chi_I_fixed, u_i).
 
-    The stack is one buffer refilled for every row, so memory grows by
-    w_count*n*n entries rather than the whole grid's; use it before
-    advancing.
+    The stack is one buffer refilled by one :func:`evaluate_batch` call per
+    row, so memory grows by w_count*n*n entries rather than the whole
+    grid's; use it before advancing.
     """
     _check_grid_window(op, grid)
-    ws = grid.w_values()
-    stack = np.empty((ws.size, op.dim, op.dim), dtype=complex)
+    chis = grid.w_values() + 1j * grid.chi_I_fixed
+    stack = np.empty((chis.size, op.dim, op.dim), dtype=complex)
     for i, u in enumerate(grid.u_values()):
-        for j, w in enumerate(ws):
-            stack[j] = evaluate(op, complex(w, grid.chi_I_fixed), u)
+        stack[...] = evaluate_batch(op, chis, u)
         yield i, u, stack
 
 
@@ -190,119 +189,87 @@ def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
 
 # Marching squares.  Corners of cell (i, j): c00=(i,j), c10=(i+1,j),
 # c11=(i+1,j+1), c01=(i,j+1); edges 0=bottom, 1=right, 2=top, 3=left.
-# Case bits: c00 | c10<<1 | c11<<2 | c01<<3, "inside" meaning value >= level.
+# Case bits: c00 | c10<<1 | c11<<2 | c01<<3, "inside" meaning value >= level;
+# the saddles 5 and 10 add 16 when the cell-center value is inside.
 _SEGMENT_TABLE = {
-    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),),
-    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((0, 2),),
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 5: ((0, 3), (1, 2)),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((0, 2),), 10: ((0, 1), (2, 3)),
     11: ((1, 2),), 12: ((1, 3),), 13: ((0, 1),), 14: ((3, 0),),
+    21: ((0, 1), (2, 3)), 26: ((0, 3), (1, 2)),
 }
 
 
-def _cell_edge_key(i: int, j: int, edge: int) -> Tuple[str, int, int]:
-    if edge == 0:
-        return ("u", i, j)
-    if edge == 1:
-        return ("w", i + 1, j)
-    if edge == 2:
-        return ("u", i, j + 1)
-    return ("w", i, j)
+def _cell_corners(values: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(c00, c10, c11, c01) of every cell, each (u_count - 1, w_count - 1)."""
+    return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
 
 
-def _edge_vertex(key, corners, us, ws, level) -> Tuple[float, float]:
-    kind, i, j = key
-    if kind == "u":
-        a, b = corners[(i, j)], corners[(i + 1, j)]
-        t = (level - a) / (b - a)
-        return (us[i] + t * (us[i + 1] - us[i]), ws[j])
-    a, b = corners[(i, j)], corners[(i, j + 1)]
-    t = (level - a) / (b - a)
-    return (us[i], ws[j] + t * (ws[j + 1] - ws[j]))
+def _march(us: np.ndarray, ws: np.ndarray, corners: Sequence[np.ndarray], level: float,
+           skip_rows: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """Marching squares over per-cell corner arrays; returns chained polylines.
 
-
-def _march(us: np.ndarray, ws: np.ndarray, cell_corner_values, level: float,
-           skip_cell=None) -> List[np.ndarray]:
-    """Generic marching squares over cells; returns chained polylines.
-
-    ``cell_corner_values(i, j)`` returns (c00, c10, c11, c01) for the cell;
-    vertices are cached per grid edge so shared edges agree bit-exactly.
+    Cells are classified in numpy; only those the contour crosses reach
+    Python.  ``skip_rows[i]`` drops the cells of row i.  A grid edge gets
+    its vertex once, from the first crossing cell in row-major order, so
+    shared edges agree bit-exactly.
     """
-    segments: List[Tuple[Tuple, Tuple]] = []
-    corner_cache: Dict[Tuple[int, int], float] = {}
-    vertex_cache: Dict[Tuple, Tuple[float, float]] = {}
+    c00, c10, c11, c01 = corners
+    case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
+            | (c01 >= level) << 3).astype(int)
+    saddle = (case == 5) | (case == 10)
+    case += 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
+    active = (case != 0) & (case != 15)
+    if skip_rows is not None:
+        active &= ~skip_rows[:, None]
+    ii, jj = np.nonzero(active)
 
-    for i in range(us.size - 1):
-        for j in range(ws.size - 1):
-            if skip_cell is not None and skip_cell(i, j):
-                continue
-            c00, c10, c11, c01 = cell_corner_values(i, j)
-            corner_cache[(i, j)] = c00
-            corner_cache[(i + 1, j)] = c10
-            corner_cache[(i + 1, j + 1)] = c11
-            corner_cache[(i, j + 1)] = c01
-            case = (int(c00 >= level) | int(c10 >= level) << 1
-                    | int(c11 >= level) << 2 | int(c01 >= level) << 3)
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                center_in = 0.25 * (c00 + c10 + c11 + c01) >= level
-                if case == 5:
-                    segs = ((0, 1), (2, 3)) if center_in else ((0, 3), (1, 2))
-                else:
-                    segs = ((0, 3), (1, 2)) if center_in else ((0, 1), (2, 3))
-            else:
-                segs = _SEGMENT_TABLE[case]
-            for ea, eb in segs:
-                ka, kb = _cell_edge_key(i, j, ea), _cell_edge_key(i, j, eb)
-                for key in (ka, kb):
-                    if key not in vertex_cache:
-                        vertex_cache[key] = _edge_vertex(key, corner_cache, us, ws, level)
-                segments.append((ka, kb))
+    # per active cell and edge (bottom, right, top, left): crossing vertex
+    # from this cell's corners, and the global edge id (u-directed edges first)
+    a = np.stack([c00[ii, jj], c10[ii, jj], c01[ii, jj], c00[ii, jj]], axis=1)
+    b = np.stack([c10[ii, jj], c11[ii, jj], c11[ii, jj], c01[ii, jj]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (level - a) / (b - a)
+    u0, u1, w0, w1 = us[ii], us[ii + 1], ws[jj], ws[jj + 1]
+    vert_u = np.stack([u0 + t[:, 0] * (u1 - u0), u1, u0 + t[:, 2] * (u1 - u0), u0], axis=1)
+    vert_w = np.stack([w0, w0 + t[:, 1] * (w1 - w0), w1, w0 + t[:, 3] * (w1 - w0)], axis=1)
+    n_w, n_u_edges = ws.size, (us.size - 1) * ws.size
+    keys = np.stack([ii * n_w + jj, n_u_edges + (ii + 1) * (n_w - 1) + jj,
+                     ii * n_w + jj + 1, n_u_edges + ii * (n_w - 1) + jj], axis=1)
 
+    segments: List[Tuple[int, int]] = []
+    vertex_cache: Dict[int, Tuple[float, float]] = {}
+    for code, cell_keys, cell_u, cell_w in zip(case[ii, jj].tolist(), keys.tolist(),
+                                               vert_u.tolist(), vert_w.tolist()):
+        for ea, eb in _SEGMENT_TABLE[code]:
+            for e in (ea, eb):
+                vertex_cache.setdefault(cell_keys[e], (cell_u[e], cell_w[e]))
+            segments.append((cell_keys[ea], cell_keys[eb]))
     return _chain_segments(segments, vertex_cache)
 
 
 def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:
-    by_key: Dict[Tuple, List[int]] = {}
-    for idx, (ka, kb) in enumerate(segments):
-        by_key.setdefault(ka, []).append(idx)
-        by_key.setdefault(kb, []).append(idx)
-
+    """Chain segments sharing edge keys: forward from the tail, then back from the head."""
+    at_key: Dict[int, List[int]] = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            at_key.setdefault(key, []).append(idx)
     used = [False] * len(segments)
     polylines = []
-
-    def other_segment(key, idx):
-        for cand in by_key[key]:
-            if cand != idx and not used[cand]:
-                return cand
-        return None
-
-    for start in range(len(segments)):
+    for start, seg in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        chain = list(segments[start])
-        # extend forward from the tail, then backward from the head
-        for end in (1, 0):
-            prev_idx = start
-            while True:
-                key = chain[-1] if end == 1 else chain[0]
-                nxt = other_segment(key, prev_idx)
+        chain = list(seg)
+        for forward in (True, False):
+            while chain[0] != chain[-1]:
+                key = chain[-1] if forward else chain[0]
+                nxt = next((i for i in at_key[key] if not used[i]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
                 ka, kb = segments[nxt]
-                new_key = kb if ka == key else ka
-                if end == 1:
-                    chain.append(new_key)
-                else:
-                    chain.insert(0, new_key)
-                prev_idx = nxt
-                if chain[0] == chain[-1]:
-                    break
-            if chain[0] == chain[-1]:
-                break
-        pts = np.array([vertex_cache[k] for k in chain])
-        polylines.append(pts)
+                chain.insert(len(chain) if forward else 0, kb if ka == key else ka)
+        polylines.append(np.array([vertex_cache[k] for k in chain]))
     return polylines
 
 
@@ -316,33 +283,19 @@ def extract_contours(fld: Union[ScalarField, DetComponentField], level: float) -
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     if isinstance(fld, ScalarField):
-        v = fld.values
-
-        def corners(i, j):
-            return v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]
-
-        polylines = _march(us, ws, corners, float(level))
+        polylines = _march(us, ws, _cell_corners(fld.values), float(level))
     elif isinstance(fld, DetComponentField):
         if level != 0.0:
             raise ValueError("det component fields can only be contoured at level 0")
-        unit = fld.unit_values()
-        log_mag = fld.log_magnitude
+        # rescale each cell by its largest |det| corner; an all-singular
+        # cell (every log|det| = -inf) reads as four zeros
+        lm = _cell_corners(fld.log_magnitude)
+        top = np.maximum.reduce(lm)
+        with np.errstate(invalid="ignore"):
+            corners = [np.where(top == -math.inf, 0.0, np.exp(c - top) * unit)
+                       for c, unit in zip(lm, _cell_corners(fld.unit_values()))]
         degenerate = fld.degenerate_rows()
-
-        def corners(i, j):
-            lm = (log_mag[i, j], log_mag[i + 1, j], log_mag[i + 1, j + 1], log_mag[i, j + 1])
-            top = max(lm)
-            if top == -math.inf:
-                return 0.0, 0.0, 0.0, 0.0
-            sc = (math.exp(lm[0] - top), math.exp(lm[1] - top),
-                  math.exp(lm[2] - top), math.exp(lm[3] - top))
-            return (sc[0] * unit[i, j], sc[1] * unit[i + 1, j],
-                    sc[2] * unit[i + 1, j + 1], sc[3] * unit[i, j + 1])
-
-        def skip(i, j):
-            return degenerate[i] or degenerate[i + 1]
-
-        polylines = _march(us, ws, corners, 0.0, skip_cell=skip)
+        polylines = _march(us, ws, corners, 0.0, skip_rows=degenerate[:-1] | degenerate[1:])
     else:
         raise TypeError(f"cannot contour {type(fld).__name__}")
     return ContourSet(float(level), polylines)

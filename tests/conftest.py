@@ -211,3 +211,43 @@ def normal_op():
 def distance_to_spectrum(chi):
     """Brute-force min_k |chi - lambda_k| for the prescribed spectrum."""
     return min(abs(complex(chi) - lam) for lam in NORMAL_EIGENVALUES)
+
+
+# ---------------------------------------------------------------------------
+# marching-squares oracle: every straddling grid edge, interpolated linearly
+
+
+def edge_crossings(us, ws, pair_values, level, edge_ok=lambda p, q: True):
+    """Crossing points of all grid edges whose endpoints straddle ``level``.
+
+    ``pair_values(p, q)`` gives the two endpoint values of the edge between
+    nodes p and q (index pairs); "inside" means value >= level.  Edges with
+    ``edge_ok(p, q)`` false are left out.  Brute force over every edge, no
+    cells and no chaining.
+    """
+    points = []
+    for i in range(len(us)):
+        for j in range(len(ws)):
+            for p, q in (((i, j), (i + 1, j)), ((i, j), (i, j + 1))):
+                if q[0] >= len(us) or q[1] >= len(ws) or not edge_ok(p, q):
+                    continue
+                a, b = pair_values(p, q)
+                if (a >= level) == (b >= level):
+                    continue
+                t = (level - a) / (b - a)
+                points.append((us[p[0]] + t * (us[q[0]] - us[p[0]]),
+                               ws[p[1]] + t * (ws[q[1]] - ws[p[1]])))
+    return points
+
+
+def det_pair_values(log_mag, unit):
+    """Endpoint values of a det component, both scaled by the larger |det|."""
+
+    def pair(p, q):
+        top = max(log_mag[p], log_mag[q])
+        if top == -np.inf:
+            return 0.0, 0.0
+        return (float(np.exp(log_mag[p] - top) * unit[p]),
+                float(np.exp(log_mag[q] - top) * unit[q]))
+
+    return pair

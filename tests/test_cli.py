@@ -158,7 +158,9 @@ class TestEnvelopeCommand:
         path_file = self._subcritical_path(tmp_path)
         csv_file = path_file.with_suffix(".csv")
         header, rows = read_csv(csv_file)
-        rebuilt = read_path_file(csv_file)
+        rebuilt, model_doc = read_path_file(csv_file)
+        assert model_doc is None
+        assert read_path_file(path_file)[1] == TRAJ_MODEL
         for row, s, p in zip(rows, rebuilt.s, rebuilt.points):
             assert row[0] == s and row[1] == p.U
             assert row[2] == p.chi_R and row[3] == p.chi_I and row[5] == p.residual

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flutterspec import (DampingParameterization, EigenPoint, NumericalError,
                          ParametricOperator, Window, build_normal_operator,
                          complex_to_damping, damping_to_complex, evaluate,
                          param_derivatives, residual_norm, sigma_min)
+from flutterspec.operator import evaluate_batch, polynomial_pencil
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -49,6 +52,78 @@ class TestEvaluate:
         op = ParametricOperator("bad", 3, lambda chi, u: np.eye(2, dtype=complex), WIDE)
         with pytest.raises(ValueError):
             evaluate(op, 0.0, 0.0)
+
+
+class TestEvaluateBatch:
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           exps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                         min_size=1, max_size=12, unique=True))
+    def test_random_pencil_matches_per_node(self, n, seed, exps):
+        rng = np.random.default_rng(seed)
+        coeffs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for _ in exps]
+        op = polynomial_pencil("random", [(a, b, c) for (a, b), c in zip(exps, coeffs)], WIDE)
+        chis = rng.uniform(-30.0, 30.0, 9) + 1j * rng.uniform(-3.0, 3.0, 9)
+        us = rng.uniform(-20.0, 60.0, 9)
+        batch = evaluate_batch(op, chis, us)
+        assert batch.shape == (9, n, n)
+        for k, (chi, u) in enumerate(zip(chis, us)):
+            weights = [complex(chi) ** a * float(u) ** b for a, b in exps]
+            direct = sum(w * c for w, c in zip(weights, coeffs))
+            bound = 1e-14 * sum(abs(w) * np.linalg.norm(c) for w, c in zip(weights, coeffs))
+            assert np.linalg.norm(batch[k] - evaluate(op, chi, u)) <= bound
+            assert np.linalg.norm(batch[k] - direct) <= bound
+
+    def test_broadcast_scalar_airspeed(self, ts_op):
+        chis = np.linspace(5.0, 70.0, 6) + 0.5j
+        batch = evaluate_batch(ts_op, chis, 30.0)
+        for k, chi in enumerate(chis):
+            assert np.allclose(batch[k], evaluate(ts_op, chi, 30.0), rtol=1e-14, atol=0)
+
+    def test_plain_callable_node_by_node(self):
+        calls = []
+
+        def func(chi, u):
+            calls.append((chi, u))
+            return np.array([[chi, u], [chi * u, 1.0]], dtype=complex)
+
+        op = ParametricOperator("callable", 2, func, WIDE)
+        chis = np.array([1.0 + 2.0j, -3.0, 0.5j])
+        batch = evaluate_batch(op, chis, [4.0, 5.0, 6.0])
+        nodes = [(1.0 + 2.0j, 4.0), (-3.0 + 0j, 5.0), (0.5j, 6.0)]
+        assert calls == nodes
+        for k, (chi, u) in enumerate(nodes):
+            assert np.array_equal(batch[k], func(chi, u))
+
+    @pytest.mark.parametrize("bad", [(complex(np.nan, 0.0), 1.0), (1.0, np.inf)])
+    def test_nonfinite_arguments_rejected(self, shifted_op, identity_op, bad):
+        for op in (shifted_op, identity_op):
+            with pytest.raises(ValueError):
+                evaluate_batch(op, [0.5, bad[0]], [0.0, bad[1]])
+
+    def test_wrong_shape_rejected(self):
+        op = ParametricOperator("bad", 3, lambda chi, u: np.eye(2, dtype=complex), WIDE)
+        with pytest.raises(ValueError):
+            evaluate_batch(op, [0.0, 1.0], 0.0)
+
+    def test_pencil_derivatives_are_exact(self):
+        m = np.array([[2.0, 0.3], [0.3, 1.0]])
+        d = np.array([[0.0, 1.0], [-1.0, 0.5]])
+        op = polynomial_pencil("pencil", [(2, 0, -m), (1, 1, 1j * d), (0, 3, m)], WIDE)
+        chi, u = 1.7 - 0.2j, 3.0
+        d_r, d_i, d_u = param_derivatives(op, chi.real, chi.imag, u)
+        assert np.allclose(d_r, -2.0 * chi * m + 1j * u * d, rtol=1e-15, atol=1e-15)
+        assert np.allclose(d_i, 1j * d_r, rtol=0, atol=0)
+        assert np.allclose(d_u, 1j * chi * d + 3.0 * u ** 2 * m, rtol=1e-15, atol=1e-14)
+
+    def test_invalid_terms_rejected(self):
+        with pytest.raises(ValueError):
+            polynomial_pencil("empty", [], WIDE)
+        with pytest.raises(ValueError):
+            polynomial_pencil("negative", [(-1, 0, np.eye(2))], WIDE)
+        with pytest.raises(ValueError):
+            polynomial_pencil("mixed", [(0, 0, np.eye(2)), (1, 0, np.eye(3))], WIDE)
 
 
 class TestResidualNorm:

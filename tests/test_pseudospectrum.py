@@ -13,8 +13,10 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
                          compute_sigma_field, epsilon_pseudospectrum, extract_contours,
                          find_borderline_regions, sigma_min)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
+from flutterspec.pseudospectrum import DetComponentField
 
-from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
+from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
+                      edge_crossings)
 
 
 def assert_contours_on_grid(contour, grid):
@@ -104,7 +106,8 @@ class TestSigmaField:
             a = base.func(chi, u)
             return a * np.nan if u == 2.0 else a
 
-        op = dataclasses.replace(base, func=func)
+        # a replaced func needs the pencil terms cleared, or batched rows ignore it
+        op = dataclasses.replace(base, func=func, terms=None)
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
         with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
             compute_sigma_field(op, grid)
@@ -224,6 +227,140 @@ class TestContours:
         loops = [pl for pl in cs.polylines
                  if np.array_equal(pl[0], pl[-1]) and len(pl) > 3]
         assert loops, "expected a closed contour around the flutter point"
+
+
+def assert_vertices_match(contour, expected, grid, tol=1e-12):
+    """Contour vertices are the oracle's crossings, one each, within tol of a cell."""
+    got = [pl[:-1] if len(pl) > 2 and np.array_equal(pl[0], pl[-1]) else pl
+           for pl in contour.polylines]
+    got = np.vstack(got) if got else np.empty((0, 2))
+    expected = np.array(expected).reshape(-1, 2)
+    assert len(got) == len(expected)
+    assert np.isfinite(got).all()
+    if not len(got):
+        return
+    cell = min(np.diff(grid.u_values()).min(), np.diff(grid.w_values()).min())
+    dist = np.abs(got[:, None, :] - expected[None, :, :]).max(axis=2) / cell
+    for k in range(len(expected)):  # greedy one-to-one matching
+        m = int(dist[:, k].argmin())
+        assert dist[m, k] <= tol, f"no vertex at crossing {expected[k]}"
+        dist[m, :] = np.inf
+
+
+def _scalar_pairs(values):
+    return lambda p, q: (values[p], values[q])
+
+
+class TestArrayMarch:
+    """Marching squares against the brute-force edge oracle of conftest."""
+
+    @settings(max_examples=60)
+    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+           level=st.floats(-1.0, 1.0))
+    def test_random_scalar_field(self, nu, nw, seed, level):
+        rng = np.random.default_rng(seed)
+        grid = Grid2D((0.0, 1.0, nu), (-2.0, 3.0, nw))
+        values = rng.standard_normal((nu, nw))
+        cs = extract_contours(ScalarField(grid, values), level)
+        expected = edge_crossings(grid.u_values(), grid.w_values(), _scalar_pairs(values), level)
+        assert_vertices_match(cs, expected, grid, tol=0.0)
+        assert_contours_on_grid(cs, grid)
+
+    @settings(max_examples=40)
+    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_det_component(self, nu, nw, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid2D((0.0, 1.0, nu), (0.0, 1.0, nw))
+        log_mag = rng.uniform(-5.0, 5.0, (nu, nw))
+        phase = rng.uniform(-np.pi, np.pi, (nu, nw))
+        for component, unit in (("real", np.cos(phase)), ("imag", np.sin(phase))):
+            fld = DetComponentField(grid, log_mag, phase, component)
+            expected = edge_crossings(grid.u_values(), grid.w_values(),
+                                      det_pair_values(log_mag, unit), 0.0)
+            assert_vertices_match(extract_contours(fld, 0.0), expected, grid)
+
+    @pytest.mark.parametrize("center_inside", [True, False])
+    @pytest.mark.parametrize("case", [5, 10])
+    def test_saddle_cells(self, case, center_inside):
+        # one cell; the diagonal pair c00, c11 (case 5) or c10, c01 (case 10) is inside
+        grid = Grid2D((0.0, 1.0, 2), (0.0, 1.0, 2))
+        high, low = (1.5, -1.0) if center_inside else (1.0, -3.0)
+        values = np.full((2, 2), low)
+        for node in ([(0, 0), (1, 1)] if case == 5 else [(1, 0), (0, 1)]):
+            values[node] = high
+        assert bool(values.mean() >= 0.0) is center_inside
+        cs = extract_contours(ScalarField(grid, values), 0.0)
+
+        def side(u, w):
+            return {0.0: "left", 1.0: "right"}.get(u) or {0.0: "bottom", 1.0: "top"}[w]
+
+        pieces = {frozenset(side(u, w) for u, w in pl) for pl in cs.polylines}
+        # each piece cuts off one corner, and the cut-off corners are the ones
+        # outside when the center is inside (the inside pair joins through it)
+        inside = {(0, 0), (1, 1)} if case == 5 else {(1, 0), (0, 1)}
+        cut = {(0, 0), (1, 0), (0, 1), (1, 1)} - inside if center_inside else inside
+        corner_sides = {(0, 0): {"left", "bottom"}, (1, 0): {"right", "bottom"},
+                        (0, 1): {"left", "top"}, (1, 1): {"right", "top"}}
+        assert pieces == {frozenset(corner_sides[c]) for c in cut}
+        assert all(len(pl) == 2 for pl in cs.polylines)
+
+    def test_singular_node_det_field(self):
+        # det = (1 - chi)(3 - chi) is exactly 0 on the grid lines chi_R = 1 and 3
+        op = build_normal_operator([1.0, 3.0], Window(0.0, 1.0, 0.0, 4.0))
+        grid = Grid2D((0.0, 1.0, 4), (0.0, 4.0, 9))
+        fld = compute_det_field(op, grid)
+        assert np.isneginf(fld.log_magnitude).sum() == 2 * 4
+        cs = extract_contours(fld.real_part(), 0.0)
+        expected = edge_crossings(grid.u_values(), grid.w_values(),
+                                  det_pair_values(fld.log_magnitude, np.cos(fld.phase)), 0.0)
+        assert_vertices_match(cs, expected, grid)
+
+    def test_all_singular_cells_give_no_vertices(self):
+        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
+        log_mag = np.full((4, 4), -np.inf)
+        log_mag[3, 3] = 0.0
+        phase = np.zeros((4, 4))
+        phase[3, 3] = np.pi
+        cs = extract_contours(DetComponentField(grid, log_mag, phase, "real"), 0.0)
+        expected = edge_crossings(grid.u_values(), grid.w_values(),
+                                  det_pair_values(log_mag, np.cos(phase)), 0.0)
+        assert len(expected) == 2
+        assert_vertices_match(cs, expected, grid)
+
+    def test_closed_loop_repeats_first_vertex(self):
+        grid = Grid2D((0.0, 1.0, 13), (0.0, 2.0, 17))
+        us, ws = grid.u_values(), grid.w_values()
+        values = (us[:, None] - 0.45) ** 2 + ((ws[None, :] - 1.1) / 2.0) ** 2
+        cs = extract_contours(ScalarField(grid, values), 0.07)
+        assert len(cs.polylines) == 1
+        loop = cs.polylines[0]
+        assert np.array_equal(loop[0], loop[-1])
+        assert len(np.unique(loop[:-1], axis=0)) == len(loop) - 1
+        assert_vertices_match(cs, edge_crossings(us, ws, _scalar_pairs(values), 0.07), grid,
+                              tol=0.0)
+
+    def test_degenerate_rows_skipped(self):
+        grid = Grid2D((0.0, 1.0, 7), (0.0, 1.0, 9))
+        us, ws = grid.u_values(), grid.w_values()
+        phase = np.sin(7.0 * us[:, None] + 5.0 * ws[None, :]) * 2.5
+        phase[[0, 3]] = 0.0            # Im(det) identically zero on rows 0 and 3
+        log_mag = np.zeros_like(phase)
+        fld = DetComponentField(grid, log_mag, phase, "imag")
+        unit = np.sin(phase)
+        flat = np.all(np.abs(unit) <= 1e-12, axis=1)
+        assert flat.tolist() == [True, False, False, True, False, False, False]
+
+        def in_live_cell(p, q):
+            # a cell is live when neither of its rows is flat
+            rows = {p[0], q[0]}
+            cells = [(r, r + 1) for r in range(len(us) - 1) if rows <= {r, r + 1}]
+            return any(not flat[a] and not flat[b] for a, b in cells)
+
+        cs = extract_contours(fld, 0.0)
+        expected = edge_crossings(us, ws, det_pair_values(log_mag, unit), 0.0, in_live_cell)
+        assert expected
+        assert_vertices_match(cs, expected, grid)
+        assert all(u not in (us[0], us[3]) for pl in cs.polylines for u in pl[:, 0])
 
 
 class TestEpsilonPseudospectrum:
