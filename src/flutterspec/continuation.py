@@ -19,15 +19,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
-from .operator import (DampingParameterization, EigenPoint, ParametricOperator,
-                       complex_to_damping, evaluate, param_derivatives, sigma_min)
+from .operator import (DampingParameterization, EigenPoint, ParametricOperator, RowFn,
+                       _solve_bordered, complex_to_damping, evaluate, param_derivatives,
+                       sigma_min)
 
 __all__ = [
     "Tangent",
@@ -105,9 +106,7 @@ class ContinuationSettings:
             raise ValueError("constraint_form must be 'eq2' or 'eq3'")
 
     def resolved_scale(self, origin: EigenPoint) -> Scale:
-        if self.scale is not None:
-            return self.scale
-        return (max(abs(origin.U), 1.0), max(abs(origin.chi_R), 1.0))
+        return _resolve_scale(self.scale, origin)
 
 
 @dataclass
@@ -155,81 +154,9 @@ def _point_triple(p: EigenPoint) -> Triple:
     return (p.U, p.chi_R, p.chi_I)
 
 
-RowFn = Callable[[float, float, float], Tuple[float, Tuple[float, float, float]]]
-
-
-def _solve_bordered(op: ParametricOperator, triple: Triple, x0: np.ndarray,
-                    row_fn: RowFn, tol: float, max_iters: int) -> Tuple[EigenPoint, int]:
-    """Damped Newton on {A x = 0, c*x = 1, scalar row = 0}.
-
-    Unknowns are (Re x, Im x, chi_R, chi_I, U); the fixed normalization
-    vector c is the initial eigenvector guess.  Converges when the unit
-    eigenvector residual and the scalar row are both below ``tol``.
-    """
-    n = op.dim
-    u, wr, wi = float(triple[0]), float(triple[1]), float(triple[2])
-    x = np.asarray(x0, dtype=complex).reshape(n)
-    x = x / np.linalg.norm(x)
-    c = x.copy()
-
-    def full_residual(xv, wr_v, wi_v, u_v):
-        a = evaluate(op, complex(wr_v, wi_v), u_v)
-        ax = a @ xv
-        cn = np.vdot(c, xv) - 1.0
-        rowv, _ = row_fn(wr_v, wi_v, u_v)
-        return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a
-
-    best = (math.inf, None)
-    for iteration in range(max_iters):
-        f, a = full_residual(x, wr, wi, u)
-        xhat = x / np.linalg.norm(x)
-        res = float(np.linalg.norm(a @ xhat))
-        rowv, rowg = row_fn(wr, wi, u)
-        if res <= tol and abs(rowv) <= tol:
-            return EigenPoint.from_vector(op, wr, wi, u, xhat), iteration
-        fn = float(np.linalg.norm(f))
-        if fn < best[0]:
-            best = (fn, (u, wr, wi))
-
-        d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
-        jac = np.zeros((2 * n + 3, 2 * n + 3))
-        jac[:n, :n] = a.real
-        jac[:n, n:2 * n] = -a.imag
-        jac[n:2 * n, :n] = a.imag
-        jac[n:2 * n, n:2 * n] = a.real
-        for col, mat in ((2 * n, d_r), (2 * n + 1, d_i), (2 * n + 2, d_u)):
-            mv = mat @ x
-            jac[:n, col] = mv.real
-            jac[n:2 * n, col] = mv.imag
-        jac[2 * n, :n] = c.real
-        jac[2 * n, n:2 * n] = c.imag
-        jac[2 * n + 1, :n] = -c.imag
-        jac[2 * n + 1, n:2 * n] = c.real
-        jac[2 * n + 2, 2 * n:] = rowg
-
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"bordered Jacobian singular at U={u}, chi={wr}+{wi}j",
-                                   best=best[1], iterations=iteration) from exc
-
-        step = 1.0
-        for _ in range(20):
-            x_t = x + step * (delta[:n] + 1j * delta[n:2 * n])
-            wr_t = wr + step * delta[2 * n]
-            wi_t = wi + step * delta[2 * n + 1]
-            u_t = u + step * delta[2 * n + 2]
-            f_t, _ = full_residual(x_t, wr_t, wi_t, u_t)
-            if np.linalg.norm(f_t) < fn:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(f"bordered Newton stalled at U={u}, chi={wr}+{wi}j "
-                                   f"(|F|={fn:.3e})", best=best[1], iterations=iteration)
-        x, wr, wi, u = x_t, wr_t, wi_t, u_t
-
-    raise ConvergenceError(f"bordered Newton did not converge in {max_iters} iterations "
-                           f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)
+def _resolve_scale(scale: Optional[Scale], p: EigenPoint) -> Scale:
+    """``scale``, or by default (max(|U|, 1), max(|chi_R|, 1)) at p."""
+    return scale if scale is not None else (max(abs(p.U), 1.0), max(abs(p.chi_R), 1.0))
 
 
 def _arclength_row(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> RowFn:
@@ -242,11 +169,6 @@ def _arclength_row(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Row
         return value, (tr / cs, ti / cs, tu / us)
 
     return row
-
-
-def _constraint_residual(p: Triple, base: EigenPoint, t: Tangent, ds: float,
-                         scale: Scale) -> float:
-    return float(t.array() @ (_scaled(p, scale) - _scaled(_point_triple(base), scale)) - ds)
 
 
 def solve_at_airspeed(op: ParametricOperator, U: float, seed: EigenPoint,
@@ -283,8 +205,7 @@ def initial_tangent(op: ParametricOperator, fp: Union[FlutterPoint, EigenPoint],
     point = fp.point if isinstance(fp, FlutterPoint) else fp
     if delta_U is None:
         delta_U = 1e-3 * max(abs(point.U), 1.0)
-    if scale is None:
-        scale = (max(abs(point.U), 1.0), max(abs(point.chi_R), 1.0))
+    scale = _resolve_scale(scale, point)
     plus = solve_at_airspeed(op, point.U + delta_U, point, tol=tol)
     minus = solve_at_airspeed(op, point.U - delta_U, point, tol=tol)
     dchi = (plus.chi - minus.chi) / (2.0 * delta_U)
@@ -341,6 +262,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     u, wr, wi = float(guess[0]), float(guess[1]), float(guess[2])
     tol = settings.corrector_tol
     us, cs = scale
+    constraint = _arclength_row(base, t, ds, scale)
     x_prev = None
     for iteration in range(settings.max_corrector_iters):
         sig, x = sigma_min(op, complex(wr, wi), u)
@@ -349,7 +271,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
             if np.linalg.norm(aligned - x_prev) > MODE_SWITCH_NORM:
                 logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
         x_prev = x
-        g = _constraint_residual((u, wr, wi), base, t, ds, scale)
+        g, _ = constraint(wr, wi, u)
         if sig <= tol and abs(g) <= tol:
             return EigenPoint.from_vector(op, wr, wi, u, x), iteration
 
@@ -405,7 +327,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         if candidate_norm <= 1e-2 * tol:
             # Increments at rounding level but residuals still above tol.
             sig, x = sigma_min(op, complex(wr, wi), u)
-            g = _constraint_residual((u, wr, wi), base, t, ds, scale)
+            g, _ = constraint(wr, wi, u)
             if sig <= tol and abs(g) <= tol:
                 return EigenPoint.from_vector(op, wr, wi, u, x), iteration + 1
             raise ConvergenceError(f"SLP stalled at U={u} (sigma={sig:.3e}, |g|={abs(g):.3e})",
@@ -520,8 +442,7 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
         raise ValueError("dU must be positive")
     if abs(seed.U - U_start) > 1e-9 * max(1.0, abs(U_start)):
         raise ValueError(f"seed is converged at U={seed.U}, not at U_start={U_start}")
-    if scale is None:
-        scale = (max(abs(seed.U), 1.0), max(abs(seed.chi_R), 1.0))
+    scale = _resolve_scale(scale, seed)
     sign = 1.0 if U_end >= U_start else -1.0
     targets = []
     k, u = 1, U_start
@@ -587,8 +508,7 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
     _, d_seed = complex_to_damping(p, seed.chi)
     if abs(d_seed - d_values[0]) > 1e-6 * (1.0 + abs(d_seed)):
         raise ValueError(f"seed damping {d_seed} does not match d_values[0] = {d_values[0]}")
-    if scale is None:
-        scale = (max(abs(seed.U), 1.0), max(abs(seed.chi_R), 1.0))
+    scale = _resolve_scale(scale, seed)
 
     path = ModePath(points=[seed], s=[0.0], origin="natural",
                     direction=+1 if (diffs.size == 0 or diffs[0] > 0) else -1, scale=scale)

@@ -3,22 +3,21 @@
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
 singular.  Candidates come from intersecting the Re(det) = 0 and
 Im(det) = 0 contours of a determinant field, refined by shrinking the
-window around each intersection; a damped 2-D Newton on (Re det, Im det)
-then polishes each candidate to tolerance.
+window around each intersection; the bordered Newton the continuation
+correctors share then polishes each candidate onto chi_I = 0.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .operator import EigenPoint, ParametricOperator, Window, evaluate, sigma_min
-from .pseudospectrum import ComplexField, ContourSet, Grid2D, compute_det_field, extract_contours
+from .operator import EigenPoint, ParametricOperator, Window, _solve_bordered, sigma_min
+from .pseudospectrum import ContourSet, Grid2D, compute_det_field, extract_contours
 
 __all__ = [
     "FlutterSearchSettings",
@@ -163,70 +162,35 @@ def locate_candidates(op: ParametricOperator, window: Window, grid_count: int = 
     return [(u, w) for u, w, _ in _locate_with_history(op, window, grid_count, refine_iters)]
 
 
-def _scaled_det(op: ParametricOperator, u: float, w: float, log_ref: float) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(evaluate(op, complex(w, 0.0), u))
-    if sign == 0.0:
-        return np.zeros(2)
-    mag = math.exp(min(logdet - log_ref, 700.0))
-    return np.array([mag * sign.real, mag * sign.imag])
+def _real_chi_row(wr: float, wi: float, u: float):
+    return wi, (0.0, 1.0, 0.0)
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
                          tol: float = 1e-10, max_iters: int = 50) -> FlutterPoint:
-    """Damped 2-D Newton on F(U, chi_R) = (Re det, Im det) at chi_I = 0.
+    """Bordered Newton on {A x = 0, c*x = 1, chi_I = 0} from a candidate (U, chi_R).
 
-    The determinant is rescaled by its magnitude at the current iterate,
-    which leaves the root and the Newton step unchanged but avoids
-    overflow.  Convergence is judged on sigma_min <= tol.
+    The solver is the one the continuation correctors use, started from
+    the minimum singular vector at the candidate; it converges when the
+    unit-eigenvector residual and |chi_I| are both <= tol.  The result
+    stores chi_I as exactly zero.  A singular Jacobian raises
+    NumericalError; no convergence raises ConvergenceError with
+    best = (U, chi_R, chi_I).
     """
     u, w = float(candidate[0]), float(candidate[1])
     if not op.window.contains(u, w):
         raise ValueError(f"candidate {candidate} outside operator window {op.window}")
-
-    best = (math.inf, u, w)
-    for iteration in range(max_iters):
-        sig, x = sigma_min(op, complex(w, 0.0), u)
-        pt = EigenPoint.from_vector(op, w, 0.0, u, x)
-        if pt.residual < best[0]:
-            best = (pt.residual, u, w)
-        # accept on the recomputed ||A x||, the quantity the result carries
-        if pt.residual <= tol and sig <= tol:
-            return FlutterPoint(point=pt, iterations=iteration)
-
-        _, log_ref = np.linalg.slogdet(evaluate(op, complex(w, 0.0), u))
-        if not math.isfinite(log_ref):
-            log_ref = 0.0
-        f0 = _scaled_det(op, u, w, log_ref)
-        h_u = max(op.fd_step[1], 1e-8 * abs(u))
-        h_w = max(op.fd_step[0], 1e-8 * abs(w))
-        jac = np.column_stack([
-            (_scaled_det(op, u + h_u, w, log_ref) - _scaled_det(op, u - h_u, w, log_ref)) / (2 * h_u),
-            (_scaled_det(op, u, w + h_w, log_ref) - _scaled_det(op, u, w - h_w, log_ref)) / (2 * h_w),
-        ])
-        try:
-            delta = np.linalg.solve(jac, -f0)
-        except np.linalg.LinAlgError as exc:
+    _, x0 = sigma_min(op, complex(w, 0.0), u)
+    try:
+        pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, _real_chi_row, tol, max_iters)
+    except ConvergenceError as exc:
+        if isinstance(exc.__cause__, np.linalg.LinAlgError):
             raise NumericalError(
-                f"singular det Jacobian at (U={u}, chi_R={w}); refine the search window "
+                f"{exc} polishing candidate (U={u}, chi_R={w}); refine the search window "
                 f"(locate_candidates with more refine_iters) and retry") from exc
-
-        norm0 = np.linalg.norm(f0)
-        scale = 1.0
-        for _ in range(20):
-            u_new, w_new = u + scale * delta[0], w + scale * delta[1]
-            if np.linalg.norm(_scaled_det(op, u_new, w_new, log_ref)) < norm0:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"flutter polish stalled at (U={u}, chi_R={w}), sigma_min={sig:.3e}",
-                best=best, iterations=iteration)
-        u, w = u + scale * delta[0], w + scale * delta[1]
-
-    raise ConvergenceError(
-        f"flutter polish did not reach sigma_min <= {tol} in {max_iters} iterations "
-        f"(best sigma_min={best[0]:.3e} at U={best[1]}, chi_R={best[2]})",
-        best=best, iterations=max_iters)
+        raise
+    return FlutterPoint(point=EigenPoint.from_vector(op, pt.chi_R, 0.0, pt.U, pt.x),
+                        iterations=iterations)
 
 
 def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConvergenceError, NumericalError
 
 __all__ = [
     "Window",
@@ -263,6 +263,85 @@ def param_derivatives(op: ParametricOperator, chi_R: float, chi_I: float,
     d_i = (evaluate(op, chi + 1j * h_chi, U) - evaluate(op, chi - 1j * h_chi, U)) / (2.0 * h_chi)
     d_u = (evaluate(op, chi, U + h_u) - evaluate(op, chi, U - h_u)) / (2.0 * h_u)
     return d_r, d_i, d_u
+
+
+# A scalar constraint row(chi_R, chi_I, U) -> (value, its gradient in (chi_R, chi_I, U)).
+RowFn = Callable[[float, float, float], Tuple[float, Tuple[float, float, float]]]
+
+
+def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], x0: np.ndarray,
+                    row_fn: RowFn, tol: float, max_iters: int) -> Tuple[EigenPoint, int]:
+    """Damped Newton on {A x = 0, c*x = 1, scalar row = 0}.
+
+    Unknowns are (Re x, Im x, chi_R, chi_I, U), started at ``triple`` =
+    (U, chi_R, chi_I); the fixed normalization vector c is the initial
+    eigenvector guess.  Converges when the unit eigenvector residual and
+    the scalar row are both below ``tol``.
+    """
+    n = op.dim
+    u, wr, wi = float(triple[0]), float(triple[1]), float(triple[2])
+    x = np.asarray(x0, dtype=complex).reshape(n)
+    x = x / np.linalg.norm(x)
+    c = x.copy()
+
+    def full_residual(xv, wr_v, wi_v, u_v):
+        a = evaluate(op, complex(wr_v, wi_v), u_v)
+        ax = a @ xv
+        cn = np.vdot(c, xv) - 1.0
+        rowv, _ = row_fn(wr_v, wi_v, u_v)
+        return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a
+
+    best = (math.inf, None)
+    for iteration in range(max_iters):
+        f, a = full_residual(x, wr, wi, u)
+        xhat = x / np.linalg.norm(x)
+        res = float(np.linalg.norm(a @ xhat))
+        rowv, rowg = row_fn(wr, wi, u)
+        if res <= tol and abs(rowv) <= tol:
+            return EigenPoint.from_vector(op, wr, wi, u, xhat), iteration
+        fn = float(np.linalg.norm(f))
+        if fn < best[0]:
+            best = (fn, (u, wr, wi))
+
+        d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
+        jac = np.zeros((2 * n + 3, 2 * n + 3))
+        jac[:n, :n] = a.real
+        jac[:n, n:2 * n] = -a.imag
+        jac[n:2 * n, :n] = a.imag
+        jac[n:2 * n, n:2 * n] = a.real
+        for col, mat in ((2 * n, d_r), (2 * n + 1, d_i), (2 * n + 2, d_u)):
+            mv = mat @ x
+            jac[:n, col] = mv.real
+            jac[n:2 * n, col] = mv.imag
+        jac[2 * n, :n] = c.real
+        jac[2 * n, n:2 * n] = c.imag
+        jac[2 * n + 1, :n] = -c.imag
+        jac[2 * n + 1, n:2 * n] = c.real
+        jac[2 * n + 2, 2 * n:] = rowg
+
+        try:
+            delta = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"bordered Jacobian singular at U={u}, chi={wr}+{wi}j",
+                                   best=best[1], iterations=iteration) from exc
+
+        step = 1.0
+        for _ in range(20):
+            x_t = x + step * (delta[:n] + 1j * delta[n:2 * n])
+            wr_t = wr + step * delta[2 * n]
+            wi_t = wi + step * delta[2 * n + 1]
+            u_t = u + step * delta[2 * n + 2]
+            f_t, _ = full_residual(x_t, wr_t, wi_t, u_t)
+            if np.linalg.norm(f_t) < fn:
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError(f"bordered Newton stalled at U={u}, chi={wr}+{wi}j "
+                                   f"(|F|={fn:.3e})", best=best[1], iterations=iteration)
+        x, wr, wi, u = x_t, wr_t, wi_t, u_t
+
+    raise ConvergenceError(f"bordered Newton did not converge in {max_iters} iterations "
+                           f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)
 
 
 def damping_to_complex(p: DampingParameterization, chi_R: float, d: float) -> complex:

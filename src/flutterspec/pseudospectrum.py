@@ -150,16 +150,13 @@ def _check_grid_window(op: ParametricOperator, grid: Grid2D):
 def _row_stacks(op: ParametricOperator, grid: Grid2D):
     """Yield (i, u_i, stack) per U row, stack[j] = A(w_j + i*chi_I_fixed, u_i).
 
-    The stack is one buffer refilled by one :func:`evaluate_batch` call per
-    row, so memory grows by w_count*n*n entries rather than the whole
-    grid's; use it before advancing.
+    Each stack is a fresh :func:`evaluate_batch` result, so only about one
+    row of w_count*n*n entries is alive at a time, never the whole grid's.
     """
     _check_grid_window(op, grid)
     chis = grid.w_values() + 1j * grid.chi_I_fixed
-    stack = np.empty((chis.size, op.dim, op.dim), dtype=complex)
     for i, u in enumerate(grid.u_values()):
-        stack[...] = evaluate_batch(op, chis, u)
-        yield i, u, stack
+        yield i, u, evaluate_batch(op, chis, u)
 
 
 def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flutterspec import (ConvergenceError, FlutterSearchSettings, NumericalError, Window,
-                         build_normal_operator, build_trajectory_operator, find_flutter_points,
-                         locate_candidates, polish_flutter_point, residual_norm, sigma_min,
-                         two_crossing_spec)
-from flutterspec.models import ModeTrajectory, TrajectorySpec
+from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSpec,
+                         NumericalError, Window, build_galerkin_wing, build_normal_operator,
+                         build_trajectory_operator, find_flutter_points, locate_candidates,
+                         polish_flutter_point, residual_norm, sigma_min, two_crossing_spec)
+from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
+
+from conftest import det_scan_flutter
 
 SEARCH = Window(10.0, 400.0, 20.0, 200.0)
 
@@ -131,3 +135,42 @@ class TestFindFlutterPoints:
         assert points[0].static is True
         assert points[0].point.U == pytest.approx(150.0, rel=1e-8)
         assert abs(points[0].point.chi_R) < 1e-6 * 10.0
+
+    def test_wing_lowest_point_comes_first(self):
+        # |A| ~ 4.5e4 here; the point at U ~ 9.2458 must not be dropped
+        op = build_galerkin_wing()
+        w = op.window
+        expected = sorted(det_scan_flutter(op, w.u_min, w.u_max, w.chi_r_min, w.chi_r_max))
+        points = find_flutter_points(op)
+        assert expected[0][0] == pytest.approx(9.2458, abs=1e-4)
+        assert len(points) == len(expected)
+        for fp, (u, chi_r) in zip(points, expected):
+            assert fp.point.U == pytest.approx(u, rel=1e-9)
+            assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
+            assert fp.point.residual <= 1e-10
+
+    def test_sixteen_mode_wing_keeps_point_near_64(self):
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=8, n_torsion=8))
+        expected = det_scan_flutter(op, 60.0, 70.0, op.window.chi_r_min, op.window.chi_r_max)
+        assert len(expected) == 1
+        u, chi_r = expected[0]
+        near = [fp for fp in find_flutter_points(op) if 60.0 <= fp.point.U <= 70.0]
+        assert len(near) == 1
+        assert near[0].point.U == pytest.approx(u, rel=1e-9)
+        assert near[0].point.chi_R == pytest.approx(chi_r, rel=1e-9)
+        assert near[0].point.residual <= 1e-10
+
+    @settings(max_examples=15)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_mixed_two_crossing_points_are_closed_form(self, entries):
+        mixing = np.array(entries).reshape(2, 2)
+        assume(np.linalg.cond(mixing) <= MAX_MIXING_CONDITION)
+        spec = two_crossing_spec()
+        op = build_trajectory_operator(TrajectorySpec(modes=spec.modes, mixing=mixing))
+        points = find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0))
+        assert [fp.point.U for fp in points] == pytest.approx([120.0, 300.0], rel=1e-9)
+        for fp in points:
+            assert fp.point.chi_R == pytest.approx(float(spec.modes[0].omega(fp.point.U)),
+                                                   rel=1e-9)
+            assert fp.point.chi_I == 0.0
+            assert fp.point.residual <= 1e-10

@@ -8,10 +8,9 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
-from flutterspec import (FlutterSearchSettings, Window, build_galerkin_wing,
-                         build_normal_operator, build_trajectory_operator,
-                         build_typical_section, evaluate, find_flutter_points,
-                         param_derivatives, sigma_min)
+from flutterspec import (Window, build_galerkin_wing, build_normal_operator,
+                         build_trajectory_operator, build_typical_section, evaluate,
+                         find_flutter_points, param_derivatives, sigma_min)
 from flutterspec.models import (GalerkinWingSpec, ModeTrajectory, TrajectorySpec,
                                 TypicalSectionSpec)
 
@@ -172,12 +171,11 @@ class TestGalerkinWing:
         assert wing_points[0].point.chi_R == pytest.approx(ts_points[0].point.chi_R, rel=1e-9)
 
     def test_mode_doubling_changes_first_flutter_by_under_two_percent(self):
-        settings = FlutterSearchSettings(tol=1e-8)
         speeds = []
         for nb, nt in ((2, 2), (4, 4)):
             spec = GalerkinWingSpec(n_bending=nb, n_torsion=nt)
             op = build_galerkin_wing(spec)
-            points = find_flutter_points(op, settings=settings)
+            points = find_flutter_points(op)
             assert points
             speeds.append(points[0].point.U)
         assert abs(speeds[1] - speeds[0]) <= 0.02 * speeds[0]
