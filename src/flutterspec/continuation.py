@@ -27,8 +27,8 @@ import scipy.linalg
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (DampingParameterization, EigenPoint, ParametricOperator, RowFn,
-                       _solve_bordered, complex_to_damping, evaluate, param_derivatives,
-                       sigma_min)
+                       _sigma_min_of, _solve_bordered, complex_to_damping, evaluate,
+                       param_derivatives, sigma_min)
 
 __all__ = [
     "Tangent",
@@ -223,21 +223,103 @@ def predictor(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Triple:
             base.chi_I + ds * t.dchi_i * scale[1])
 
 
-def _operator_det3(cols) -> np.ndarray:
-    """Operator determinant of a 3x3 block array given per column.
+# Permutations of the 3x3 block determinant with their signs: row 0 takes
+# column c0, row 1 column c1 and the scalar row column c2.
+_PERMUTATIONS = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
+                 ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
 
-    ``cols[c] = (top, mid, bot)`` holds the row entries of column c: two
-    n x n matrices and a scalar (the auxiliary y equation is 1x1).  The
-    expansion is over permutations with Kronecker products respecting the
-    row order, so the result acts on the n^2 tensor space.
+# Block columns of Delta_0..Delta_3, indexing (V1, V2, V3, -A0): Delta_k
+# replaces column k of (V1, V2, V3) by the right-hand side (Cramer's rule).
+_DELTA_COLUMNS = ((0, 1, 2), (3, 1, 2), (0, 3, 2), (0, 1, 3))
+
+
+def _operator_determinants(tops: np.ndarray, bots: Sequence[float]) -> np.ndarray:
+    """Operator determinants Delta_0..Delta_3 as a (4, n^2, n^2) stack.
+
+    Block column k of the linear three-parameter problem is (tops[k],
+    conj(tops[k]), bots[k]) for tops = (V1, V2, V3, -A0) and the real scalar
+    row bots.  Each determinant expands over permutations into Kronecker
+    products tops[a] (x) conj(tops[b]); the 16 products are formed once, as
+    one broadcast table, and shared by the four determinants.
     """
-    perms = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
-             ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
-    n = cols[0][0].shape[0]
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for (c0, c1, c2), sign in perms:
-        out += sign * cols[c2][2] * np.kron(cols[c0][0], cols[c1][1])
-    return out
+    n = tops.shape[1]
+    table = (tops[:, None, :, None, :, None]
+             * tops.conj()[None, :, None, :, None, :]).reshape(4, 4, n * n, n * n)
+    deltas = np.zeros((4, n * n, n * n), dtype=complex)
+    for delta, cols in zip(deltas, _DELTA_COLUMNS):
+        for (c0, c1, c2), sign in _PERMUTATIONS:
+            delta += sign * bots[cols[c2]] * table[cols[c0], cols[c1]]
+    return deltas
+
+
+def _real_forms(deltas: np.ndarray) -> np.ndarray:
+    """U^H (i Delta_k) U for each Delta_k: real matrices with the same pencils.
+
+    The scalar row is real and the middle block row conjugates the top, so
+    conj(P Delta_k P) = -Delta_k for the swap P of the two tensor factors.
+    The unitary U whose columns are all e_ii, then (e_ij + e_ji)/sqrt2, then
+    i(e_ij - e_ji)/sqrt2 (i < j in row-major order, e_ij = e_i (x) e_j) has
+    conj(U) = P U, which makes U^H (i Delta_k) U real.  Each column of U has
+    at most two nonzeros, so U is applied by indexing, in O(n^4).
+    """
+    n = math.isqrt(deltas.shape[1])
+    i, j = np.triu_indices(n, 1)
+    ii = np.arange(n) * (n + 1)
+    ij, ji = i * n + j, j * n + i
+    # column k of U is w_p[k] e_{p[k]} + w_q[k] e_{q[k]}
+    p, q = np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji])
+    h = math.sqrt(0.5)
+    w_p = np.concatenate([np.ones(n), np.full(ij.size, h), np.full(ij.size, 1j * h)])
+    w_q = np.concatenate([np.zeros(n), np.full(ij.size, h), np.full(ij.size, -1j * h)])
+    m = 1j * deltas
+    mu = m[:, :, p] * w_p + m[:, :, q] * w_q
+    return (w_p.conj()[:, None] * mu[:, p] + w_q.conj()[:, None] * mu[:, q]).real
+
+
+def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
+                   t: Tangent, r: float) -> Tuple[np.ndarray, float]:
+    """Real increment triple of smallest norm for one SLP linear problem.
+
+    Solves (a0 + eta_1 v1 + eta_2 v2 + eta_3 v3) x = 0 together with the
+    scalar row t_r eta_1 + t_i eta_2 + t_u eta_3 = r for real eta: the
+    operator-determinant reduction turns it into the generalized
+    eigenproblem Delta_1 z = eta_1 Delta_0 z, solved in its real form by
+    real QZ on n^2 x n^2 matrices; eta_2 and eta_3 are Rayleigh quotients
+    of Delta_2 and Delta_3 on its eigenvectors.  Returns (eta, |eta|).
+    """
+    r0, r1, r2, r3 = _real_forms(_operator_determinants(
+        np.stack([v1, v2, v3, -a0]), (t.dchi_r, t.dchi_i, t.du, r)))
+    try:
+        eigvals, eigvecs = scipy.linalg.eig(r1, r0)
+    except (ValueError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise ConvergenceError(f"Delta-matrix eigenproblem failed: {exc}") from exc
+
+    candidate = None
+    candidate_norm = math.inf
+    for k in range(eigvals.size):
+        eta1 = eigvals[k]
+        if not np.isfinite(eta1):
+            continue
+        z = eigvecs[:, k]
+        d0z = r0 @ z
+        denom = np.vdot(d0z, d0z)
+        if abs(denom) == 0.0:
+            continue
+        eta2 = np.vdot(d0z, r2 @ z) / denom
+        eta3 = np.vdot(d0z, r3 @ z) / denom
+        eta = np.array([eta1, eta2, eta3])
+        if not np.all(np.isfinite(eta)):
+            continue
+        re = eta.real
+        if np.max(np.abs(eta.imag)) > 1e-6 * (1.0 + np.max(np.abs(re))):
+            continue
+        nrm = float(np.linalg.norm(re))
+        if nrm < candidate_norm:
+            candidate_norm = nrm
+            candidate = re
+    if candidate is None:
+        raise ConvergenceError("no real increment triple found (Delta_0 may be singular)")
+    return candidate, candidate_norm
 
 
 def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
@@ -249,10 +331,11 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     equation with its elementwise conjugate acting on the conjugate
     eigenvector (which forces real increments), and appends the scalar
     pseudo-arclength row (t.dp - r)y = 0.  The linear three-parameter
-    problem is reduced by the operator determinant to three generalized
-    eigenproblems sharing eigenvectors; the real increment triple of
-    smallest scaled norm is applied and the eigenvector is refreshed as
-    the minimum singular vector of the updated operator.
+    problem is reduced by the operator determinants to a generalized
+    eigenproblem on n^2 x n^2 matrices, solved by real QZ in a basis where
+    the determinants are real (:func:`_slp_increment`); the real increment
+    triple of smallest scaled norm is applied and the eigenvector is
+    refreshed as the minimum singular vector of the updated operator.
 
     With constraint_form "eq2" the scalar residual r is recomputed every
     iteration from absolute coordinates (the -ds form); "eq3" keeps the
@@ -265,7 +348,8 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     constraint = _arclength_row(base, t, ds, scale)
     x_prev = None
     for iteration in range(settings.max_corrector_iters):
-        sig, x = sigma_min(op, complex(wr, wi), u)
+        a0 = evaluate(op, complex(wr, wi), u)
+        sig, x = _sigma_min_of(op, a0, complex(wr, wi), u)
         if x_prev is not None:
             aligned = x * np.exp(-1j * np.angle(np.vdot(x_prev, x)))
             if np.linalg.norm(aligned - x_prev) > MODE_SWITCH_NORM:
@@ -275,51 +359,12 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         if sig <= tol and abs(g) <= tol:
             return EigenPoint.from_vector(op, wr, wi, u, x), iteration
 
-        a0 = evaluate(op, complex(wr, wi), u)
         d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
-        v1, v2, v3 = cs * d_r, cs * d_i, us * d_u
         r = -g if settings.constraint_form == "eq2" else 0.0
-        col1 = (v1, v1.conj(), t.dchi_r)
-        col2 = (v2, v2.conj(), t.dchi_i)
-        col3 = (v3, v3.conj(), t.du)
-        col_rhs = (-a0, -a0.conj(), r)
-        delta0 = _operator_det3((col1, col2, col3))
-        delta1 = _operator_det3((col_rhs, col2, col3))
-        delta2 = _operator_det3((col1, col_rhs, col3))
-        delta3 = _operator_det3((col1, col2, col_rhs))
-
         try:
-            eigvals, eigvecs = scipy.linalg.eig(delta1, delta0)
-        except (ValueError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise ConvergenceError(f"Delta-matrix eigenproblem failed at U={u}: {exc}",
-                                   iterations=iteration) from exc
-
-        candidate = None
-        candidate_norm = math.inf
-        for k in range(eigvals.size):
-            eta1 = eigvals[k]
-            if not np.isfinite(eta1):
-                continue
-            z = eigvecs[:, k]
-            d0z = delta0 @ z
-            denom = np.vdot(d0z, d0z)
-            if abs(denom) == 0.0:
-                continue
-            eta2 = np.vdot(d0z, delta2 @ z) / denom
-            eta3 = np.vdot(d0z, delta3 @ z) / denom
-            eta = np.array([eta1, eta2, eta3])
-            if not np.all(np.isfinite(eta)):
-                continue
-            re = eta.real
-            if np.max(np.abs(eta.imag)) > 1e-6 * (1.0 + np.max(np.abs(re))):
-                continue
-            nrm = float(np.linalg.norm(re))
-            if nrm < candidate_norm:
-                candidate_norm = nrm
-                candidate = re
-        if candidate is None:
-            raise ConvergenceError(f"no real increment triple found at U={u} "
-                                   f"(Delta_0 may be singular)", iterations=iteration)
+            candidate, candidate_norm = _slp_increment(a0, cs * d_r, cs * d_i, us * d_u, t, r)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at U={u}", iterations=iteration) from exc
 
         wr += cs * candidate[0]
         wi += cs * candidate[1]

@@ -231,7 +231,12 @@ def residual_norm(op: ParametricOperator, chi: complex, U: float, x: np.ndarray)
 
 def sigma_min(op: ParametricOperator, chi: complex, U: float) -> Tuple[float, np.ndarray]:
     """Smallest singular value of A(chi, U) and its right singular vector."""
-    a = evaluate(op, chi, U)
+    return _sigma_min_of(op, evaluate(op, chi, U), chi, U)
+
+
+def _sigma_min_of(op: ParametricOperator, a: np.ndarray, chi: complex,
+                  U: float) -> Tuple[float, np.ndarray]:
+    """:func:`sigma_min` of an already evaluated a = A(chi, U)."""
     try:
         _, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:

@@ -84,10 +84,6 @@ class ComplexField:
     log_magnitude: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.exp(self.log_magnitude) * np.exp(1j * self.phase)
-
     def real_part(self) -> "DetComponentField":
         return DetComponentField(self.grid, self.log_magnitude, self.phase, "real")
 

@@ -2,9 +2,12 @@
 
 Oracles live here so every expected value in the tests traces back to a
 computation that does not share code with the path it checks: closed-form
-polynomial trajectories, brute-force distance-to-spectrum, and a dense
-determinant scan with bisection refinement for the typical section.
+polynomial trajectories, brute-force distance-to-spectrum, a dense
+determinant scan with bisection refinement for the typical section, and
+explicit Kronecker expansions for the SLP corrector's operator determinants.
 """
+
+import itertools
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -251,3 +254,45 @@ def det_pair_values(log_mag, unit):
                 float(np.exp(log_mag[q] - top) * unit[q]))
 
     return pair
+
+
+# ---------------------------------------------------------------------------
+# operator determinants of the SLP corrector: Kronecker permutation expansion
+
+
+def _parity(perm):
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1.0 if inversions % 2 else 1.0
+
+
+def kron_operator_determinants(tops, bots):
+    """Delta_0..Delta_3 of a 3x3 block array, one np.kron per permutation term.
+
+    Block column c is (tops[c], conj(tops[c]), bots[c]) for c = 0..3, with
+    column 3 the right-hand side: Delta_0 is the determinant of columns
+    (0, 1, 2) and Delta_k puts column 3 in place of column k.  Terms are summed
+    over the permutations in lexicographic order, row 0 taking the Kronecker
+    left factor, row 1 the right factor and row 2 the scalar.
+    """
+    n = tops[0].shape[0]
+    deltas = []
+    for cols in ((0, 1, 2), (3, 1, 2), (0, 3, 2), (0, 1, 3)):
+        delta = np.zeros((n * n, n * n), dtype=complex)
+        for perm in itertools.permutations(range(3)):
+            left, right, scalar = (cols[p] for p in perm)
+            delta += _parity(perm) * bots[scalar] * np.kron(tops[left], np.conj(tops[right]))
+        deltas.append(delta)
+    return np.array(deltas)
+
+
+def swap_symmetric_unitary(n):
+    """Dense unitary on C^n (x) C^n with columns e_ii, then (e_ij + e_ji)/sqrt2,
+    then i(e_ij - e_ji)/sqrt2, for i < j in row-major order (e_ij = e_i (x) e_j)."""
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cols = [np.kron(eye[i], eye[i]) for i in range(n)]
+    cols += [(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i])) / np.sqrt(2.0)
+             for i, j in pairs]
+    cols += [1j * (np.kron(eye[i], eye[j]) - np.kron(eye[j], eye[i])) / np.sqrt(2.0)
+             for i, j in pairs]
+    return np.array(cols, dtype=complex).T

@@ -4,14 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from flutterspec import (ContinuationSettings, DampingParameterization, DegenerateTangentError,
-                         EigenPoint, Tangent, Window, build_trajectory_operator,
+from conftest import kron_operator_determinants, swap_symmetric_unitary
+from flutterspec import (ContinuationSettings, ConvergenceError, DampingParameterization,
+                         DegenerateTangentError, EigenPoint, Tangent, Window,
+                         build_trajectory_operator,
                          corrector_newton, corrector_slp, damping_continuation,
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          solve_at_airspeed, trace_path)
+from flutterspec.continuation import _operator_determinants, _real_forms, _slp_increment
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 
 
@@ -171,6 +177,66 @@ class TestCorrectors:
         b = corrector_newton(ts_op, guess, base, t, 0.1, settings)
         assert scaled_gap(a, b, scale) <= 1e-8
         assert a.residual <= 1e-10 and b.residual <= 1e-10
+
+    def test_slp_zero_tangent_has_no_increment(self, ts_op, ts_flutter):
+        # every term of Delta_0 carries a tangent component, so Delta_0 = 0
+        base = ts_flutter.point
+        with pytest.raises(ConvergenceError, match="no real increment triple"):
+            corrector_slp(ts_op, (base.U, base.chi_R, base.chi_I), base, Tangent(0.0, 0.0, 0.0),
+                          0.1)
+
+
+def random_blocks(seed, n):
+    """Complex n x n tops (V1, V2, V3, -A0) and a real scalar row."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)),
+            tuple(rng.standard_normal(4)))
+
+
+class TestSlpLinearStep:
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_determinants_equal_kron_expansion(self, n, seed):
+        tops, bots = random_blocks(seed, n)
+        assert np.array_equal(_operator_determinants(tops, bots),
+                              kron_operator_determinants(tops, bots))
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_form_keeps_the_pencil(self, n, seed):
+        deltas = kron_operator_determinants(*random_blocks(seed, n))
+        u = swap_symmetric_unitary(n)
+        dense = np.array([u.conj().T @ (1j * d) @ u for d in deltas])
+        assert np.abs(dense.imag).max() <= 1e-14 * np.abs(dense).max()
+        forms = _real_forms(deltas)
+        assert forms.dtype == np.float64
+        assert np.abs(forms - dense.real).max() <= 1e-14 * np.abs(dense).max()
+        complex_qz = scipy.linalg.eig(deltas[1], deltas[0], right=False)
+        real_qz = scipy.linalg.eig(forms[1], forms[0], right=False)
+        for lam in real_qz[real_qz.imag == 0.0].real:
+            assert np.min(np.abs(complex_qz - lam)) <= 1e-9 * max(1.0, abs(lam))
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_solves_a_problem_with_known_solution(self, n, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        b -= np.outer(b @ x, x.conj())                     # B x = 0
+        vs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        eta_star = rng.uniform(-0.1, 0.1, 3)
+        a0 = b - np.einsum("k,kij->ij", eta_star, vs)
+        du, dr, di = rng.standard_normal(3)
+        t = Tangent(du, dr, di)
+        r = dr * eta_star[0] + di * eta_star[1] + du * eta_star[2]
+        eta, nrm = _slp_increment(a0, vs[0], vs[1], vs[2], t, r)
+        assert eta.dtype == np.float64 and nrm == np.linalg.norm(eta)
+        a = a0 + np.einsum("k,kij->ij", eta, vs)
+        scale = np.linalg.norm(a0) + sum(abs(e) * np.linalg.norm(v) for e, v in zip(eta, vs))
+        assert np.linalg.svd(a, compute_uv=False)[-1] <= 1e-10 * scale
+        assert abs(dr * eta[0] + di * eta[1] + du * eta[2] - r) <= 1e-12 * (1.0 + abs(r))
+        assert nrm <= np.linalg.norm(eta_star) * (1.0 + 1e-9)
 
 
 class TestTracePath:
