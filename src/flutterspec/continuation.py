@@ -3,9 +3,11 @@
 A path point is a solved eigentriple (chi_R, chi_I, U).  Pseudo-arclength
 steps predict along the local tangent and correct back onto the solution
 curve subject to the arclength constraint t.(p - p0) = ds; the constraint
-is imposed either through a three-parameter eigenvalue corrector solved by
-successive linear problems (the operator-determinant reduction) or through
-a damped Newton solve of the bordered real system, which serves as the
+is imposed either through a multiparameter eigenvalue corrector solved by
+successive linear problems (the real arclength row eliminates one
+increment, and the 2x2 operator determinants of the remaining
+two-parameter problem give one real QZ of size n^2 per step) or through a
+damped Newton solve of the bordered real system, which serves as the
 cross-check oracle.  Natural continuation in airspeed and continuation on
 a damping-parameter grid are provided as the classical reference methods;
 the latter cannot pass damping turning points and says so when it stops.
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
@@ -223,39 +224,27 @@ def predictor(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Triple:
             base.chi_I + ds * t.dchi_i * scale[1])
 
 
-# Permutations of the 3x3 block determinant with their signs: row 0 takes
-# column c0, row 1 column c1 and the scalar row column c2.
-_PERMUTATIONS = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
-                 ((1, 2, 0), 1.0), ((2, 0, 1), 1.0), ((2, 1, 0), -1.0))
+def _operator_determinants(tops: np.ndarray) -> np.ndarray:
+    """2x2 operator determinants Delta_0, Delta_a, Delta_b as a (3, n^2, n^2) stack.
 
-# Block columns of Delta_0..Delta_3, indexing (V1, V2, V3, -A0): Delta_k
-# replaces column k of (V1, V2, V3) by the right-hand side (Cramer's rule).
-_DELTA_COLUMNS = ((0, 1, 2), (3, 1, 2), (0, 3, 2), (0, 1, 3))
-
-
-def _operator_determinants(tops: np.ndarray, bots: Sequence[float]) -> np.ndarray:
-    """Operator determinants Delta_0..Delta_3 as a (4, n^2, n^2) stack.
-
-    Block column k of the linear three-parameter problem is (tops[k],
-    conj(tops[k]), bots[k]) for tops = (V1, V2, V3, -A0) and the real scalar
-    row bots.  Each determinant expands over permutations into Kronecker
-    products tops[a] (x) conj(tops[b]); the 16 products are formed once, as
-    one broadcast table, and shared by the four determinants.
+    For tops = (B_a, B_b, -B_0) of the two-parameter problem
+    (B_0 + eta_a B_a + eta_b B_b) x = 0 paired with its elementwise
+    conjugate, Delta(p, q) = p (x) conj(q) - q (x) conj(p) gives
+    Delta_0 = Delta(B_a, B_b) and, by Cramer's rule, Delta_a = Delta(-B_0, B_b)
+    and Delta_b = Delta(B_a, -B_0).  The products tops[i] (x) conj(tops[j])
+    are formed once, as one 3x3 broadcast table.
     """
     n = tops.shape[1]
     table = (tops[:, None, :, None, :, None]
-             * tops.conj()[None, :, None, :, None, :]).reshape(4, 4, n * n, n * n)
-    deltas = np.zeros((4, n * n, n * n), dtype=complex)
-    for delta, cols in zip(deltas, _DELTA_COLUMNS):
-        for (c0, c1, c2), sign in _PERMUTATIONS:
-            delta += sign * bots[cols[c2]] * table[cols[c0], cols[c1]]
-    return deltas
+             * tops.conj()[None, :, None, :, None, :]).reshape(3, 3, n * n, n * n)
+    left, right = [0, 2, 0], [1, 1, 2]
+    return table[left, right] - table[right, left]
 
 
 def _real_forms(deltas: np.ndarray) -> np.ndarray:
     """U^H (i Delta_k) U for each Delta_k: real matrices with the same pencils.
 
-    The scalar row is real and the middle block row conjugates the top, so
+    Each Delta_k is p (x) conj(q) - q (x) conj(p) summed over pairs, so
     conj(P Delta_k P) = -Delta_k for the swap P of the two tensor factors.
     The unitary U whose columns are all e_ii, then (e_ij + e_ji)/sqrt2, then
     i(e_ij - e_ji)/sqrt2 (i < j in row-major order, e_ij = e_i (x) e_j) has
@@ -281,45 +270,46 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     """Real increment triple of smallest norm for one SLP linear problem.
 
     Solves (a0 + eta_1 v1 + eta_2 v2 + eta_3 v3) x = 0 together with the
-    scalar row t_r eta_1 + t_i eta_2 + t_u eta_3 = r for real eta: the
-    operator-determinant reduction turns it into the generalized
-    eigenproblem Delta_1 z = eta_1 Delta_0 z, solved in its real form by
-    real QZ on n^2 x n^2 matrices; eta_2 and eta_3 are Rayleigh quotients
-    of Delta_2 and Delta_3 on its eigenvectors.  Returns (eta, |eta|).
+    scalar row t_r eta_1 + t_i eta_2 + t_u eta_3 = r for real eta.  The row
+    eliminates eta_k for the largest |t_k|, which leaves the two-parameter
+    problem (B_0 + eta_a B_a + eta_b B_b) x = 0 with
+    B_j = v_j - (t_j / t_k) v_k and B_0 = a0 + (r / t_k) v_k.  Its 2x2
+    operator determinants turn it into the generalized eigenproblem
+    Delta_a z = eta_a Delta_0 z, solved in its real form by one real QZ of
+    size n^2; eta_b is the Rayleigh quotient of Delta_b on each eigenvector,
+    taken for all of them in one product, and eta_k follows from the row.
+    Returns (eta, |eta|).
     """
-    r0, r1, r2, r3 = _real_forms(_operator_determinants(
-        np.stack([v1, v2, v3, -a0]), (t.dchi_r, t.dchi_i, t.du, r)))
+    import scipy.linalg  # lazy: the SLP step is its only user
+
+    ts = (t.dchi_r, t.dchi_i, t.du)
+    vs = (v1, v2, v3)
+    k = int(np.argmax(np.abs(ts)))
+    if ts[k] == 0.0:
+        raise ConvergenceError("no real increment triple found (zero tangent)")
+    a, b = (j for j in range(3) if j != k)
+    r0, ra, rb = _real_forms(_operator_determinants(np.stack([
+        vs[a] - (ts[a] / ts[k]) * vs[k], vs[b] - (ts[b] / ts[k]) * vs[k],
+        -(a0 + (r / ts[k]) * vs[k])])))
     try:
-        eigvals, eigvecs = scipy.linalg.eig(r1, r0)
-    except (ValueError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        eta_a, z = scipy.linalg.eig(ra, r0)
+    except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConvergenceError(f"Delta-matrix eigenproblem failed: {exc}") from exc
 
-    candidate = None
-    candidate_norm = math.inf
-    for k in range(eigvals.size):
-        eta1 = eigvals[k]
-        if not np.isfinite(eta1):
-            continue
-        z = eigvecs[:, k]
+    eta = np.empty((3, eta_a.size), dtype=complex)
+    with np.errstate(all="ignore"):
         d0z = r0 @ z
-        denom = np.vdot(d0z, d0z)
-        if abs(denom) == 0.0:
-            continue
-        eta2 = np.vdot(d0z, r2 @ z) / denom
-        eta3 = np.vdot(d0z, r3 @ z) / denom
-        eta = np.array([eta1, eta2, eta3])
-        if not np.all(np.isfinite(eta)):
-            continue
+        eta[a] = eta_a
+        eta[b] = np.sum(d0z.conj() * (rb @ z), axis=0) / np.sum(d0z.conj() * d0z, axis=0)
+        eta[k] = (r - ts[a] * eta[a] - ts[b] * eta[b]) / ts[k]
         re = eta.real
-        if np.max(np.abs(eta.imag)) > 1e-6 * (1.0 + np.max(np.abs(re))):
-            continue
-        nrm = float(np.linalg.norm(re))
-        if nrm < candidate_norm:
-            candidate_norm = nrm
-            candidate = re
-    if candidate is None:
+        real = (np.isfinite(eta).all(axis=0)
+                & (np.abs(eta.imag).max(axis=0) <= 1e-6 * (1.0 + np.abs(re).max(axis=0))))
+        norms = np.where(real, np.linalg.norm(re, axis=0), np.inf)
+    if not real.any():
         raise ConvergenceError("no real increment triple found (Delta_0 may be singular)")
-    return candidate, candidate_norm
+    candidate = re[:, np.argmin(norms)]
+    return candidate, float(np.linalg.norm(candidate))
 
 
 def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
@@ -330,12 +320,13 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     Each iteration linearizes A in (chi_R, chi_I, U), pairs the linearized
     equation with its elementwise conjugate acting on the conjugate
     eigenvector (which forces real increments), and appends the scalar
-    pseudo-arclength row (t.dp - r)y = 0.  The linear three-parameter
-    problem is reduced by the operator determinants to a generalized
-    eigenproblem on n^2 x n^2 matrices, solved by real QZ in a basis where
-    the determinants are real (:func:`_slp_increment`); the real increment
-    triple of smallest scaled norm is applied and the eigenvector is
-    refreshed as the minimum singular vector of the updated operator.
+    pseudo-arclength row (t.dp - r)y = 0.  The row eliminates one increment,
+    and the 2x2 operator determinants of the remaining two-parameter
+    problem give a generalized eigenproblem on n^2 x n^2 matrices, solved by
+    one real QZ in a basis where the determinants are real
+    (:func:`_slp_increment`); the real increment triple of smallest scaled
+    norm is applied and the eigenvector is refreshed as the minimum
+    singular vector of the updated operator.
 
     With constraint_form "eq2" the scalar residual r is recomputed every
     iteration from absolute coordinates (the -ds form); "eq3" keeps the

@@ -37,6 +37,9 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 
+# Base step of the central differences taken for operators without derivs.
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class Window:
@@ -87,8 +90,8 @@ class ParametricOperator:
 
     ``func`` must be pure: repeated evaluation at identical arguments is
     bit-identical.  ``derivs``, when given, returns (dA/dchi_R, dA/dchi_I,
-    dA/dU); otherwise central finite differences with ``fd_step`` base
-    step sizes are used.
+    dA/dU); otherwise :func:`param_derivatives` takes central finite
+    differences with base step ``FD_STEP``.
 
     ``terms``, set by :func:`polynomial_pencil`, lists (a, b, C_ab) with
     A = sum chi^a U^b C_ab; :func:`evaluate_batch` sums them over many
@@ -102,7 +105,6 @@ class ParametricOperator:
     func: Callable[[complex, float], np.ndarray]
     window: Window
     derivs: Optional[Callable[[complex, float], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-    fd_step: Tuple[float, float] = (1e-6, 1e-6)
     terms: Optional[Tuple[Term, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -250,7 +252,7 @@ def param_derivatives(op: ParametricOperator, chi_R: float, chi_I: float,
     """(dA/dchi_R, dA/dchi_I, dA/dU) at the given point.
 
     Analytic derivatives are used when the operator supplies them; central
-    differences otherwise, with steps max(fd_step, 1e-8*|value|) per the
+    differences otherwise, with steps max(FD_STEP, 1e-8*|value|) per the
     second-order-stencil scaling.
     """
     chi = complex(chi_R, chi_I)
@@ -260,10 +262,8 @@ def param_derivatives(op: ParametricOperator, chi_R: float, chi_I: float,
         return (np.asarray(d_r, dtype=complex), np.asarray(d_i, dtype=complex),
                 np.asarray(d_u, dtype=complex))
 
-    h_chi = max(op.fd_step[0], 1e-8 * abs(chi_R))
-    h_u = max(op.fd_step[1], 1e-8 * abs(U))
-    if h_chi == 0.0 or h_u == 0.0:
-        raise NumericalError("finite-difference step underflowed to zero")
+    h_chi = max(FD_STEP, 1e-8 * abs(chi_R))
+    h_u = max(FD_STEP, 1e-8 * abs(U))
     d_r = (evaluate(op, chi + h_chi, U) - evaluate(op, chi - h_chi, U)) / (2.0 * h_chi)
     d_i = (evaluate(op, chi + 1j * h_chi, U) - evaluate(op, chi - 1j * h_chi, U)) / (2.0 * h_chi)
     d_u = (evaluate(op, chi, U + h_u) - evaluate(op, chi, U - h_u)) / (2.0 * h_u)

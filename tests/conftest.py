@@ -4,7 +4,8 @@ Oracles live here so every expected value in the tests traces back to a
 computation that does not share code with the path it checks: closed-form
 polynomial trajectories, brute-force distance-to-spectrum, a dense
 determinant scan with bisection refinement for the typical section, and
-explicit Kronecker expansions for the SLP corrector's operator determinants.
+explicit Kronecker expansions for the SLP corrector's operator determinants
+with the three-parameter linear step built on them.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
+import scipy.linalg
 from hypothesis import settings
 from scipy.optimize import brentq
 
@@ -296,3 +298,33 @@ def swap_symmetric_unitary(n):
     cols += [1j * (np.kron(eye[i], eye[j]) - np.kron(eye[j], eye[i])) / np.sqrt(2.0)
              for i, j in pairs]
     return np.array(cols, dtype=complex).T
+
+
+def reference_slp_increment(a0, vs, t, r):
+    """The three-parameter SLP linear step, one eigenpair at a time.
+
+    Delta_0..Delta_3 from :func:`kron_operator_determinants` with tops
+    (V1, V2, V3, -A0) and scalar row (t_r, t_i, t_u, r), complex QZ of
+    (Delta_1, Delta_0), eta_2 and eta_3 as Rayleigh quotients of Delta_2 and
+    Delta_3, candidates kept when finite with imaginary parts within
+    1e-6 (1 + max|Re eta|), and the first of smallest norm chosen.  Returns
+    (eta, norms of all candidates in eigenvalue order).
+    """
+    deltas = kron_operator_determinants(np.stack([*vs, -a0]), (t.dchi_r, t.dchi_i, t.du, r))
+    eigvals, eigvecs = scipy.linalg.eig(deltas[1], deltas[0])
+    best, norms = None, []
+    for k in range(eigvals.size):
+        z = eigvecs[:, k]
+        d0z = deltas[0] @ z
+        denom = np.vdot(d0z, d0z)
+        if not np.isfinite(eigvals[k]) or denom == 0.0:
+            continue
+        eta = np.array([eigvals[k], np.vdot(d0z, deltas[2] @ z) / denom,
+                        np.vdot(d0z, deltas[3] @ z) / denom])
+        if (not np.all(np.isfinite(eta))
+                or np.max(np.abs(eta.imag)) > 1e-6 * (1.0 + np.max(np.abs(eta.real)))):
+            continue
+        norms.append(float(np.linalg.norm(eta.real)))
+        if norms[-1] < min(norms[:-1], default=np.inf):
+            best = eta.real
+    return best, norms

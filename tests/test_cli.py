@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flutterspec
 from flutterspec.cli import main, read_path_file
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
@@ -14,6 +18,17 @@ TRAJ_MODEL = {"kind": "trajectory", "preset": "restabilization"}
 NORMAL_MODEL = {"kind": "normal",
                 "eigenvalues": [[lam.real, lam.imag] for lam in NORMAL_EIGENVALUES],
                 "window": {"u_min": 0.0, "u_max": 1.0, "chi_r_min": 0.0, "chi_r_max": 8.0}}
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the SLP corrector step needs scipy.linalg, and it imports it itself
+    src = os.path.dirname(os.path.dirname(flutterspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, flutterspec.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def write_config(tmp_path, name="config.json", **fields):

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import kron_operator_determinants, swap_symmetric_unitary
+from conftest import (kron_operator_determinants, reference_slp_increment,
+                      swap_symmetric_unitary)
 from flutterspec import (ContinuationSettings, ConvergenceError, DampingParameterization,
                          DegenerateTangentError, EigenPoint, Tangent, Window,
                          build_trajectory_operator,
@@ -193,13 +194,41 @@ def random_blocks(seed, n):
             tuple(rng.standard_normal(4)))
 
 
+def known_solution_problem(seed, n):
+    """A0 = B - sum eta*_k V_k with B x = 0, and the row value r = t.eta*."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    b -= np.outer(b @ x, x.conj())                     # B x = 0
+    vs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    eta_star = rng.uniform(-0.1, 0.1, 3)
+    a0 = b - np.einsum("k,kij->ij", eta_star, vs)
+    du, dr, di = rng.standard_normal(3)
+    t = Tangent(du, dr, di)
+    r = dr * eta_star[0] + di * eta_star[1] + du * eta_star[2]
+    return a0, vs, t, r, eta_star
+
+
 class TestSlpLinearStep:
     @settings(max_examples=30)
-    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
-    def test_determinants_equal_kron_expansion(self, n, seed):
+    @given(n=st.integers(1, 6), pivot=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_determinants_equal_kron_expansion(self, n, pivot, seed):
+        # eliminating eta_k with the scalar row scales Delta_0, Delta_a, Delta_b
+        # of the three-parameter problem by (-1)^k / t_k
         tops, bots = random_blocks(seed, n)
-        assert np.array_equal(_operator_determinants(tops, bots),
-                              kron_operator_determinants(tops, bots))
+        row = list(bots[:3])
+        top = int(np.argmax(np.abs(row)))
+        row[pivot], row[top] = row[top], row[pivot]
+        bots = (*row, bots[3])
+        a, b = (j for j in range(3) if j != pivot)
+        tk, vk = row[pivot], tops[pivot]
+        deltas = _operator_determinants(np.stack([
+            tops[a] - (row[a] / tk) * vk, tops[b] - (row[b] / tk) * vk,
+            tops[3] - (bots[3] / tk) * vk]))
+        expected = (-1.0) ** pivot * kron_operator_determinants(tops, bots)[[0, a + 1, b + 1]] / tk
+        assert deltas.shape == (3, n * n, n * n)
+        assert np.abs(deltas - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @settings(max_examples=30)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
@@ -219,24 +248,24 @@ class TestSlpLinearStep:
     @settings(max_examples=30)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
     def test_step_solves_a_problem_with_known_solution(self, n, seed):
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        b -= np.outer(b @ x, x.conj())                     # B x = 0
-        vs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-        eta_star = rng.uniform(-0.1, 0.1, 3)
-        a0 = b - np.einsum("k,kij->ij", eta_star, vs)
-        du, dr, di = rng.standard_normal(3)
-        t = Tangent(du, dr, di)
-        r = dr * eta_star[0] + di * eta_star[1] + du * eta_star[2]
+        a0, vs, t, r, eta_star = known_solution_problem(seed, n)
         eta, nrm = _slp_increment(a0, vs[0], vs[1], vs[2], t, r)
         assert eta.dtype == np.float64 and nrm == np.linalg.norm(eta)
         a = a0 + np.einsum("k,kij->ij", eta, vs)
         scale = np.linalg.norm(a0) + sum(abs(e) * np.linalg.norm(v) for e, v in zip(eta, vs))
         assert np.linalg.svd(a, compute_uv=False)[-1] <= 1e-10 * scale
-        assert abs(dr * eta[0] + di * eta[1] + du * eta[2] - r) <= 1e-12 * (1.0 + abs(r))
+        assert abs(t.dchi_r * eta[0] + t.dchi_i * eta[1] + t.du * eta[2] - r) <= 1e-12 * (1.0 + abs(r))
         assert nrm <= np.linalg.norm(eta_star) * (1.0 + 1e-9)
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_matches_three_parameter_reference(self, n, seed):
+        a0, vs, t, r, _ = known_solution_problem(seed, n)
+        expected, norms = reference_slp_increment(a0, vs, t, r)
+        first, second = np.sort(norms)[:2] if len(norms) > 1 else (norms[0], np.inf)
+        assume(first < (1.0 - 1e-6) * second)             # a near-tie may pick either
+        eta, _ = _slp_increment(a0, vs[0], vs[1], vs[2], t, r)
+        assert np.linalg.norm(eta - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestTracePath:
