@@ -112,7 +112,7 @@ class RunConfig:
         if overrides.get("zeta_max") is not None:
             envelope["zeta_max"] = overrides["zeta_max"]
 
-        out_dir = Path(overrides.get("output_dir") or doc.get("output", {}).get("dir", "out"))
+        out_dir = Path(overrides.get("output_dir") or (doc.get("output") or {}).get("dir", "out"))
         return cls(model=model, window=window, grid=grid, eps_list=eps_list,
                    borderline=dict(doc.get("borderline") or {}),
                    flutter=dict(doc.get("flutter") or {}),
@@ -235,17 +235,6 @@ def read_path_file(path: Path) -> Tuple[cont.ModePath, Optional[Dict[str, Any]]]
     return cont.ModePath(points=points, s=s, origin="natural"), None
 
 
-def _flutter_settings(cfg: RunConfig) -> FlutterSearchSettings:
-    return FlutterSearchSettings(**cfg.flutter) if cfg.flutter else FlutterSearchSettings()
-
-
-def _continuation_settings(cfg: RunConfig) -> cont.ContinuationSettings:
-    kwargs = dict(cfg.continuation)
-    if "scale" in kwargs and kwargs["scale"] is not None:
-        kwargs["scale"] = tuple(kwargs["scale"])
-    return cont.ContinuationSettings(**kwargs)
-
-
 def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
     p = fp.point
     return {"U": p.U, "chi_R": p.chi_R, "chi_I": p.chi_I, "residual": p.residual,
@@ -257,7 +246,7 @@ def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
 def cmd_flutter(cfg: RunConfig) -> int:
     op = build_model(cfg.model)
     window = cfg.window or op.window
-    points = find_flutter_points(op, window, _flutter_settings(cfg))
+    points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
     _write_json(cfg.output_dir / "flutter_points.json",
                 {"window": asdict(window), "points": [_flutter_point_record(f) for f in points]})
     print(f"{len(points)} flutter point(s) -> {cfg.output_dir / 'flutter_points.json'}")
@@ -287,7 +276,7 @@ def cmd_pseudo(cfg: RunConfig) -> int:
 
     threshold = float(cfg.borderline.get("threshold", min(cfg.eps_list)))
     try:
-        flutter_points = find_flutter_points(op, window, _flutter_settings(cfg))
+        flutter_points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
     except FlutterSpecError as exc:
         print(f"flutter search for near_flutter flags failed: {exc}", file=sys.stderr)
         flutter_points = []
@@ -310,26 +299,26 @@ def cmd_pseudo(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _solve_seed(op: ParametricOperator, u: float, chi: complex, tol: float) -> EigenPoint:
+def _solve_seed(op: ParametricOperator, u: float, chi: complex) -> EigenPoint:
     """Eigenpoint at airspeed u, started from chi and its sigma_min vector.
 
     Raises ConvergenceError when the airspeed-fixed solve fails.
     """
     _, x = sigma_min(op, chi, u)
     guess = EigenPoint.from_vector(op, chi.real, chi.imag, u, x)
-    return cont.solve_at_airspeed(op, u, guess, tol=tol)
+    return cont.solve_at_airspeed(op, u, guess)
 
 
 def _resolve_trace_start(cfg: RunConfig, op: ParametricOperator, args) -> Optional[object]:
     if args.start_point is not None:
         u, wr, wi = (float(v) for v in args.start_point.split(","))
-        return _solve_seed(op, u, complex(wr, wi), _continuation_settings(cfg).corrector_tol)
+        return _solve_seed(op, u, complex(wr, wi))
     window = cfg.window or op.window
-    points = find_flutter_points(op, window, _flutter_settings(cfg))
+    points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
     if not points:
         return None
-    idx = args.start_index or 0
-    if idx >= len(points):
+    idx = args.start_index
+    if not 0 <= idx < len(points):
         raise ValueError(f"start index {idx} out of range ({len(points)} flutter points)")
     return points[idx]
 
@@ -340,7 +329,7 @@ def cmd_trace(cfg: RunConfig, args) -> int:
     if start is None:
         print("no flutter point to start from", file=sys.stderr)
         return EXIT_EMPTY
-    settings = _continuation_settings(cfg)
+    settings = cont.ContinuationSettings(**cfg.continuation)
     try:
         path = cont.trace_path(op, start, direction=cfg.direction, settings=settings)
     except ConvergenceError as exc:
@@ -376,13 +365,11 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     for key in ("u_start", "u_end", "du", "seed_chi_r"):
         if key not in nat:
             raise ValueError(f"damping-plot requires config natural.{key}")
-    settings = _continuation_settings(cfg)
     u0 = float(nat["u_start"])
     chi = complex(float(nat["seed_chi_r"]), float(nat.get("seed_chi_i", 0.0)))
     try:
-        seed = _solve_seed(op, u0, chi, settings.corrector_tol)
-        path = cont.natural_continuation(op, u0, float(nat["u_end"]), float(nat["du"]),
-                                         seed, tol=settings.corrector_tol)
+        seed = _solve_seed(op, u0, chi)
+        path = cont.natural_continuation(op, u0, float(nat["u_end"]), float(nat["du"]), seed)
     except ConvergenceError as exc:
         print(f"seed solve failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP

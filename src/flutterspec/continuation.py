@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
-from .operator import (DampingParameterization, EigenPoint, ParametricOperator, RowFn,
-                       _sigma_min_of, _solve_bordered, complex_to_damping, evaluate,
-                       param_derivatives, sigma_min)
+from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
+                       ParametricOperator, RowFn, _converged, _sigma_min_of, _solve_bordered,
+                       complex_to_damping, evaluate, param_derivatives, sigma_min)
 
 __all__ = [
     "Tangent",
@@ -61,6 +61,9 @@ DAMPING_JUMP_GUARD = 0.25
 # Eigenvector change (after phase alignment) flagged as a mode switch.
 MODE_SWITCH_NORM = 0.5
 
+STEP_SHRINK = 0.5  # ds factor after a failed corrector solve
+STEP_GROW = 1.3  # ds factor after a solve of <= 3 iterations, up to max_ds
+
 Scale = Tuple[float, float]  # (u_scale, chi_scale)
 Triple = Tuple[float, float, float]  # (U, chi_R, chi_I)
 
@@ -82,25 +85,33 @@ class Tangent:
 
 @dataclass(frozen=True)
 class ContinuationSettings:
+    """Settings of :func:`trace_path` and the correctors.
+
+    - ds (first step), min_ds, max_ds: arclengths in scaled, unitless coordinates.
+    - max_steps, max_corrector_iters: counts; caps on accepted steps and corrector iterations.
+    - scale: (u_scale in m/s, chi_scale in rad/s); None takes (max(|U|, 1), max(|chi_R|, 1)).
+    - corrector: "slp" | "newton"; constraint_form: "eq2" (row with -ds) | "eq3" (increments).
+    """
+
     ds: float = 0.05
     max_steps: int = 500
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 25
-    step_shrink: float = 0.5
-    step_grow: float = 1.3
+    max_corrector_iters: int = NEWTON_MAX_ITERS
     min_ds: float = 1e-6
     max_ds: float = 0.5
     scale: Optional[Scale] = None
-    corrector: str = "slp"             # "slp" | "newton"
-    constraint_form: str = "eq2"       # "eq2" (absolute, with -ds) | "eq3" (increment form)
+    corrector: str = "slp"
+    constraint_form: str = "eq2"
 
     def __post_init__(self):
         if not (0.0 < self.min_ds <= self.ds <= self.max_ds):
             raise ValueError("need 0 < min_ds <= ds <= max_ds")
-        if self.corrector_tol <= 0.0 or self.max_corrector_iters < 1:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.step_shrink < 1.0 < self.step_grow):
-            raise ValueError("step factors must satisfy 0 < shrink < 1 < grow")
+        if self.max_corrector_iters < 1:
+            raise ValueError("max_corrector_iters must be >= 1")
+        if self.scale is not None:
+            scale = tuple(self.scale) if isinstance(self.scale, (tuple, list, np.ndarray)) else ()
+            if not (len(scale) == 2 and all(0.0 < v < math.inf for v in scale)):
+                raise ValueError(f"scale must be None or two finite positive numbers: {self.scale}")
+            object.__setattr__(self, "scale", scale)
         if self.corrector not in ("slp", "newton"):
             raise ValueError("corrector must be 'slp' or 'newton'")
         if self.constraint_form not in ("eq2", "eq3"):
@@ -172,14 +183,13 @@ def _arclength_row(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Row
     return row
 
 
-def solve_at_airspeed(op: ParametricOperator, U: float, seed: EigenPoint,
-                      tol: float = 1e-10, max_iters: int = 25) -> EigenPoint:
+def solve_at_airspeed(op: ParametricOperator, U: float, seed: EigenPoint) -> EigenPoint:
     """Solve the eigentriple at a fixed airspeed, seeded by a nearby point."""
 
     def row(wr, wi, u):
         return u - U, (0.0, 0.0, 1.0)
 
-    point, _ = _solve_bordered(op, (U, seed.chi_R, seed.chi_I), seed.x, row, tol, max_iters)
+    point, _ = _solve_bordered(op, (U, seed.chi_R, seed.chi_I), seed.x, row)
     return point
 
 
@@ -193,23 +203,20 @@ def fd_tangent(prev: EigenPoint, curr: EigenPoint, scale: Scale) -> Tangent:
 
 
 def initial_tangent(op: ParametricOperator, fp: Union[FlutterPoint, EigenPoint],
-                    delta_U: Optional[float] = None, scale: Optional[Scale] = None,
-                    tol: float = 1e-10) -> Tangent:
+                    scale: Optional[Scale] = None) -> Tangent:
     """First-step tangent from centered airspeed micro-steps.
 
-    Solves the eigenproblem at U +/- delta_U (natural-continuation steps
-    seeded by the start point), forms the centered difference of chi with
-    respect to U, scales and normalizes.  The sign makes dchi_i > 0 so the
-    default march heads into the stable side; callers negate for the
-    supercritical direction.
+    Solves the eigenproblem at U +/- h, h = 1e-3 max(|U|, 1), seeded by the
+    start point, forms the centered difference of chi with respect to U,
+    scales and normalizes.  The sign makes dchi_i > 0 so the default march
+    heads into the stable side; callers negate for the supercritical one.
     """
     point = fp.point if isinstance(fp, FlutterPoint) else fp
-    if delta_U is None:
-        delta_U = 1e-3 * max(abs(point.U), 1.0)
+    h = 1e-3 * max(abs(point.U), 1.0)
     scale = _resolve_scale(scale, point)
-    plus = solve_at_airspeed(op, point.U + delta_U, point, tol=tol)
-    minus = solve_at_airspeed(op, point.U - delta_U, point, tol=tol)
-    dchi = (plus.chi - minus.chi) / (2.0 * delta_U)
+    plus = solve_at_airspeed(op, point.U + h, point)
+    minus = solve_at_airspeed(op, point.U - h, point)
+    dchi = (plus.chi - minus.chi) / (2.0 * h)
     raw = np.array([1.0 / scale[0], dchi.real / scale[1], dchi.imag / scale[1]])
     raw /= np.linalg.norm(raw)
     if raw[2] < 0.0 or (raw[2] == 0.0 and raw[0] < 0.0):
@@ -334,7 +341,6 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     the constraint.
     """
     u, wr, wi = float(guess[0]), float(guess[1]), float(guess[2])
-    tol = settings.corrector_tol
     us, cs = scale
     constraint = _arclength_row(base, t, ds, scale)
     x_prev = None
@@ -347,7 +353,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
                 logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
         x_prev = x
         g, _ = constraint(wr, wi, u)
-        if sig <= tol and abs(g) <= tol:
+        if _converged(sig, g):
             return EigenPoint.from_vector(op, wr, wi, u, x), iteration
 
         d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
@@ -360,11 +366,11 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         wr += cs * candidate[0]
         wi += cs * candidate[1]
         u += us * candidate[2]
-        if candidate_norm <= 1e-2 * tol:
-            # Increments at rounding level but residuals still above tol.
+        if _converged(candidate_norm, tol=1e-2 * RESIDUAL_TOL):
+            # Increments at rounding level but residuals still above the gate.
             sig, x = sigma_min(op, complex(wr, wi), u)
             g, _ = constraint(wr, wi, u)
-            if sig <= tol and abs(g) <= tol:
+            if _converged(sig, g):
                 return EigenPoint.from_vector(op, wr, wi, u, x), iteration + 1
             raise ConvergenceError(f"SLP stalled at U={u} (sigma={sig:.3e}, |g|={abs(g):.3e})",
                                    iterations=iteration)
@@ -378,8 +384,7 @@ def _corrector_newton(op: ParametricOperator, guess: Triple, base: EigenPoint, t
                       ds: float, settings: ContinuationSettings,
                       scale: Scale) -> Tuple[EigenPoint, int]:
     row = _arclength_row(base, t, ds, scale)
-    return _solve_bordered(op, guess, base.x, row, settings.corrector_tol,
-                           settings.max_corrector_iters)
+    return _solve_bordered(op, guess, base.x, row, max_iters=settings.max_corrector_iters)
 
 
 def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
@@ -412,9 +417,8 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
     settings = settings or ContinuationSettings()
     origin = start
     point = start.point if isinstance(start, FlutterPoint) else start
-    if point.residual > settings.corrector_tol:
-        raise ValueError(f"start point residual {point.residual:.3e} exceeds "
-                         f"corrector_tol {settings.corrector_tol:.1e}")
+    if not _converged(point.residual):
+        raise ValueError(f"start point residual {point.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     scale = settings.resolved_scale(point)
     correct = _CORRECTORS[settings.corrector]
 
@@ -424,7 +428,7 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
         path.termination_reason = "max-steps"
         return path
 
-    tangent = initial_tangent(op, point, scale=scale, tol=settings.corrector_tol)
+    tangent = initial_tangent(op, point, scale=scale)
     if path.direction < 0:
         tangent = tangent.negated()
 
@@ -438,7 +442,7 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
                 accepted, iters = correct(op, guess, base, tangent, ds, settings, scale)
                 break
             except (ConvergenceError, NumericalError):
-                ds *= settings.step_shrink
+                ds *= STEP_SHRINK
                 if ds < settings.min_ds:
                     break
         if accepted is None:
@@ -459,15 +463,14 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
             return path
         tangent = fd_tangent(base, accepted, scale)
         if iters <= 3:
-            ds = min(ds * settings.step_grow, settings.max_ds)
+            ds = min(ds * STEP_GROW, settings.max_ds)
 
     path.termination_reason = "max-steps"
     return path
 
 
 def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, dU: float,
-                         seed: EigenPoint, tol: float = 1e-10, max_iters: int = 25,
-                         scale: Optional[Scale] = None) -> ModePath:
+                         seed: EigenPoint, scale: Optional[Scale] = None) -> ModePath:
     """March airspeed on a fixed grid, solving (chi_R, chi_I) at each U.
 
     The classical modal damping plot; the reference method for the
@@ -493,7 +496,7 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
     for u in targets:
         prev = path.points[-1]
         try:
-            nxt = solve_at_airspeed(op, u, prev, tol=tol, max_iters=max_iters)
+            nxt = solve_at_airspeed(op, u, prev)
         except ConvergenceError as exc:
             path.termination_reason = f"non-convergence at U={u:.6g}: {exc}"
             return path
@@ -526,7 +529,6 @@ def _damping_row(p: DampingParameterization, d: float) -> RowFn:
 
 def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
                          p: DampingParameterization, seed: EigenPoint,
-                         tol: float = 1e-10, max_iters: int = 25,
                          scale: Optional[Scale] = None) -> ModePath:
     """Solve (chi_R, U) on a grid of damping values; stops at turning points.
 
@@ -552,7 +554,7 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
         prev = path.points[-1]
         row = _damping_row(p, d)
         try:
-            nxt, _ = _solve_bordered(op, _point_triple(prev), prev.x, row, tol, max_iters)
+            nxt, _ = _solve_bordered(op, _point_triple(prev), prev.x, row)
         except ConvergenceError:
             path.termination_reason = TURNING_POINT_REASON
             return path
@@ -584,8 +586,7 @@ def _interp_triple(path: ModePath, k: int, s_star: float) -> Triple:
 
 
 def flight_envelope(path: ModePath, zeta_max: float,
-                    op: Optional[ParametricOperator] = None,
-                    tol: float = 1e-10) -> List[EnvelopeCrossing]:
+                    op: Optional[ParametricOperator] = None) -> List[EnvelopeCrossing]:
     """All zeta = zeta_max crossings along a path.
 
     Each sign change of (zeta - zeta_max) is located by piecewise-linear
@@ -619,8 +620,7 @@ def flight_envelope(path: ModePath, zeta_max: float,
         point = None
         u_star = guess[0]
         if op is not None:
-            point, _ = _solve_bordered(op, guess, path.points[k].x, _zeta_row(zeta_max),
-                                       tol, 25)
+            point, _ = _solve_bordered(op, guess, path.points[k].x, _zeta_row(zeta_max))
             u_star = point.U
         du = path.points[k + 1].U - path.points[k].U
         slope = (zetas[k + 1] - zetas[k]) / du if du != 0.0 else 0.0
@@ -631,8 +631,7 @@ def flight_envelope(path: ModePath, zeta_max: float,
     return [c for _, c in located]
 
 
-def extremum_damping(path: ModePath, op: Optional[ParametricOperator] = None,
-                     tol: float = 1e-10) -> DampingExtremum:
+def extremum_damping(path: ModePath, op: Optional[ParametricOperator] = None) -> DampingExtremum:
     """Interior extremum of zeta along a path.
 
     Located by a quadratic fit in arclength over the bracketing triple and
@@ -668,6 +667,6 @@ def extremum_damping(path: ModePath, op: Optional[ParametricOperator] = None,
     if op is not None:
         t = fd_tangent(path.points[k - 1], path.points[k + 1], path.scale)
         row = _arclength_row(path.points[k], t, s_star - s1, path.scale)
-        point, _ = _solve_bordered(op, guess, path.points[k].x, row, tol, 25)
+        point, _ = _solve_bordered(op, guess, path.points[k].x, row)
     chi = point.chi
     return DampingExtremum(point, float(chi.imag / abs(chi)), False)

@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .operator import EigenPoint, ParametricOperator, Window, _solve_bordered, sigma_min
+from .operator import (RESIDUAL_TOL, EigenPoint, ParametricOperator, Window, _solve_bordered,
+                       sigma_min)
 from .pseudospectrum import ContourSet, Grid2D, compute_det_field, extract_contours
 
 __all__ = [
@@ -38,7 +39,7 @@ STATIC_CHI_R_FRACTION = 1e-6
 class FlutterSearchSettings:
     grid_count: int = 64
     refine_iters: int = 3
-    tol: float = 1e-10
+    tol: float = RESIDUAL_TOL
     max_iters: int = 50
 
     def __post_init__(self):
@@ -167,7 +168,7 @@ def _real_chi_row(wr: float, wi: float, u: float):
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
-                         tol: float = 1e-10, max_iters: int = 50) -> FlutterPoint:
+                         tol: float = RESIDUAL_TOL, max_iters: int = 50) -> FlutterPoint:
     """Bordered Newton on {A x = 0, c*x = 1, chi_I = 0} from a candidate (U, chi_R).
 
     The solver is the one the continuation correctors use, started from

@@ -37,6 +37,10 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 
+# The one residual gate (see _converged) and the corrector iteration cap.
+RESIDUAL_TOL = 1e-10
+NEWTON_MAX_ITERS = 25
+
 # Base step of the central differences taken for operators without derivs.
 FD_STEP = 1e-6
 
@@ -274,14 +278,20 @@ def param_derivatives(op: ParametricOperator, chi_R: float, chi_I: float,
 RowFn = Callable[[float, float, float], Tuple[float, Tuple[float, float, float]]]
 
 
+def _converged(residual: float, row: float = 0.0, tol: float = RESIDUAL_TOL) -> bool:
+    """The one convergence test: ||A x|| of the unit eigenvector and |row| both <= tol."""
+    return residual <= tol and abs(row) <= tol
+
+
 def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], x0: np.ndarray,
-                    row_fn: RowFn, tol: float, max_iters: int) -> Tuple[EigenPoint, int]:
+                    row_fn: RowFn, tol: float = RESIDUAL_TOL,
+                    max_iters: int = NEWTON_MAX_ITERS) -> Tuple[EigenPoint, int]:
     """Damped Newton on {A x = 0, c*x = 1, scalar row = 0}.
 
     Unknowns are (Re x, Im x, chi_R, chi_I, U), started at ``triple`` =
     (U, chi_R, chi_I); the fixed normalization vector c is the initial
-    eigenvector guess.  Converges when the unit eigenvector residual and
-    the scalar row are both below ``tol``.
+    eigenvector guess.  Stops when :func:`_converged` accepts the unit
+    eigenvector residual and the scalar row.
     """
     n = op.dim
     u, wr, wi = float(triple[0]), float(triple[1]), float(triple[2])
@@ -302,7 +312,7 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         xhat = x / np.linalg.norm(x)
         res = float(np.linalg.norm(a @ xhat))
         rowv, rowg = row_fn(wr, wi, u)
-        if res <= tol and abs(rowv) <= tol:
+        if _converged(res, rowv, tol):
             return EigenPoint.from_vector(op, wr, wi, u, xhat), iteration
         fn = float(np.linalg.norm(f))
         if fn < best[0]:

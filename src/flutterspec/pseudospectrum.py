@@ -323,6 +323,8 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     if exclusion_radius is None:
         exclusion_radius = (0.05 * (us[-1] - us[0]), 0.05 * (ws[-1] - ws[0]))
+    elif not all(r > 0.0 for r in exclusion_radius):
+        raise ValueError(f"exclusion radii must be positive, got {exclusion_radius}")
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]
 
     mask = fld.values < threshold

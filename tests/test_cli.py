@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flutterspec
-from flutterspec.cli import main, read_path_file
+from flutterspec.cli import RunConfig, main, read_path_file
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -78,6 +79,10 @@ class TestFlutterCommand:
         assert main(["flutter", "--config", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.strip()
 
+    def test_null_output_section_uses_default_dir(self):
+        cfg = RunConfig.from_dict({"model": TRAJ_MODEL, "output": None}, {})
+        assert cfg.output_dir == Path("out")
+
 
 class TestTraceCommand:
     def test_zero_steps_single_row(self, tmp_path):
@@ -113,6 +118,19 @@ class TestTraceCommand:
         cfg = write_config(tmp_path, continuation={
             "ds": 0.5, "max_ds": 0.5, "min_ds": 0.4, "max_corrector_iters": 1})
         assert main(["trace", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("index", [-1, -5, 1])
+    def test_start_index_out_of_range_errors(self, tmp_path, capsys, index):
+        cfg = write_config(tmp_path, continuation={"max_steps": 0})
+        assert main(["trace", "--config", str(cfg), "--start-index", str(index)]) == 1
+        assert capsys.readouterr().err.startswith("error: start index")
+        assert not (tmp_path / "out" / "path.csv").exists()
+
+    @pytest.mark.parametrize("key", ["corrector_tol", "step_shrink", "step_grow"])
+    def test_removed_continuation_keys_error(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, continuation={"max_steps": 0, key: 0.5})
+        assert main(["trace", "--config", str(cfg)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_explicit_start_point(self, tmp_path, traj_oracle):
         u0 = 200.0

@@ -268,6 +268,16 @@ class TestSlpLinearStep:
         assert np.linalg.norm(eta - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
+class TestContinuationSettings:
+    @pytest.mark.parametrize("scale", [[1.0], [0.0, 1.0], [1.0, float("inf")], 2.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            ContinuationSettings(scale=scale)
+
+    def test_scale_stored_as_tuple(self):
+        assert ContinuationSettings(scale=[120.0, 54.0]).scale == (120.0, 54.0)
+
+
 class TestTracePath:
     def test_zero_steps_returns_start_only(self, traj_op, traj_flutter):
         path = trace_path(traj_op, traj_flutter,

@@ -407,6 +407,13 @@ class TestBorderlineRegions:
         with pytest.raises(ValueError):
             find_borderline_regions(fld, 0.0)
 
+    @pytest.mark.parametrize("radius", [(0.0, 1.0), (1.0, -1.0)])
+    def test_exclusion_radius_validation(self, radius):
+        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
+        fld = ScalarField(grid, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="exclusion"):
+            find_borderline_regions(fld, 0.5, exclusion_radius=radius)
+
     def test_dipping_trajectory_single_region(self):
         # one mode whose damping dips to 0.03 at U = 200, no flutter anywhere
         spec = TrajectorySpec(modes=(
