@@ -5,12 +5,13 @@ steps predict along the local tangent and correct back onto the solution
 curve subject to the arclength constraint t.(p - p0) = ds; the constraint
 is imposed either through a multiparameter eigenvalue corrector solved by
 successive linear problems (the real arclength row eliminates one
-increment, and the 2x2 operator determinants of the remaining
-two-parameter problem give one real QZ of size n^2 per step) or through a
-damped Newton solve of the bordered real system, which serves as the
-cross-check oracle.  Natural continuation in airspeed and continuation on
-a damping-parameter grid are provided as the classical reference methods;
-the latter cannot pass damping turning points and says so when it stops.
+increment, and the 2x2 operator determinants of the remaining two-parameter
+problem give one real eigenproblem of size n^2 per step, shift-inverted on
+the target 0) or through a damped Newton solve of the bordered real system,
+which serves as the cross-check oracle.  Natural continuation in airspeed
+and continuation on a damping-parameter grid are provided as the classical
+reference methods; the latter cannot pass damping turning points and says
+so when it stops.
 
 All tangents and step lengths live in scaled coordinates
 (U/u_scale, chi_R/chi_scale, chi_I/chi_scale) so that ds is dimensionless.
@@ -18,6 +19,7 @@ All tangents and step lengths live in scaled coordinates
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -105,6 +107,8 @@ class ContinuationSettings:
     def __post_init__(self):
         if not (0.0 < self.min_ds <= self.ds <= self.max_ds):
             raise ValueError("need 0 < min_ds <= ds <= max_ds")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if self.max_corrector_iters < 1:
             raise ValueError("max_corrector_iters must be >= 1")
         if self.scale is not None:
@@ -248,6 +252,19 @@ def _operator_determinants(tops: np.ndarray) -> np.ndarray:
     return table[left, right] - table[right, left]
 
 
+@functools.cache
+def _swap_basis(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, w_p, w_q), shared and not to be written: column k of the unitary U in
+    :func:`_real_forms` is w_p[k] e_{p[k]} + w_q[k] e_{q[k]}."""
+    i, j = np.triu_indices(n, 1)
+    ii = np.arange(n) * (n + 1)
+    ij, ji = i * n + j, j * n + i
+    h = math.sqrt(0.5)
+    return (np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji]),
+            np.concatenate([np.ones(n), np.full(ij.size, h), np.full(ij.size, 1j * h)]),
+            np.concatenate([np.zeros(n), np.full(ij.size, h), np.full(ij.size, -1j * h)]))
+
+
 def _real_forms(deltas: np.ndarray) -> np.ndarray:
     """U^H (i Delta_k) U for each Delta_k: real matrices with the same pencils.
 
@@ -258,15 +275,7 @@ def _real_forms(deltas: np.ndarray) -> np.ndarray:
     conj(U) = P U, which makes U^H (i Delta_k) U real.  Each column of U has
     at most two nonzeros, so U is applied by indexing, in O(n^4).
     """
-    n = math.isqrt(deltas.shape[1])
-    i, j = np.triu_indices(n, 1)
-    ii = np.arange(n) * (n + 1)
-    ij, ji = i * n + j, j * n + i
-    # column k of U is w_p[k] e_{p[k]} + w_q[k] e_{q[k]}
-    p, q = np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji])
-    h = math.sqrt(0.5)
-    w_p = np.concatenate([np.ones(n), np.full(ij.size, h), np.full(ij.size, 1j * h)])
-    w_q = np.concatenate([np.zeros(n), np.full(ij.size, h), np.full(ij.size, -1j * h)])
+    p, q, w_p, w_q = _swap_basis(math.isqrt(deltas.shape[1]))
     m = 1j * deltas
     mu = m[:, :, p] * w_p + m[:, :, q] * w_q
     return (w_p.conj()[:, None] * mu[:, p] + w_q.conj()[:, None] * mu[:, q]).real
@@ -282,13 +291,13 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     problem (B_0 + eta_a B_a + eta_b B_b) x = 0 with
     B_j = v_j - (t_j / t_k) v_k and B_0 = a0 + (r / t_k) v_k.  Its 2x2
     operator determinants turn it into the generalized eigenproblem
-    Delta_a z = eta_a Delta_0 z, solved in its real form by one real QZ of
-    size n^2; eta_b is the Rayleigh quotient of Delta_b on each eigenvector,
-    taken for all of them in one product, and eta_k follows from the row.
+    Delta_a z = eta_a Delta_0 z.  Its real form, shift-inverted on the
+    target 0, is the standard eigenproblem (R_a^-1 R_0) z = mu z of size n^2
+    with eta_a = 1/mu (mu = 0 is dropped as infinite; an exactly singular R_a
+    is a ConvergenceError).  eta_b is the Rayleigh quotient of Delta_b on
+    every eigenvector in one product, and eta_k follows from the row.
     Returns (eta, |eta|).
     """
-    import scipy.linalg  # lazy: the SLP step is its only user
-
     ts = (t.dchi_r, t.dchi_i, t.du)
     vs = (v1, v2, v3)
     k = int(np.argmax(np.abs(ts)))
@@ -299,14 +308,14 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
         vs[a] - (ts[a] / ts[k]) * vs[k], vs[b] - (ts[b] / ts[k]) * vs[k],
         -(a0 + (r / ts[k]) * vs[k])])))
     try:
-        eta_a, z = scipy.linalg.eig(ra, r0)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        mu, z = np.linalg.eig(np.linalg.solve(ra, r0))
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Delta-matrix eigenproblem failed: {exc}") from exc
 
-    eta = np.empty((3, eta_a.size), dtype=complex)
+    eta = np.empty((3, mu.size), dtype=complex)
     with np.errstate(all="ignore"):
         d0z = r0 @ z
-        eta[a] = eta_a
+        eta[a] = 1.0 / mu
         eta[b] = np.sum(d0z.conj() * (rb @ z), axis=0) / np.sum(d0z.conj() * d0z, axis=0)
         eta[k] = (r - ts[a] * eta[a] - ts[b] * eta[b]) / ts[k]
         re = eta.real
@@ -329,8 +338,8 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     eigenvector (which forces real increments), and appends the scalar
     pseudo-arclength row (t.dp - r)y = 0.  The row eliminates one increment,
     and the 2x2 operator determinants of the remaining two-parameter
-    problem give a generalized eigenproblem on n^2 x n^2 matrices, solved by
-    one real QZ in a basis where the determinants are real
+    problem give a generalized eigenproblem on n^2 x n^2 matrices, solved
+    shift-inverted on the target 0 in a basis where the determinants are real
     (:func:`_slp_increment`); the real increment triple of smallest scaled
     norm is applied and the eigenvector is refreshed as the minimum
     singular vector of the updated operator.

@@ -306,6 +306,27 @@ def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,
     return [extract_contours(fld, e) for e in eps]
 
 
+def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
+    """4-connected components of a boolean grid, numbered from 1 in row-major order."""
+    padded = np.pad(mask, 1)  # a False border keeps every neighbour lookup on the grid
+    inside = padded.tolist()
+    labels = np.zeros(padded.shape, dtype=int).tolist()
+    count = 0
+    for i0, j0 in np.argwhere(padded).tolist():
+        if labels[i0][j0]:
+            continue
+        count += 1
+        labels[i0][j0] = count
+        stack = [(i0, j0)]
+        while stack:
+            i, j = stack.pop()
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if inside[a][b] and not labels[a][b]:
+                    labels[a][b] = count
+                    stack.append((a, b))
+    return np.array(labels, dtype=int)[1:-1, 1:-1], count
+
+
 def find_borderline_regions(fld: ScalarField, threshold: float,
                             flutter_points: Sequence = (),
                             exclusion_radius: Optional[Tuple[float, float]] = None
@@ -317,7 +338,6 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     supplied flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
     ``fp.point.chi_R``; default semi-axes: 5% of each grid span).
     """
-    from scipy import ndimage  # lazy: only this function needs it
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     us, ws = fld.grid.u_values(), fld.grid.w_values()
@@ -328,7 +348,7 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]
 
     mask = fld.values < threshold
-    labels, n_regions = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    labels, n_regions = _label_components(mask)
     regions = []
     for lbl in range(1, n_regions + 1):
         ii, jj = np.nonzero(labels == lbl)

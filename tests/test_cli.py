@@ -21,15 +21,33 @@ NORMAL_MODEL = {"kind": "normal",
                 "window": {"u_min": 0.0, "u_max": 1.0, "chi_r_min": 0.0, "chi_r_max": 8.0}}
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # only the SLP corrector step needs scipy.linalg, and it imports it itself
+def fresh_python(code, cwd=None):
+    """stdout of ``code`` run in a new interpreter that imports this checkout's flutterspec."""
     src = os.path.dirname(os.path.dirname(flutterspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # flutterspec uses no scipy at all; scipy is a test-only dependency
     code = "import sys, flutterspec.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # pseudo labels borderline regions and trace runs the SLP corrector, both in numpy
+    cfg = write_config(tmp_path, grid={"u_count": 21, "w_count": 21}, eps_list=[0.04, 0.08],
+                       borderline={"threshold": 0.15},
+                       continuation={"ds": 0.05, "max_steps": 5, "corrector": "slp"})
+    code = ("import sys\n"
+            "from flutterspec.cli import main\n"
+            f"assert main(['pseudo', '--config', {str(cfg)!r}]) == 0\n"
+            f"assert main(['trace', '--config', {str(cfg)!r}, '--direction', '-1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert fresh_python(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
 
 
 def write_config(tmp_path, name="config.json", **fields):

@@ -12,8 +12,8 @@ from scipy.optimize import brentq
 from conftest import (kron_operator_determinants, reference_slp_increment,
                       swap_symmetric_unitary)
 from flutterspec import (ContinuationSettings, ConvergenceError, DampingParameterization,
-                         DegenerateTangentError, EigenPoint, Tangent, Window,
-                         build_trajectory_operator,
+                         DegenerateTangentError, EigenPoint, GalerkinWingSpec, Tangent, Window,
+                         build_galerkin_wing, build_trajectory_operator,
                          corrector_newton, corrector_slp, damping_continuation,
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
@@ -267,8 +267,46 @@ class TestSlpLinearStep:
         eta, _ = _slp_increment(a0, vs[0], vs[1], vs[2], t, r)
         assert np.linalg.norm(eta - expected) <= 1e-8 * np.linalg.norm(expected)
 
+    def test_exactly_singular_delta_a_is_a_convergence_error(self):
+        # a0 = 0 and r = 0 make B_0 = 0, so Delta_a = Delta(-B_0, B_b) is exactly zero
+        _, vs, t, _, _ = known_solution_problem(7, 3)
+        with pytest.raises(ConvergenceError, match="eigenproblem failed"):
+            _slp_increment(np.zeros((3, 3), complex), vs[0], vs[1], vs[2], t, 0.0)
+
+
+def off_newton_branch(op, path, newton):
+    """Largest relative chi gap between each path point and the airspeed-fixed solve there,
+    seeded from the Newton path point nearest in U."""
+    us = np.array([p.U for p in newton.points])
+    gaps = [abs(solve_at_airspeed(op, p.U, newton.points[int(np.argmin(np.abs(us - p.U)))]).chi
+                - p.chi) / abs(p.chi) for p in path.points]
+    return max(gaps)
+
+
+JUMP = ("default SLP from the wing points near U = 53.47 leaves the Newton branch near "
+        "U = 81.3 and still ends window-exit")
+
+
+class TestWingSlp:
+    @pytest.mark.parametrize("n, u_start", [
+        (8, 9.2458),
+        pytest.param(4, 53.4609, marks=pytest.mark.xfail(strict=True, reason=JUMP)),
+        pytest.param(8, 53.4733, marks=pytest.mark.xfail(strict=True, reason=JUMP)),
+    ])
+    def test_default_slp_stays_on_the_newton_branch(self, n, u_start):
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
+        start = next(fp for fp in find_flutter_points(op) if abs(fp.point.U - u_start) < 1e-3)
+        slp = trace_path(op, start, +1, ContinuationSettings(corrector="slp"))
+        newton = trace_path(op, start, +1, ContinuationSettings(corrector="newton"))
+        assert slp.termination_reason == newton.termination_reason == "window-exit"
+        assert off_newton_branch(op, slp, newton) <= 1e-8
+
 
 class TestContinuationSettings:
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            ContinuationSettings(max_steps=-3)
+
     @pytest.mark.parametrize("scale", [[1.0], [0.0, 1.0], [1.0, float("inf")], 2.0])
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="scale"):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOperator,
                          ScalarField, Window, build_galerkin_wing, build_normal_operator,
                          build_trajectory_operator, build_typical_section, compute_det_field,
                          compute_sigma_field, epsilon_pseudospectrum, extract_contours,
                          find_borderline_regions, sigma_min)
-from flutterspec.models import ModeTrajectory, TrajectorySpec
-from flutterspec.pseudospectrum import DetComponentField
+from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
+from flutterspec.pseudospectrum import DetComponentField, _label_components
 
 from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
                       edge_crossings)
@@ -457,3 +458,55 @@ class TestBorderlineRegions:
         best = min(regions, key=lambda r: r.min_sigma)
         assert best.near_flutter is True
         assert abs(best.center[0] - 120.0) <= 1.0
+
+
+@st.composite
+def masks(draw):
+    """Boolean grids from 1x1 to 15x15: random, empty, full, checkerboard, one row or column."""
+    kind = draw(st.sampled_from(["random", "empty", "full", "checkerboard", "row", "column"]))
+    rows = 1 if kind == "row" else draw(st.integers(1, 15))
+    cols = 1 if kind == "column" else draw(st.integers(1, 15))
+    if kind == "empty":
+        return np.zeros((rows, cols), dtype=bool)
+    if kind == "full":
+        return np.ones((rows, cols), dtype=bool)
+    if kind == "checkerboard":
+        return np.indices((rows, cols)).sum(axis=0) % 2 == draw(st.integers(0, 1))
+    bits = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    return np.array(bits, dtype=bool).reshape(rows, cols)
+
+
+def ndimage_regions(fld, threshold):
+    """(center, min_sigma, extent) per 4-connected sublevel region, labelled by scipy.ndimage."""
+    us, ws = fld.grid.u_values(), fld.grid.w_values()
+    labels, count = ndimage.label(fld.values < threshold)
+    regions = []
+    for lbl in range(1, count + 1):
+        ii, jj = np.nonzero(labels == lbl)
+        k = np.argmin(fld.values[ii, jj])
+        regions.append(((us[ii[k]], ws[jj[k]]), fld.values[ii[k], jj[k]],
+                        (us[ii.min()], us[ii.max()], ws[jj.min()], ws[jj.max()])))
+    return sorted(regions)
+
+
+class TestLabelComponents:
+    @settings(max_examples=200)
+    @given(mask=masks())
+    def test_same_partition_as_ndimage(self, mask):
+        labels, count = _label_components(mask)
+        expected, expected_count = ndimage.label(mask)
+        assert labels.shape == mask.shape and count == expected_count
+        assert np.array_equal(labels == 0, ~mask)
+        pairs = set(zip(labels[mask].tolist(), expected[mask].tolist()))
+        # one label pair per region: the two labellings differ by a permutation
+        assert len(pairs) == count
+        assert {a for a, _ in pairs} == set(range(1, count + 1))
+        assert {b for _, b in pairs} == set(range(1, count + 1))
+
+    @pytest.mark.parametrize("threshold", [0.15, 1.0, 4.0])
+    def test_readme_sigma_field_regions(self, threshold):
+        op = build_trajectory_operator(reference_restabilization_spec())
+        fld = compute_sigma_field(op, Grid2D((10.0, 400.0, 101), (20.0, 200.0, 101)))
+        got = [(r.center, r.min_sigma, r.extent)
+               for r in find_borderline_regions(fld, threshold)]
+        assert got and got == ndimage_regions(fld, threshold)
