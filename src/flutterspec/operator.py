@@ -118,28 +118,35 @@ class ParametricOperator:
             raise ValueError(f"pencil terms of '{self.name}' must be {self.dim}x{self.dim}")
 
 
-def _pencil_sum(terms: Sequence[Term], chi, U) -> np.ndarray:
-    """sum chi^a U^b C in term order, powers by repeated multiplication.
+def _pencil_sum(exps: Sequence[Tuple[int, int]], coeffs: np.ndarray, chi, U) -> np.ndarray:
+    """sum over k of chi^a U^b coeffs[k], (a, b) = exps[k], as one powers x coefficients product.
 
-    Scalar ``chi``, ``U`` give (n, n); (N, 1, 1) arrays give (N, n, n).
+    Powers by repeated multiplication, stacked as w, (K,) for scalar ``chi``, ``U`` or
+    (K, N) for 1-D node arrays; w.T @ coeffs gives (r, c) or (N, r, c).  The fields
+    pass <= 2^16 entries or one row of nodes at a time.
     """
-    pc, pu, out = [1 + 0 * chi], [1 + 0 * U], None
-    for a, b, c in terms:
+    pc, pu = [1 + 0 * chi], [1 + 0 * U]
+    for a, b in exps:
         while len(pc) <= a:
             pc.append(pc[-1] * chi)
         while len(pu) <= b:
             pu.append(pu[-1] * U)
-        term = pc[a] * pu[b] * c
-        out = term if out is None else np.add(out, term, out=out)
-    return out
+    w = np.array([pc[a] * pu[b] for a, b in exps])
+    return (w.T @ coeffs.reshape(len(exps), -1)).reshape(np.shape(chi) + coeffs.shape[1:])
+
+
+def _stack_terms(terms: Sequence[Term]) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
+    """Exponent pairs and the (K, r, c) coefficient stack of pencil terms."""
+    return tuple((a, b) for a, b, _ in terms), np.array([c for _, _, c in terms])
 
 
 def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> ParametricOperator:
     """Operator A(chi, U) = sum over (a, b, C) in ``terms`` of chi^a U^b C.
 
-    ``func`` is the term-order sum :func:`evaluate_batch` takes over many
-    nodes (equal to rounding: numpy's vector loops may fuse multiply-adds).
-    Exact ``derivs`` sum the differentiated terms; dA/dchi_I = i dA/dchi_R.
+    ``func`` and :func:`evaluate_batch` share :func:`_pencil_sum` (equal to rounding;
+    the fields batch <= 2^16 entries or one row of nodes).  Exact ``derivs`` sum one
+    (n, 2n) block pencil [dA/dchi_R | dA/dU] of the differentiated terms, equal
+    exponent pairs merged, and return its column views; dA/dchi_I = i dA/dchi_R.
     """
     terms = tuple((int(a), int(b), np.array(c, dtype=complex)) for a, b, c in terms)
     if not terms or any(a < 0 or b < 0 for a, b, _ in terms):
@@ -147,17 +154,23 @@ def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> Param
     for _, _, c in terms:
         c.flags.writeable = False
     n = terms[0][2].shape[0]
-    d_chi_terms = tuple((a - 1, b, a * c) for a, b, c in terms if a > 0)
-    d_u_terms = tuple((a, b - 1, b * c) for a, b, c in terms if b > 0)
-    zero = np.zeros((n, n), dtype=complex)
+    if any(c.shape != (n, n) for _, _, c in terms):
+        raise ValueError(f"pencil terms of '{name}' must be {n}x{n}")
+    exps, coeffs = _stack_terms(terms)
+    # (0, 0) always has a block, so a constant pencil still has a (zero) derivative
+    blocks = {(0, 0): np.zeros((n, 2 * n), dtype=complex)}
+    for a, b, c in terms:
+        for key, col, k in (((a - 1, b), 0, a), ((a, b - 1), n, b)):
+            if k:
+                blocks.setdefault(key, np.zeros((n, 2 * n), dtype=complex))[:, col:col + n] += k * c
+    d_exps, d_coeffs = _stack_terms([(a, b, c) for (a, b), c in blocks.items()])
 
     def func(chi: complex, U: float) -> np.ndarray:
-        return _pencil_sum(terms, chi, U)
+        return _pencil_sum(exps, coeffs, chi, U)
 
     def derivs(chi: complex, U: float):
-        d_chi = _pencil_sum(d_chi_terms, chi, U) if d_chi_terms else zero
-        d_u = _pencil_sum(d_u_terms, chi, U) if d_u_terms else zero
-        return d_chi, 1j * d_chi, d_u
+        d = _pencil_sum(d_exps, d_coeffs, chi, U)
+        return d[:, :n], 1j * d[:, :n], d[:, n:]
 
     return ParametricOperator(name=name, dim=n, func=func, window=window, derivs=derivs,
                               terms=terms)
@@ -186,6 +199,8 @@ class EigenPoint:
         if nrm == 0.0:
             raise ValueError("eigenvector must be nonzero")
         x = x / nrm
+        # fix the free phase: the largest-modulus entry (the first on ties) real and >= 0
+        x = x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
         res = float(np.linalg.norm(evaluate(op, complex(chi_R, chi_I), U) @ x))
         return cls(float(chi_R), float(chi_I), float(U), x, res)
 
@@ -224,7 +239,7 @@ def evaluate_batch(op: ParametricOperator, chis, Us) -> np.ndarray:
         return out
     if not (np.isfinite(chis).all() and np.isfinite(Us).all()):
         raise ValueError(f"non-finite arguments in batch evaluation of operator '{op.name}'")
-    return _pencil_sum(op.terms, chis[:, None, None], Us[:, None, None])
+    return _pencil_sum(*_stack_terms(op.terms), chis, Us)
 
 
 def residual_norm(op: ParametricOperator, chi: complex, U: float, x: np.ndarray) -> float:
@@ -307,8 +322,8 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a
 
     best = (math.inf, None)
+    f, a = full_residual(x, wr, wi, u)
     for iteration in range(max_iters):
-        f, a = full_residual(x, wr, wi, u)
         xhat = x / np.linalg.norm(x)
         res = float(np.linalg.norm(a @ xhat))
         rowv, rowg = row_fn(wr, wi, u)
@@ -346,14 +361,14 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
             wr_t = wr + step * delta[2 * n]
             wi_t = wi + step * delta[2 * n + 1]
             u_t = u + step * delta[2 * n + 2]
-            f_t, _ = full_residual(x_t, wr_t, wi_t, u_t)
+            f_t, a_t = full_residual(x_t, wr_t, wi_t, u_t)
             if np.linalg.norm(f_t) < fn:
                 break
             step *= 0.5
         else:
             raise ConvergenceError(f"bordered Newton stalled at U={u}, chi={wr}+{wi}j "
                                    f"(|F|={fn:.3e})", best=best[1], iterations=iteration)
-        x, wr, wi, u = x_t, wr_t, wi_t, u_t
+        x, wr, wi, u, f, a = x_t, wr_t, wi_t, u_t, f_t, a_t
 
     raise ConvergenceError(f"bordered Newton did not converge in {max_iters} iterations "
                            f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)

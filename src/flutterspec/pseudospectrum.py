@@ -37,6 +37,9 @@ __all__ = [
 # along a grid row (real pencils give |sin(phase)| at rounding level).
 DEGENERATE_COMPONENT_TOL = 1e-12
 
+# Complex entries (1 MB) per field chunk: a whole n=16 grid in one stack ran slower.
+CHUNK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -144,39 +147,51 @@ def _check_grid_window(op: ParametricOperator, grid: Grid2D):
 
 
 def _row_stacks(op: ParametricOperator, grid: Grid2D):
-    """Yield (i, u_i, stack) per U row, stack[j] = A(w_j + i*chi_I_fixed, u_i).
+    """Yield (rows, us, stack) per chunk of U rows, stack[r, j] = A(w_j + i*chi_I_fixed, us[r]).
 
-    Each stack is a fresh :func:`evaluate_batch` result, so only about one
-    row of w_count*n*n entries is alive at a time, never the whole grid's.
+    ``rows`` is the chunk's slice of the grid rows.  Each stack is one fresh
+    :func:`evaluate_batch` result of <= 2^16 entries (``CHUNK_ENTRIES``) or
+    one row, never the whole grid's.
     """
     _check_grid_window(op, grid)
     chis = grid.w_values() + 1j * grid.chi_I_fixed
-    for i, u in enumerate(grid.u_values()):
-        yield i, u, evaluate_batch(op, chis, u)
+    us = grid.u_values()
+    step = max(1, CHUNK_ENTRIES // (chis.size * op.dim * op.dim))
+    for i0 in range(0, us.size, step):
+        rows = slice(i0, min(i0 + step, us.size))
+        stack = evaluate_batch(op, chis[None, :], us[rows, None])
+        yield rows, us[rows], stack.reshape(-1, chis.size, op.dim, op.dim)
 
 
 def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
-    """Minimum-singular-value field over the grid, one batched SVD per U row."""
+    """Minimum-singular-value field over the grid, one batched SVD per chunk of U rows.
+
+    A chunk whose SVD fails is redone row by row, to name the first failing row.
+    """
     values = np.empty((grid.u_axis[2], grid.w_axis[2]))
-    for i, u, stack in _row_stacks(op, grid):
+    for rows, us, stack in _row_stacks(op, grid):
         try:
-            values[i] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"sigma field row i={i}, U={u} of operator '{op.name}': {exc}") from exc
+            values[rows] = np.linalg.svd(stack, compute_uv=False)[..., -1]
+        except np.linalg.LinAlgError:
+            for i, u, row in zip(range(rows.start, rows.stop), us, stack):
+                try:
+                    values[i] = np.linalg.svd(row, compute_uv=False)[:, -1]
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(
+                        f"sigma field row i={i}, U={u} of operator '{op.name}': {exc}") from exc
     return ScalarField(grid, values)
 
 
 def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
-    """Determinant field in (log|det|, phase) form, one batched slogdet per U row.
+    """Determinant field in (log|det|, phase) form, one batched slogdet per chunk of U rows.
 
     A singular node gets log|det| = -inf and phase 0 (the angle of sign 0).
     """
     log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
     phase = np.empty_like(log_mag)
-    for i, _, stack in _row_stacks(op, grid):
-        sign, log_mag[i] = np.linalg.slogdet(stack)
-        phase[i] = np.angle(sign)
+    for rows, _, stack in _row_stacks(op, grid):
+        sign, log_mag[rows] = np.linalg.slogdet(stack)
+        phase[rows] = np.angle(sign)
     return ComplexField(grid, log_mag, phase)
 
 

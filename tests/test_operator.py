@@ -12,7 +12,7 @@ from flutterspec import (DampingParameterization, EigenPoint, NumericalError,
                          ParametricOperator, Window, build_normal_operator,
                          complex_to_damping, damping_to_complex, evaluate,
                          param_derivatives, residual_norm, sigma_min)
-from flutterspec.operator import evaluate_batch, polynomial_pencil
+from flutterspec.operator import _solve_bordered, evaluate_batch, polynomial_pencil
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -270,6 +270,36 @@ class TestEigenPoint:
     def test_zero_vector_rejected(self, traj_op):
         with pytest.raises(ValueError):
             EigenPoint.from_vector(traj_op, 50.0, 0.0, 10.0, np.zeros(2))
+
+    @pytest.mark.parametrize("theta", [0.3, -1.2, math.pi / 2, math.pi, 2.9])
+    def test_phase_is_fixed(self, ts_op, theta):
+        x = np.array([0.3 - 0.4j, -0.8 + 0.1j])
+        expected = x / np.linalg.norm(x) * np.exp(-1j * np.angle(x[1]))
+        pt = EigenPoint.from_vector(ts_op, 30.0, 1.0, 20.0, x * np.exp(1j * theta))
+        assert np.abs(pt.x - expected).max() <= 1e-15
+        assert pt.x[1].real > 0.0 and abs(pt.x[1].imag) <= 1e-16
+
+    def test_phase_tie_takes_first_entry(self, ts_op):
+        pt = EigenPoint.from_vector(ts_op, 30.0, 1.0, 20.0, np.array([0.6j, -0.6]))
+        assert np.abs(pt.x - np.array([1.0, 1.0j]) / math.sqrt(2.0)).max() <= 1e-15
+
+
+class TestSolveBordered:
+    def test_accepted_point_is_not_evaluated_again(self, ts_op):
+        calls = []
+
+        def func(chi, u):
+            calls.append((chi, u))
+            return ts_op.func(chi, u)
+
+        op = ParametricOperator("counting", 2, func, ts_op.window)
+        _, x = sigma_min(ts_op, 43.2, 1.0)
+        _, iterations = _solve_bordered(op, (1.0, 43.2, 0.0), x,
+                                        lambda wr, wi, u: (u - 1.0, (0.0, 0.0, 1.0)))
+        assert iterations >= 2
+        repeats = sum(a == b for a, b in zip(calls, calls[1:]))
+        # only EigenPoint.from_vector evaluates the converged point once more
+        assert repeats == 1
 
 
 class TestWindow:

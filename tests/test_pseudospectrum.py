@@ -14,6 +14,7 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
                          compute_sigma_field, epsilon_pseudospectrum, extract_contours,
                          find_borderline_regions, sigma_min)
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
+from flutterspec import pseudospectrum
 from flutterspec.pseudospectrum import DetComponentField, _label_components
 
 from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
@@ -100,7 +101,7 @@ class TestSigmaField:
         expected = np.abs(chis[:, None] - eigs[None, :]).min(axis=1)
         assert np.abs(fld.values - expected[None, :]).max() <= 1e-9
 
-    def test_nan_row_names_its_airspeed(self):
+    def test_nan_row_names_its_airspeed(self, monkeypatch):
         base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
 
         def func(chi, u):
@@ -110,8 +111,12 @@ class TestSigmaField:
         # a replaced func needs the pencil terms cleared, or batched rows ignore it
         op = dataclasses.replace(base, func=func, terms=None)
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
-        with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
-            compute_sigma_field(op, grid)
+        # one chunk by default; at 60 entries two rows (28 entries each) per chunk,
+        # so the NaN row i=2 opens the second chunk; at 1 entry one row per chunk
+        for chunk_entries in (pseudospectrum.CHUNK_ENTRIES, 60, 1):
+            monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", chunk_entries)
+            with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
+                compute_sigma_field(op, grid)
 
 
 class TestDetField:
@@ -169,14 +174,18 @@ def build_typical_window_op(ts_op):
     return dataclasses.replace(ts_op, window=Window(0.0, 80.0, 5.0, 75.0))
 
 
-@pytest.mark.parametrize("model", ["typical_section", "wing_n8"])
-def test_batched_fields_match_per_node_numpy(model):
-    """Row-batched fields against per-node numpy svd/slogdet of op.func."""
+# wing_n16 on 30x11: 2^16 // (11*16*16) = 23 rows per chunk, so chunks of 23 and 7 rows
+@pytest.mark.parametrize("model,u_count", [("typical_section", 9), ("wing_n8", 9),
+                                           ("wing_n16", 30)],
+                         ids=["typical_section", "wing_n8", "wing_n16"])
+def test_batched_fields_match_per_node_numpy(model, u_count):
+    """Chunk-batched fields against per-node numpy svd/slogdet of op.func."""
     if model == "typical_section":
         op = build_typical_section()
     else:
-        op = build_galerkin_wing(GalerkinWingSpec(n_bending=4, n_torsion=4))
-    grid = Grid2D.over_window(op.window, 9, 11, chi_I_fixed=0.5)
+        half = int(model[len("wing_n"):]) // 2
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=half, n_torsion=half))
+    grid = Grid2D.over_window(op.window, u_count, 11, chi_I_fixed=0.5)
     sig = compute_sigma_field(op, grid).values
     det = compute_det_field(op, grid)
     for i, u in enumerate(grid.u_values()):
@@ -187,6 +196,20 @@ def test_batched_fields_match_per_node_numpy(model):
             sign, logdet = np.linalg.slogdet(a)
             assert det.log_magnitude[i, j] == pytest.approx(logdet, rel=1e-13, abs=1e-13)
             assert det.phase[i, j] == pytest.approx(np.angle(sign), rel=1e-13, abs=1e-13)
+
+
+def test_small_det_field_is_one_batch(monkeypatch):
+    """A 64x64 n=2 det field fits one chunk: one evaluate_batch call, not one per row."""
+    calls, evaluate_batch = [], pseudospectrum.evaluate_batch
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_batch(*args)
+
+    op = build_typical_section()
+    monkeypatch.setattr(pseudospectrum, "evaluate_batch", counting)
+    compute_det_field(op, Grid2D.over_window(op.window, 64, 64))
+    assert len(calls) == 1
 
 
 class TestContours:
