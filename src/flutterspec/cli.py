@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -27,8 +27,8 @@ from . import models
 from .errors import ConvergenceError, FlutterSpecError
 from .flutter import FlutterPoint, FlutterSearchSettings, find_flutter_points
 from .operator import EigenPoint, ParametricOperator, Window, sigma_min
-from .pseudospectrum import (Grid2D, compute_sigma_field, epsilon_pseudospectrum,
-                             extract_contours, find_borderline_regions)
+from .pseudospectrum import (Grid2D, compute_sigma_field, extract_contours,
+                             find_borderline_regions)
 
 __all__ = ["RunConfig", "main", "cmd_flutter", "cmd_pseudo", "cmd_trace",
            "cmd_envelope", "cmd_damping_plot"]
@@ -54,19 +54,18 @@ def _zeta_of(chi_R: float, chi_I: float) -> float:
 
 @dataclass
 class RunConfig:
-    """Parsed run configuration; see the README for the JSON schema."""
+    """Parsed run configuration, built by :meth:`from_dict`; see the README for the schema."""
 
     model: Dict[str, Any]
-    window: Optional[Window] = None
-    grid: Dict[str, int] = field(default_factory=lambda: {"u_count": 101, "w_count": 101})
-    eps_list: List[float] = field(default_factory=lambda: [0.04, 0.08])
-    borderline: Dict[str, Any] = field(default_factory=dict)
-    flutter: Dict[str, Any] = field(default_factory=dict)
-    continuation: Dict[str, Any] = field(default_factory=dict)
-    natural: Dict[str, Any] = field(default_factory=dict)
-    envelope: Dict[str, Any] = field(default_factory=dict)
-    output_dir: Path = Path("out")
-    direction: int = 1
+    window: Optional[Window]
+    grid: Dict[str, int]
+    eps_list: List[float]
+    borderline: Dict[str, Any]
+    flutter: Dict[str, Any]
+    continuation: Dict[str, Any]
+    natural: Dict[str, Any]
+    output_dir: Path
+    direction: int
 
     @classmethod
     def load(cls, path: Path, overrides: Dict[str, Any]) -> "RunConfig":
@@ -85,21 +84,18 @@ class RunConfig:
             raise ValueError("config must supply a model object or model file path")
 
         win_doc = dict(doc.get("window") or {})
-        for key, dst in (("u_min", "u_min"), ("u_max", "u_max"),
-                         ("chi_r_min", "chi_r_min"), ("chi_r_max", "chi_r_max")):
+        for key in ("u_min", "u_max", "chi_r_min", "chi_r_max"):
             if overrides.get(key) is not None:
-                win_doc[dst] = overrides[key]
+                win_doc[key] = overrides[key]
         window = Window(**win_doc) if win_doc else None
 
-        grid = dict(doc.get("grid") or {})
+        grid = {"u_count": 101, "w_count": 101, **(doc.get("grid") or {})}
         if overrides.get("grid") is not None:
             grid = {"u_count": overrides["grid"], "w_count": overrides["grid"]}
-        grid.setdefault("u_count", 101)
-        grid.setdefault("w_count", 101)
 
         eps_list = list(doc.get("eps_list") or [0.04, 0.08])
-        if overrides.get("eps") is not None:
-            eps_list = overrides["eps"]
+        if overrides.get("eps"):
+            eps_list = [float(v) for v in overrides["eps"].split(",")]
 
         continuation = dict(doc.get("continuation") or {})
         direction = int(continuation.pop("direction", doc.get("direction", 1)))
@@ -108,16 +104,12 @@ class RunConfig:
         if overrides.get("direction") is not None:
             direction = overrides["direction"]
 
-        envelope = dict(doc.get("envelope") or {})
-        if overrides.get("zeta_max") is not None:
-            envelope["zeta_max"] = overrides["zeta_max"]
-
         out_dir = Path(overrides.get("output_dir") or (doc.get("output") or {}).get("dir", "out"))
         return cls(model=model, window=window, grid=grid, eps_list=eps_list,
                    borderline=dict(doc.get("borderline") or {}),
                    flutter=dict(doc.get("flutter") or {}),
                    continuation=continuation, natural=dict(doc.get("natural") or {}),
-                   envelope=envelope, output_dir=out_dir, direction=direction)
+                   output_dir=out_dir, direction=direction)
 
 
 def build_model(doc: Dict[str, Any]) -> ParametricOperator:
@@ -243,10 +235,14 @@ def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
             "window_history": [asdict(w) for w in fp.window_history]}
 
 
-def cmd_flutter(cfg: RunConfig) -> int:
-    op = build_model(cfg.model)
+def _flutter_search(cfg: RunConfig, op: ParametricOperator) -> Tuple[Window, List[FlutterPoint]]:
+    """The search window (the config's, else the model's) and the flutter points in it."""
     window = cfg.window or op.window
-    points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
+    return window, find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
+
+
+def cmd_flutter(cfg: RunConfig) -> int:
+    window, points = _flutter_search(cfg, build_model(cfg.model))
     _write_json(cfg.output_dir / "flutter_points.json",
                 {"window": asdict(window), "points": [_flutter_point_record(f) for f in points]})
     print(f"{len(points)} flutter point(s) -> {cfg.output_dir / 'flutter_points.json'}")
@@ -255,8 +251,7 @@ def cmd_flutter(cfg: RunConfig) -> int:
 
 def cmd_pseudo(cfg: RunConfig) -> int:
     op = build_model(cfg.model)
-    window = cfg.window or op.window
-    grid = Grid2D.over_window(window, cfg.grid["u_count"], cfg.grid["w_count"])
+    grid = Grid2D.over_window(cfg.window or op.window, cfg.grid["u_count"], cfg.grid["w_count"])
     fld = compute_sigma_field(op, grid)
 
     us, ws = grid.u_values(), grid.w_values()
@@ -276,7 +271,7 @@ def cmd_pseudo(cfg: RunConfig) -> int:
 
     threshold = float(cfg.borderline.get("threshold", min(cfg.eps_list)))
     try:
-        flutter_points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
+        _, flutter_points = _flutter_search(cfg, op)
     except FlutterSpecError as exc:
         print(f"flutter search for near_flutter flags failed: {exc}", file=sys.stderr)
         flutter_points = []
@@ -313,8 +308,7 @@ def _resolve_trace_start(cfg: RunConfig, op: ParametricOperator, args) -> Option
     if args.start_point is not None:
         u, wr, wi = (float(v) for v in args.start_point.split(","))
         return _solve_seed(op, u, complex(wr, wi))
-    window = cfg.window or op.window
-    points = find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
+    _, points = _flutter_search(cfg, op)
     if not points:
         return None
     idx = args.start_index
@@ -380,27 +374,28 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, required=True, help="JSON run configuration")
-    p.add_argument("--u-min", type=float, dest="u_min")
-    p.add_argument("--u-max", type=float, dest="u_max")
-    p.add_argument("--chi-r-min", type=float, dest="chi_r_min")
-    p.add_argument("--chi-r-max", type=float, dest="chi_r_max")
-    p.add_argument("--grid", type=int, help="grid count for both axes")
-    p.add_argument("--eps", type=str, help="comma-separated epsilon levels")
-    p.add_argument("--ds", type=float, help="arclength step (scaled units)")
-    p.add_argument("--direction", type=int, choices=(-1, 1))
-    p.add_argument("--zeta-max", type=float, dest="zeta_max")
-    p.add_argument("--output-dir", type=Path, dest="output_dir")
-
-
-def _overrides(args) -> Dict[str, Any]:
-    out = {k: getattr(args, k, None) for k in
-           ("u_min", "u_max", "chi_r_min", "chi_r_max", "grid", "ds", "direction",
-            "zeta_max", "output_dir")}
-    eps = getattr(args, "eps", None)
-    out["eps"] = [float(v) for v in eps.split(",")] if eps else None
-    return out
+# Flags of the config subcommands besides --config and --output-dir, with
+# their argparse keywords.  A flag's dest names the RunConfig.from_dict
+# override it sets; --start-index and --start-point are read by cmd_trace.
+_FLAGS = {
+    "--u-min": {"type": float},
+    "--u-max": {"type": float},
+    "--chi-r-min": {"type": float},
+    "--chi-r-max": {"type": float},
+    "--grid": {"type": int, "help": "grid count for both axes"},
+    "--eps": {"type": str, "help": "comma-separated epsilon levels"},
+    "--ds": {"type": float, "help": "arclength step (scaled units)"},
+    "--direction": {"type": int, "choices": (-1, 1)},
+    "--start-index": {"type": int, "default": 0, "help": "flutter point index (sorted by U)"},
+    "--start-point": {"type": str, "help": "explicit start triple 'U,chi_R,chi_I'"},
+}
+_WINDOW_FLAGS = ("--u-min", "--u-max", "--chi-r-min", "--chi-r-max")
+_COMMAND_FLAGS = {
+    "flutter": _WINDOW_FLAGS,
+    "pseudo": _WINDOW_FLAGS + ("--grid", "--eps"),
+    "trace": _WINDOW_FLAGS + ("--ds", "--direction", "--start-index", "--start-point"),
+    "damping-plot": (),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -409,35 +404,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Pseudospectral flutter analysis: fields, flutter points, "
                     "continuation paths and envelopes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("flutter", "pseudo", "trace", "damping-plot"):
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        _add_config_flags(p)
-        if name == "trace":
-            p.add_argument("--start-index", type=int, default=0,
-                           help="flutter point index (sorted by U)")
-            p.add_argument("--start-point", type=str,
-                           help="explicit start triple 'U,chi_R,chi_I'")
+        p.add_argument("--config", type=Path, required=True, help="JSON run configuration")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--output-dir", type=Path)
 
     p_env = sub.add_parser("envelope")
     p_env.add_argument("path_file", type=Path, help="path CSV or JSON from trace/damping-plot")
-    p_env.add_argument("--zeta-max", type=float, dest="zeta_max", required=True)
-    p_env.add_argument("--output-dir", type=Path, dest="output_dir", default=Path("out"))
+    p_env.add_argument("--zeta-max", type=float, required=True)
+    p_env.add_argument("--output-dir", type=Path, default=Path("out"))
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "envelope":
             return cmd_envelope(args.path_file, args.zeta_max, args.output_dir)
-        cfg = RunConfig.load(args.config, _overrides(args))
-        if args.command == "flutter":
-            return cmd_flutter(cfg)
-        if args.command == "pseudo":
-            return cmd_pseudo(cfg)
+        cfg = RunConfig.load(args.config, vars(args))
         if args.command == "trace":
             return cmd_trace(cfg, args)
-        if args.command == "damping-plot":
-            return cmd_damping_plot(cfg)
-        raise ValueError(f"unknown command {args.command}")
+        return {"flutter": cmd_flutter, "pseudo": cmd_pseudo,
+                "damping-plot": cmd_damping_plot}[args.command](cfg)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError,
             FlutterSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)

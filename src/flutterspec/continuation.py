@@ -31,7 +31,7 @@ from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
                        ParametricOperator, RowFn, _converged, _sigma_min_of, _solve_bordered,
-                       complex_to_damping, evaluate, param_derivatives, sigma_min)
+                       complex_to_damping, evaluate, param_derivatives)
 
 __all__ = [
     "Tangent",
@@ -363,7 +363,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         x_prev = x
         g, _ = constraint(wr, wi, u)
         if _converged(sig, g):
-            return EigenPoint.from_vector(op, wr, wi, u, x), iteration
+            return EigenPoint._from_evaluated(a0, wr, wi, u, x), iteration
 
         d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
         r = -g if settings.constraint_form == "eq2" else 0.0
@@ -377,10 +377,11 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         u += us * candidate[2]
         if _converged(candidate_norm, tol=1e-2 * RESIDUAL_TOL):
             # Increments at rounding level but residuals still above the gate.
-            sig, x = sigma_min(op, complex(wr, wi), u)
+            a = evaluate(op, complex(wr, wi), u)
+            sig, x = _sigma_min_of(op, a, complex(wr, wi), u)
             g, _ = constraint(wr, wi, u)
             if _converged(sig, g):
-                return EigenPoint.from_vector(op, wr, wi, u, x), iteration + 1
+                return EigenPoint._from_evaluated(a, wr, wi, u, x), iteration + 1
             raise ConvergenceError(f"SLP stalled at U={u} (sigma={sig:.3e}, |g|={abs(g):.3e})",
                                    iterations=iteration)
 
@@ -594,6 +595,13 @@ def _interp_triple(path: ModePath, k: int, s_star: float) -> Triple:
             p0.chi_I + f * (p1.chi_I - p0.chi_I))
 
 
+def _side(path: ModePath, zetas: np.ndarray, lo: int, hi: int) -> str:
+    """Envelope side from the dzeta/dU slope between path points lo and hi."""
+    du = path.points[hi].U - path.points[lo].U
+    slope = (zetas[hi] - zetas[lo]) / du if du != 0.0 else 0.0
+    return "subcritical" if slope < 0.0 else "supercritical"
+
+
 def flight_envelope(path: ModePath, zeta_max: float,
                     op: Optional[ParametricOperator] = None) -> List[EnvelopeCrossing]:
     """All zeta = zeta_max crossings along a path.
@@ -607,20 +615,18 @@ def flight_envelope(path: ModePath, zeta_max: float,
     subcritical approach to instability.
     """
     zetas = path.zetas()
-    located: List[Tuple[float, EnvelopeCrossing]] = []
+    crossings: List[EnvelopeCrossing] = []
     last = len(zetas) - 1
-    for k, z in enumerate(zetas):
-        # a path point exactly on the level is itself the crossing
-        if np.isfinite(z) and z - zeta_max == 0.0:
+    for k in range(last + 1):
+        z0 = zetas[k] - zeta_max
+        if z0 == 0.0:
+            # a path point exactly on the level is itself the crossing
             lo, hi = max(k - 1, 0), min(k + 1, last)
-            du = path.points[hi].U - path.points[lo].U
-            slope = (zetas[hi] - zetas[lo]) / du if du != 0.0 else 0.0
-            side = "subcritical" if slope < 0.0 else "supercritical"
-            located.append((path.s[k],
-                            EnvelopeCrossing(float(zeta_max), float(path.points[k].U),
-                                             (lo, hi), side, path.points[k])))
-    for k in range(len(zetas) - 1):
-        z0, z1 = zetas[k] - zeta_max, zetas[k + 1] - zeta_max
+            crossings.append(EnvelopeCrossing(float(zeta_max), float(path.points[k].U), (lo, hi),
+                                              _side(path, zetas, lo, hi), path.points[k]))
+        if k == last:
+            break
+        z1 = zetas[k + 1] - zeta_max
         if not (np.isfinite(z0) and np.isfinite(z1)) or z0 * z1 >= 0.0:
             continue
         frac = z0 / (z0 - z1)
@@ -631,13 +637,9 @@ def flight_envelope(path: ModePath, zeta_max: float,
         if op is not None:
             point, _ = _solve_bordered(op, guess, path.points[k].x, _zeta_row(zeta_max))
             u_star = point.U
-        du = path.points[k + 1].U - path.points[k].U
-        slope = (zetas[k + 1] - zetas[k]) / du if du != 0.0 else 0.0
-        side = "subcritical" if slope < 0.0 else "supercritical"
-        located.append((s_star, EnvelopeCrossing(float(zeta_max), float(u_star), (k, k + 1),
-                                                 side, point)))
-    located.sort(key=lambda t: t[0])
-    return [c for _, c in located]
+        crossings.append(EnvelopeCrossing(float(zeta_max), float(u_star), (k, k + 1),
+                                          _side(path, zetas, k, k + 1), point))
+    return crossings
 
 
 def extremum_damping(path: ModePath, op: Optional[ParametricOperator] = None) -> DampingExtremum:

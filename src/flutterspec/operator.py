@@ -194,14 +194,20 @@ class EigenPoint:
     def from_vector(cls, op: ParametricOperator, chi_R: float, chi_I: float, U: float,
                     x: np.ndarray) -> "EigenPoint":
         """Normalize x and record the recomputed residual norm."""
-        x = np.asarray(x, dtype=complex).reshape(op.dim)
+        return cls._from_evaluated(evaluate(op, complex(chi_R, chi_I), U), chi_R, chi_I, U, x)
+
+    @classmethod
+    def _from_evaluated(cls, a: np.ndarray, chi_R: float, chi_I: float, U: float,
+                        x: np.ndarray) -> "EigenPoint":
+        """:meth:`from_vector` with a = A(chi_R + i chi_I, U) already evaluated."""
+        x = np.asarray(x, dtype=complex).reshape(a.shape[0])
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             raise ValueError("eigenvector must be nonzero")
         x = x / nrm
         # fix the free phase: the largest-modulus entry (the first on ties) real and >= 0
         x = x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
-        res = float(np.linalg.norm(evaluate(op, complex(chi_R, chi_I), U) @ x))
+        res = float(np.linalg.norm(a @ x))
         return cls(float(chi_R), float(chi_I), float(U), x, res)
 
 
@@ -328,7 +334,7 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         res = float(np.linalg.norm(a @ xhat))
         rowv, rowg = row_fn(wr, wi, u)
         if _converged(res, rowv, tol):
-            return EigenPoint.from_vector(op, wr, wi, u, xhat), iteration
+            return EigenPoint._from_evaluated(a, wr, wi, u, xhat), iteration
         fn = float(np.linalg.norm(f))
         if fn < best[0]:
             best = (fn, (u, wr, wi))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,16 @@ TRAJ_MODEL = {"kind": "trajectory", "preset": "restabilization"}
 NORMAL_MODEL = {"kind": "normal",
                 "eigenvalues": [[lam.real, lam.imag] for lam in NORMAL_EIGENVALUES],
                 "window": {"u_min": 0.0, "u_max": 1.0, "chi_r_min": 0.0, "chi_r_max": 8.0}}
+
+# The flags every config subcommand used to accept, with a value of the right type.
+SHARED_FLAGS = {"--u-min": "10.0", "--u-max": "400.0", "--chi-r-min": "20.0",
+                "--chi-r-max": "200.0", "--grid": "8", "--eps": "0.1", "--ds": "0.1",
+                "--direction": "1", "--zeta-max": "0.0", "--output-dir": "alt"}
+# Of those 40 pairs, the 20 a subcommand never read and no longer accepts.
+REMOVED_FLAGS = ([("flutter", f) for f in ("--grid", "--eps", "--ds", "--direction", "--zeta-max")]
+                 + [("pseudo", f) for f in ("--ds", "--direction", "--zeta-max")]
+                 + [("trace", f) for f in ("--grid", "--eps", "--zeta-max")]
+                 + [("damping-plot", f) for f in SHARED_FLAGS if f != "--output-dir"])
 
 
 def fresh_python(code, cwd=None):
@@ -315,3 +326,43 @@ class TestPseudoCommand:
         assert len(off) == 1
         assert off[0]["center_U"] == pytest.approx(traj_oracle.hump_u, abs=1.0)
         assert off[0]["min_sigma"] == pytest.approx(abs(traj_oracle.hump_g), abs=1e-3)
+
+
+class TestUsageErrors:
+    def test_missing_config_exits_1(self):
+        src = os.path.dirname(os.path.dirname(flutterspec.__file__))
+        proc = subprocess.run([sys.executable, "-m", "flutterspec.cli", "trace"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "--config" in proc.stderr
+
+    def test_bad_direction_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["trace", "--config", str(cfg), "--direction", "0"]) == 1
+        assert "--direction" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=lambda v: v.strip("-"))
+    def test_removed_flag_exits_1(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path, continuation={"max_steps": 0}, natural={
+            "u_start": 100.0, "u_end": 110.0, "du": 5.0, "seed_chi_r": 55.0})
+        assert main([command, "--config", str(cfg), flag, SHARED_FLAGS[flag]]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def readme_flag_table():
+    """{subcommand: set of flags} from the README's CLI flag table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M)
+    return {command: set(re.findall(r"`(--[a-z-]+)`", flags)) for command, flags in rows}
+
+
+def test_readme_flag_table_matches_parsers(capsys):
+    table = readme_flag_table()
+    assert set(table) == {"flutter", "pseudo", "trace", "envelope", "damping-plot"}
+    for command, flags in table.items():
+        assert main([command, "--help"]) == 0
+        options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options - {"--help"} == flags, command

@@ -18,7 +18,8 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          solve_at_airspeed, trace_path)
-from flutterspec.continuation import _operator_determinants, _real_forms, _slp_increment
+from flutterspec.continuation import (_corrector_slp, _operator_determinants, _real_forms,
+                                      _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 
 
@@ -178,6 +179,24 @@ class TestCorrectors:
         b = corrector_newton(ts_op, guess, base, t, 0.1, settings)
         assert scaled_gap(a, b, scale) <= 1e-8
         assert a.residual <= 1e-10 and b.residual <= 1e-10
+
+    def test_slp_accepted_point_is_not_evaluated_again(self, ts_op, ts_flutter):
+        calls = []
+
+        def func(chi, u):
+            calls.append((chi, u))
+            return ts_op.func(chi, u)
+
+        op = dataclasses.replace(ts_op, name="counting", func=func, terms=None)
+        scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
+        t = initial_tangent(ts_op, ts_flutter)
+        base = ts_flutter.point
+        settings = ContinuationSettings(scale=scale)
+        _, iterations = _corrector_slp(op, predictor(base, t, 0.1, scale), base, t, 0.1,
+                                       settings, scale)
+        assert iterations >= 2
+        assert len(calls) == iterations + 1
+        assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
 
     def test_slp_zero_tangent_has_no_increment(self, ts_op, ts_flutter):
         # every term of Delta_0 carries a tangent component, so Delta_0 = 0
