@@ -101,7 +101,8 @@ class ParametricOperator:
     A = sum chi^a U^b C_ab; :func:`evaluate_batch` sums them over many
     nodes at once and calls a plain callable (no terms) node by node.
     Replacing ``func`` on a pencil needs ``terms=None`` too, or batched
-    evaluation keeps the old terms.
+    evaluation keeps the old terms.  ``func``, ``derivs`` and
+    :func:`evaluate_batch` only run on the caller's thread: they need not be thread-safe.
     """
 
     name: str

@@ -11,6 +11,8 @@ exactly where the unscaled values would put them.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,6 +40,7 @@ __all__ = [
 DEGENERATE_COMPONENT_TOL = 1e-12
 
 # Complex entries (1 MB) per field chunk: a whole n=16 grid in one stack ran slower.
+# The chunk count also caps the sigma field's worker threads, so its parallelism.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -146,19 +149,22 @@ def _check_grid_window(op: ParametricOperator, grid: Grid2D):
                          f"operator window {op.window}")
 
 
+def _chunk_rows(op: ParametricOperator, grid: Grid2D) -> List[slice]:
+    """Grid rows of each field chunk: <= 2^16 entries (``CHUNK_ENTRIES``) or one row."""
+    step = max(1, CHUNK_ENTRIES // (grid.w_axis[2] * op.dim * op.dim))
+    return [slice(i0, min(i0 + step, grid.u_axis[2])) for i0 in range(0, grid.u_axis[2], step)]
+
+
 def _row_stacks(op: ParametricOperator, grid: Grid2D):
     """Yield (rows, us, stack) per chunk of U rows, stack[r, j] = A(w_j + i*chi_I_fixed, us[r]).
 
-    ``rows`` is the chunk's slice of the grid rows.  Each stack is one fresh
-    :func:`evaluate_batch` result of <= 2^16 entries (``CHUNK_ENTRIES``) or
-    one row, never the whole grid's.
+    ``rows`` is the chunk's slice of the grid rows (:func:`_chunk_rows`).
+    Each stack is one fresh :func:`evaluate_batch` result, never the whole grid's.
     """
     _check_grid_window(op, grid)
     chis = grid.w_values() + 1j * grid.chi_I_fixed
     us = grid.u_values()
-    step = max(1, CHUNK_ENTRIES // (chis.size * op.dim * op.dim))
-    for i0 in range(0, us.size, step):
-        rows = slice(i0, min(i0 + step, us.size))
+    for rows in _chunk_rows(op, grid):
         stack = evaluate_batch(op, chis[None, :], us[rows, None])
         yield rows, us[rows], stack.reshape(-1, chis.size, op.dim, op.dim)
 
@@ -166,26 +172,47 @@ def _row_stacks(op: ParametricOperator, grid: Grid2D):
 def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
     """Minimum-singular-value field over the grid, one batched SVD per chunk of U rows.
 
-    A chunk whose SVD fails is redone row by row, to name the first failing row.
+    The calling thread evaluates the chunks; their SVDs run on one worker thread per
+    available CPU and chunk, at most one chunk per worker in flight.  A chunk whose
+    SVD fails is redone row by row, to name the first failing row.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept out of `import flutterspec`
     values = np.empty((grid.u_axis[2], grid.w_axis[2]))
-    for rows, us, stack in _row_stacks(op, grid):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(_chunk_rows(op, grid)))
+    in_flight: deque = deque()  # (rows, us, stack, SVD future) per chunk, in row order
+    with ThreadPoolExecutor(workers) as pool:
         try:
-            values[rows] = np.linalg.svd(stack, compute_uv=False)[..., -1]
+            for rows, us, stack in _row_stacks(op, grid):
+                svd = pool.submit(np.linalg.svd, stack, compute_uv=False)
+                in_flight.append((rows, us, stack, svd))
+                _collect_sigma(op, values, in_flight, workers - 1)
+        finally:  # also when an evaluation raises: an earlier chunk's failure comes first
+            _collect_sigma(op, values, in_flight, 0)
+    return ScalarField(grid, values)
+
+
+def _collect_sigma(op: ParametricOperator, values: np.ndarray, in_flight: deque, keep: int):
+    """Store the oldest chunks in flight, in row order, until ``keep`` are left."""
+    while len(in_flight) > keep:
+        rows, us, stack, svd = in_flight.popleft()
+        try:
+            values[rows] = svd.result()[..., -1]
         except np.linalg.LinAlgError:
             for i, u, row in zip(range(rows.start, rows.stop), us, stack):
                 try:
                     values[i] = np.linalg.svd(row, compute_uv=False)[:, -1]
                 except np.linalg.LinAlgError as exc:
+                    in_flight.clear()  # the later chunks' results are not needed
                     raise NumericalError(
                         f"sigma field row i={i}, U={u} of operator '{op.name}': {exc}") from exc
-    return ScalarField(grid, values)
 
 
 def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
     """Determinant field in (log|det|, phase) form, one batched slogdet per chunk of U rows.
 
     A singular node gets log|det| = -inf and phase 0 (the angle of sign 0).
+    Serial: numpy's batched slogdet holds the GIL, so threads would not overlap.
     """
     log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
     phase = np.empty_like(log_mag)

@@ -1,6 +1,8 @@
 """Fields, marching-squares contours, pseudospectra, borderline regions."""
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
                          build_trajectory_operator, build_typical_section, compute_det_field,
                          compute_sigma_field, epsilon_pseudospectrum, extract_contours,
                          find_borderline_regions, sigma_min)
+from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
 from flutterspec.pseudospectrum import DetComponentField, _label_components
@@ -106,17 +109,63 @@ class TestSigmaField:
 
         def func(chi, u):
             a = base.func(chi, u)
-            return a * np.nan if u == 2.0 else a
+            return a * np.nan if u in (2.0, 4.0) else a
 
         # a replaced func needs the pencil terms cleared, or batched rows ignore it
         op = dataclasses.replace(base, func=func, terms=None)
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
         # one chunk by default; at 60 entries two rows (28 entries each) per chunk,
-        # so the NaN row i=2 opens the second chunk; at 1 entry one row per chunk
-        for chunk_entries in (pseudospectrum.CHUNK_ENTRIES, 60, 1):
-            monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", chunk_entries)
-            with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
-                compute_sigma_field(op, grid)
+        # so the NaN rows i=2 and i=4 open the second and third chunks; at 1 entry
+        # one row per chunk, and from 3 workers up both NaN chunks are in flight
+        for cpus in (1, 2, 3, 4):
+            set_available_cpus(monkeypatch, cpus)
+            for chunk_entries in (pseudospectrum.CHUNK_ENTRIES, 60, 1):
+                monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", chunk_entries)
+                with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
+                    compute_sigma_field(op, grid)
+
+    def test_evaluation_error_waits_for_earlier_chunks(self, monkeypatch):
+        """A NaN row in flight is reported before a later row's evaluation error."""
+        base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
+
+        def func(chi, u):
+            if u == 3.0:
+                raise ValueError("no model at U=3")
+            return base.func(chi, u) * (np.nan if u == 2.0 else 1.0)
+
+        op = dataclasses.replace(base, func=func, terms=None)
+        grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
+        monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 1)
+        set_available_cpus(monkeypatch, 4)
+        with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
+            compute_sigma_field(op, grid)
+        grid = Grid2D((2.5, 4.0, 4), (0.0, 3.0, 7))  # no NaN row before U=3
+        with pytest.raises(ValueError, match="no model at U=3"):
+            compute_sigma_field(op, grid)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_plain_callable_runs_on_the_calling_thread(self, monkeypatch, cpus):
+        base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
+        callers = set()
+
+        def func(chi, u):
+            callers.add(threading.get_ident())
+            return base.func(chi, u)
+
+        op = dataclasses.replace(base, func=func, terms=None)
+        grid = Grid2D((0.0, 4.0, 9), (0.0, 3.0, 7))
+        monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 60)  # two rows per chunk
+        set_available_cpus(monkeypatch, cpus)
+        fld = compute_sigma_field(op, grid)
+        assert callers == {threading.get_ident()}
+        expected = np.abs(grid.w_values()[:, None] - np.array([1.0, 2.0])).min(axis=1)
+        assert np.abs(fld.values - expected).max() <= 1e-12
+
+
+def set_available_cpus(monkeypatch, count):
+    """Make the sigma field see ``count`` CPUs available to the process."""
+    monkeypatch.setattr(pseudospectrum.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
 
 
 class TestDetField:
@@ -196,6 +245,50 @@ def test_batched_fields_match_per_node_numpy(model, u_count):
             sign, logdet = np.linalg.slogdet(a)
             assert det.log_magnitude[i, j] == pytest.approx(logdet, rel=1e-13, abs=1e-13)
             assert det.phase[i, j] == pytest.approx(np.angle(sign), rel=1e-13, abs=1e-13)
+
+
+def test_sigma_field_identical_for_any_worker_count(monkeypatch):
+    """wing_n16 on 30x11 (chunks of 23 and 7 rows): 1 and 4 workers give the bytes of a
+    serial per-chunk SVD of the same evaluate_batch stacks."""
+    op = build_galerkin_wing(GalerkinWingSpec(n_bending=8, n_torsion=8))
+    grid = Grid2D.over_window(op.window, 30, 11, chi_I_fixed=0.5)
+    chis, us = grid.w_values() + 0.5j, grid.u_values()
+    serial = np.concatenate([
+        np.linalg.svd(evaluate_batch(op, chis[None, :], us[rows, None]).reshape(-1, 11, 16, 16),
+                      compute_uv=False)[..., -1]
+        for rows in (slice(0, 23), slice(23, 30))])
+    fields = []
+    for cpus in (1, 4):
+        set_available_cpus(monkeypatch, cpus)
+        fields.append(compute_sigma_field(op, grid).values)
+    assert np.array_equal(fields[0], fields[1])
+    assert np.array_equal(fields[0], serial)
+
+
+def test_sigma_chunks_in_flight_are_bounded(monkeypatch):
+    """With slow SVDs, the calling thread evaluates at most workers - 1 chunks ahead of them."""
+    op = build_typical_section()
+    grid = Grid2D.over_window(op.window, 40, 11)
+    monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 44)  # one row (11 2x2 nodes) per chunk
+    set_available_cpus(monkeypatch, 3)
+    svd, evaluate_batch = np.linalg.svd, pseudospectrum.evaluate_batch
+    done, ahead = [], []
+
+    def slow_svd(*args, **kwargs):
+        time.sleep(0.002)
+        out = svd(*args, **kwargs)
+        done.append(1)
+        return out
+
+    def counting_batch(*args):
+        ahead.append(len(ahead) - len(done))
+        return evaluate_batch(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", slow_svd)
+    monkeypatch.setattr(pseudospectrum, "evaluate_batch", counting_batch)
+    compute_sigma_field(op, grid)
+    assert len(ahead) == 40 and len(done) == 40
+    assert max(ahead) <= 2
 
 
 def test_small_det_field_is_one_batch(monkeypatch):
