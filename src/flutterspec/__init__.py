@@ -12,8 +12,8 @@ from .operator import (DampingParameterization, EigenPoint, ParametricOperator, 
                        complex_to_damping, damping_to_complex, evaluate, param_derivatives,
                        residual_norm, sigma_min)
 from .pseudospectrum import (BorderlineRegion, ComplexField, ContourSet, Grid2D, ScalarField,
-                             compute_det_field, compute_sigma_field, epsilon_pseudospectrum,
-                             extract_contours, find_borderline_regions)
+                             compute_det_field, compute_sigma_field, det_zero_contours,
+                             epsilon_pseudospectrum, extract_contours, find_borderline_regions)
 from .flutter import (FlutterPoint, FlutterSearchSettings, find_flutter_points,
                       locate_candidates, polish_flutter_point)
 from .continuation import (ContinuationSettings, DampingExtremum, EnvelopeCrossing, ModePath,

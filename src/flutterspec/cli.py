@@ -98,7 +98,9 @@ class RunConfig:
             eps_list = [float(v) for v in overrides["eps"].split(",")]
 
         continuation = dict(doc.get("continuation") or {})
-        direction = int(continuation.pop("direction", doc.get("direction", 1)))
+        if "direction" in doc:
+            raise ValueError("top-level 'direction' is not read; set continuation.direction")
+        direction = int(continuation.pop("direction", 1))
         if overrides.get("ds") is not None:
             continuation["ds"] = overrides["ds"]
         if overrides.get("direction") is not None:

@@ -131,7 +131,7 @@ class ModePath:
 
     points: List[EigenPoint]
     s: List[float]
-    origin: Union[FlutterPoint, str]
+    origin: Union[FlutterPoint, EigenPoint, str]  # trace_path's start, or a tag ("natural")
     direction: int = 1
     scale: Scale = (1.0, 1.0)
     parameterization_note: str = "CHI_I"

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, EigenPoint, ParametricOperator, Window, _solve_bordered,
                        sigma_min)
-from .pseudospectrum import ContourSet, Grid2D, compute_det_field, extract_contours
+from .pseudospectrum import ContourSet, Grid2D, compute_det_field, det_zero_contours
 
 __all__ = [
     "FlutterSearchSettings",
@@ -129,8 +129,7 @@ def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int
         for win, hist in active:
             grid = Grid2D.over_window(win, grid_count, grid_count, 0.0)
             fld = compute_det_field(op, grid)
-            pts = _polyline_intersections(extract_contours(fld.real_part(), 0.0),
-                                          extract_contours(fld.imag_part(), 0.0))
+            pts = _polyline_intersections(*det_zero_contours(fld))
             found.extend((u, w, hist) for u, w in pts)
             cell_u = max(cell_u, win.u_span / (grid_count - 1))
             cell_w = max(cell_w, win.chi_r_span / (grid_count - 1))

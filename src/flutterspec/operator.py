@@ -24,6 +24,7 @@ __all__ = [
     "Window",
     "DampingParameterization",
     "ParametricOperator",
+    "Pencil",
     "EigenPoint",
     "polynomial_pencil",
     "evaluate",
@@ -88,6 +89,40 @@ class DampingParameterization(enum.Enum):
 Term = Tuple[int, int, np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class Pencil:
+    """A(chi, U) = sum over k of chi^a U^b coeffs[k], (a, b) = exps[k]; equal only to itself.
+
+    ``coeffs`` is the read-only (K, r, c) coefficient stack.  ``d_pencil`` is the
+    (r, 2r) derivative block pencil [dA/dchi_R | dA/dU], read by :meth:`derivs`.
+    """
+
+    exps: Tuple[Tuple[int, int], ...]
+    coeffs: np.ndarray = field(repr=False)
+    d_pencil: Optional["Pencil"] = field(default=None, repr=False)
+
+    def __call__(self, chi, U) -> np.ndarray:
+        """The sum at one node or at 1-D node arrays, as one powers x coefficients product.
+
+        Powers by repeated multiplication, stacked as w, (K,) for scalar ``chi``, ``U`` or
+        (K, N) for node arrays; w.T @ coeffs gives (r, c) or (N, r, c).
+        """
+        pc, pu = [1 + 0 * chi], [1 + 0 * U]
+        for a, b in self.exps:
+            while len(pc) <= a:
+                pc.append(pc[-1] * chi)
+            while len(pu) <= b:
+                pu.append(pu[-1] * U)
+        w = np.array([pc[a] * pu[b] for a, b in self.exps])
+        return (w.T @ self.coeffs.reshape(len(self.exps), -1)).reshape(
+            np.shape(chi) + self.coeffs.shape[1:])
+
+    def derivs(self, chi: complex, U: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dA/dchi_R, dA/dchi_I = i dA/dchi_R, dA/dU) from column views of ``d_pencil``."""
+        d, n = self.d_pencil(chi, U), self.coeffs.shape[1]
+        return d[:, :n], 1j * d[:, :n], d[:, n:]
+
+
 @dataclass(frozen=True)
 class ParametricOperator:
     """A matrix family A(chi, U) with its admissible window.
@@ -97,12 +132,11 @@ class ParametricOperator:
     dA/dU); otherwise :func:`param_derivatives` takes central finite
     differences with base step ``FD_STEP``.
 
-    ``terms``, set by :func:`polynomial_pencil`, lists (a, b, C_ab) with
-    A = sum chi^a U^b C_ab; :func:`evaluate_batch` sums them over many
-    nodes at once and calls a plain callable (no terms) node by node.
-    Replacing ``func`` on a pencil needs ``terms=None`` too, or batched
-    evaluation keeps the old terms.  ``func``, ``derivs`` and
-    :func:`evaluate_batch` only run on the caller's thread: they need not be thread-safe.
+    A ``func`` that is a :class:`Pencil` (see :func:`polynomial_pencil`) is
+    summed over many nodes at once by :func:`evaluate_batch`; any other
+    callable is evaluated node by node.  Replacing ``func`` keeps ``derivs``.
+    ``func``, ``derivs`` and :func:`evaluate_batch` only run on the caller's
+    thread: they need not be thread-safe.
     """
 
     name: str
@@ -110,71 +144,40 @@ class ParametricOperator:
     func: Callable[[complex, float], np.ndarray]
     window: Window
     derivs: Optional[Callable[[complex, float], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-    terms: Optional[Tuple[Term, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("operator dimension must be >= 1")
-        if any(c.shape != (self.dim, self.dim) for _, _, c in self.terms or ()):
+        if isinstance(self.func, Pencil) and self.func.coeffs.shape[1:] != (self.dim, self.dim):
             raise ValueError(f"pencil terms of '{self.name}' must be {self.dim}x{self.dim}")
-
-
-def _pencil_sum(exps: Sequence[Tuple[int, int]], coeffs: np.ndarray, chi, U) -> np.ndarray:
-    """sum over k of chi^a U^b coeffs[k], (a, b) = exps[k], as one powers x coefficients product.
-
-    Powers by repeated multiplication, stacked as w, (K,) for scalar ``chi``, ``U`` or
-    (K, N) for 1-D node arrays; w.T @ coeffs gives (r, c) or (N, r, c).  The fields
-    pass <= 2^16 entries or one row of nodes at a time.
-    """
-    pc, pu = [1 + 0 * chi], [1 + 0 * U]
-    for a, b in exps:
-        while len(pc) <= a:
-            pc.append(pc[-1] * chi)
-        while len(pu) <= b:
-            pu.append(pu[-1] * U)
-    w = np.array([pc[a] * pu[b] for a, b in exps])
-    return (w.T @ coeffs.reshape(len(exps), -1)).reshape(np.shape(chi) + coeffs.shape[1:])
-
-
-def _stack_terms(terms: Sequence[Term]) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
-    """Exponent pairs and the (K, r, c) coefficient stack of pencil terms."""
-    return tuple((a, b) for a, b, _ in terms), np.array([c for _, _, c in terms])
 
 
 def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> ParametricOperator:
     """Operator A(chi, U) = sum over (a, b, C) in ``terms`` of chi^a U^b C.
 
-    ``func`` and :func:`evaluate_batch` share :func:`_pencil_sum` (equal to rounding;
-    the fields batch <= 2^16 entries or one row of nodes).  Exact ``derivs`` sum one
-    (n, 2n) block pencil [dA/dchi_R | dA/dU] of the differentiated terms, equal
-    exponent pairs merged, and return its column views; dA/dchi_I = i dA/dchi_R.
+    ``func`` is a :class:`Pencil`, summed at one node or, by :func:`evaluate_batch`,
+    over many (equal to rounding; the fields batch <= 2^16 entries or one row of
+    nodes).  Exact ``derivs`` sum its (n, 2n) block pencil [dA/dchi_R | dA/dU] of
+    the differentiated terms, equal exponent pairs merged.
     """
     terms = tuple((int(a), int(b), np.array(c, dtype=complex)) for a, b, c in terms)
     if not terms or any(a < 0 or b < 0 for a, b, _ in terms):
         raise ValueError("a polynomial pencil needs terms, with nonnegative exponents")
-    for _, _, c in terms:
-        c.flags.writeable = False
     n = terms[0][2].shape[0]
     if any(c.shape != (n, n) for _, _, c in terms):
         raise ValueError(f"pencil terms of '{name}' must be {n}x{n}")
-    exps, coeffs = _stack_terms(terms)
     # (0, 0) always has a block, so a constant pencil still has a (zero) derivative
     blocks = {(0, 0): np.zeros((n, 2 * n), dtype=complex)}
     for a, b, c in terms:
         for key, col, k in (((a - 1, b), 0, a), ((a, b - 1), n, b)):
             if k:
                 blocks.setdefault(key, np.zeros((n, 2 * n), dtype=complex))[:, col:col + n] += k * c
-    d_exps, d_coeffs = _stack_terms([(a, b, c) for (a, b), c in blocks.items()])
-
-    def func(chi: complex, U: float) -> np.ndarray:
-        return _pencil_sum(exps, coeffs, chi, U)
-
-    def derivs(chi: complex, U: float):
-        d = _pencil_sum(d_exps, d_coeffs, chi, U)
-        return d[:, :n], 1j * d[:, :n], d[:, n:]
-
-    return ParametricOperator(name=name, dim=n, func=func, window=window, derivs=derivs,
-                              terms=terms)
+    coeffs, d_coeffs = np.array([c for _, _, c in terms]), np.array(list(blocks.values()))
+    for stack in (coeffs, d_coeffs):
+        stack.flags.writeable = False
+    pencil = Pencil(tuple((a, b) for a, b, _ in terms), coeffs, Pencil(tuple(blocks), d_coeffs))
+    return ParametricOperator(name=name, dim=n, func=pencil, window=window,
+                              derivs=pencil.derivs)
 
 
 @dataclass(frozen=True)
@@ -234,19 +237,19 @@ def evaluate(op: ParametricOperator, chi: complex, U: float) -> np.ndarray:
 def evaluate_batch(op: ParametricOperator, chis, Us) -> np.ndarray:
     """A(chi_k, U_k) as an (N, n, n) stack; ``chis`` and ``Us`` broadcast to N nodes.
 
-    A pencil sums its terms over all nodes at once; a plain callable is
-    evaluated node by node through :func:`evaluate`, with its checks.
+    A :class:`Pencil` ``func`` is summed over all nodes in one call; any other
+    callable is evaluated node by node through :func:`evaluate`, with its checks.
     """
     chis, Us = np.broadcast_arrays(np.asarray(chis, dtype=complex), np.asarray(Us, dtype=float))
     chis, Us = chis.ravel(), Us.ravel()
-    if op.terms is None:
+    if not isinstance(op.func, Pencil):
         out = np.empty((chis.size, op.dim, op.dim), dtype=complex)
         for k in range(chis.size):
             out[k] = evaluate(op, chis[k], Us[k])
         return out
     if not (np.isfinite(chis).all() and np.isfinite(Us).all()):
         raise ValueError(f"non-finite arguments in batch evaluation of operator '{op.name}'")
-    return _pencil_sum(*_stack_terms(op.terms), chis, Us)
+    return op.func(chis, Us)
 
 
 def residual_norm(op: ParametricOperator, chi: complex, U: float, x: np.ndarray) -> float:

@@ -3,9 +3,9 @@
 The epsilon-pseudospectrum is the sublevel set of the minimum-singular-value
 field; its contours come from marching squares with linear edge
 interpolation.  Determinant fields are stored as (log-magnitude, phase)
-pairs so that zero contours survive overflow; their real/imaginary parts
-are contoured with per-cell rescaling, which leaves level-0 crossings
-exactly where the unscaled values would put them.
+pairs so that zero contours survive overflow; the zero contours of their
+real/imaginary parts come from per-cell rescaling, which leaves the
+crossings exactly where the unscaled values would put them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +25,12 @@ __all__ = [
     "Grid2D",
     "ScalarField",
     "ComplexField",
-    "DetComponentField",
     "ContourSet",
     "BorderlineRegion",
     "compute_sigma_field",
     "compute_det_field",
     "extract_contours",
+    "det_zero_contours",
     "epsilon_pseudospectrum",
     "find_borderline_regions",
 ]
@@ -89,39 +89,6 @@ class ComplexField:
     grid: Grid2D
     log_magnitude: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
-
-    def real_part(self) -> "DetComponentField":
-        return DetComponentField(self.grid, self.log_magnitude, self.phase, "real")
-
-    def imag_part(self) -> "DetComponentField":
-        return DetComponentField(self.grid, self.log_magnitude, self.phase, "imag")
-
-
-@dataclass(frozen=True)
-class DetComponentField:
-    """Re or Im of a determinant field, contourable at level 0 only."""
-
-    grid: Grid2D
-    log_magnitude: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
-    component: str = "real"
-
-    def __post_init__(self):
-        if self.component not in ("real", "imag"):
-            raise ValueError("component must be 'real' or 'imag'")
-
-    def unit_values(self) -> np.ndarray:
-        """cos/sin of the phase: the component at unit magnitude."""
-        return np.cos(self.phase) if self.component == "real" else np.sin(self.phase)
-
-    def degenerate_rows(self) -> np.ndarray:
-        """Rows (fixed-U slices) where the component vanishes identically.
-
-        A real matrix pencil makes Im(det) exactly zero along whole
-        airspeed slices; contouring those rows would manufacture spurious
-        flutter candidates, so they are skipped.
-        """
-        return np.all(np.abs(self.unit_values()) <= DEGENERATE_COMPONENT_TOL, axis=1)
 
 
 @dataclass(frozen=True)
@@ -308,32 +275,41 @@ def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:
     return polylines
 
 
-def extract_contours(fld: Union[ScalarField, DetComponentField], level: float) -> ContourSet:
-    """Iso-contours {value = level} as marching-squares polylines.
+def extract_contours(fld: ScalarField, level: float) -> ContourSet:
+    """Iso-contours {value = level} of a sigma field as marching-squares polylines.
 
     Saddle cells are resolved by the cell-center value.  An empty result
-    is not an error.  For det component fields only level 0 is meaningful
-    (per-cell rescaling preserves only zero crossings), and identically
-    zero rows are skipped.
+    is not an error.  Determinant fields go to :func:`det_zero_contours`.
+    """
+    if not isinstance(fld, ScalarField):
+        raise TypeError(f"cannot contour {type(fld).__name__}")
+    polylines = _march(fld.grid.u_values(), fld.grid.w_values(), _cell_corners(fld.values),
+                       float(level))
+    return ContourSet(float(level), polylines)
+
+
+def det_zero_contours(fld: ComplexField) -> Tuple[ContourSet, ContourSet]:
+    """The Re(det) = 0 and Im(det) = 0 contours of a determinant field.
+
+    Each cell is rescaled by its largest |det| corner, which leaves the zero
+    crossings where the unscaled values would put them; an all-singular cell
+    (every log|det| = -inf) reads as four zeros.  Rows where a component
+    vanishes identically are skipped: a real pencil makes Im(det) zero along
+    whole airspeed slices, which would give spurious flutter candidates.
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
-    if isinstance(fld, ScalarField):
-        polylines = _march(us, ws, _cell_corners(fld.values), float(level))
-    elif isinstance(fld, DetComponentField):
-        if level != 0.0:
-            raise ValueError("det component fields can only be contoured at level 0")
-        # rescale each cell by its largest |det| corner; an all-singular
-        # cell (every log|det| = -inf) reads as four zeros
-        lm = _cell_corners(fld.log_magnitude)
-        top = np.maximum.reduce(lm)
-        with np.errstate(invalid="ignore"):
-            corners = [np.where(top == -math.inf, 0.0, np.exp(c - top) * unit)
-                       for c, unit in zip(lm, _cell_corners(fld.unit_values()))]
-        degenerate = fld.degenerate_rows()
-        polylines = _march(us, ws, corners, 0.0, skip_rows=degenerate[:-1] | degenerate[1:])
-    else:
-        raise TypeError(f"cannot contour {type(fld).__name__}")
-    return ContourSet(float(level), polylines)
+    lm = _cell_corners(fld.log_magnitude)
+    top = np.maximum.reduce(lm)
+    with np.errstate(invalid="ignore"):
+        scale = [np.exp(c - top) for c in lm]
+    sets = []
+    for unit in (np.cos(fld.phase), np.sin(fld.phase)):  # Re, Im at unit magnitude
+        corners = [np.where(top == -math.inf, 0.0, s * c)
+                   for s, c in zip(scale, _cell_corners(unit))]
+        degenerate = np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=1)
+        sets.append(ContourSet(0.0, _march(us, ws, corners, 0.0,
+                                           skip_rows=degenerate[:-1] | degenerate[1:])))
+    return sets[0], sets[1]
 
 
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,

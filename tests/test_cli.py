@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import flutterspec
-from flutterspec.cli import RunConfig, main, read_path_file
+from flutterspec import models
+from flutterspec.cli import RunConfig, build_model, main, read_path_file
+from flutterspec.operator import evaluate
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -111,6 +113,59 @@ class TestFlutterCommand:
     def test_null_output_section_uses_default_dir(self):
         cfg = RunConfig.from_dict({"model": TRAJ_MODEL, "output": None}, {})
         assert cfg.output_dir == Path("out")
+
+
+class TestConfig:
+    def test_ds_and_direction_flags_override_the_config(self):
+        doc = {"model": TRAJ_MODEL, "continuation": {"ds": 0.05, "max_ds": 0.5, "direction": 1}}
+        cfg = RunConfig.from_dict(doc, {"ds": 0.2, "direction": -1})
+        assert cfg.continuation == {"ds": 0.2, "max_ds": 0.5}
+        assert cfg.direction == -1
+        assert RunConfig.from_dict(doc, {}).direction == 1
+
+    def test_top_level_direction_errors(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, direction=-1, continuation={"max_steps": 0})
+        assert main(["trace", "--config", str(cfg)]) == 1
+        assert "continuation.direction" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_model_file_path_is_relative_to_the_config(self, tmp_path, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "model.json").write_text(json.dumps(NORMAL_MODEL), encoding="utf-8")
+        cfg = write_config(tmp_path, name="cfg/config.json", model="model.json")
+        monkeypatch.chdir(tmp_path)
+        assert RunConfig.load(cfg, {}).model == NORMAL_MODEL
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"kind": "trajectory", "preset": "two_crossing"},
+         lambda: models.build_trajectory_operator(models.two_crossing_spec())),
+        ({"kind": "trajectory", "mixing": [[1.0, 0.3], [-0.2, 1.0]],
+          "modes": [{"omega_coeffs": [50.0, 0.01], "g_coeffs": [1.0, -0.01]},
+                    {"omega_coeffs": [80.0], "g_coeffs": [2.0]}]},
+         lambda: models.build_trajectory_operator(models.TrajectorySpec(
+             modes=(models.ModeTrajectory((50.0, 0.01), (1.0, -0.01)),
+                    models.ModeTrajectory((80.0,), (2.0,))),
+             mixing=np.array([[1.0, 0.3], [-0.2, 1.0]])))),
+        ({"kind": "galerkin_wing", "n_bending": 3, "n_torsion": 1, "span": 4.0},
+         lambda: models.build_galerkin_wing(
+             models.GalerkinWingSpec(n_bending=3, n_torsion=1, span=4.0))),
+    ], ids=["two_crossing", "modes_with_mixing", "galerkin_wing"])
+    def test_model_kinds_build_their_operator(self, doc, expected):
+        op, ref = build_model(doc), expected()
+        assert (op.name, op.dim, op.window) == (ref.name, ref.dim, ref.window)
+        for chi, u in ((30.0 + 0.5j, 20.0), (55.0 - 1.0j, 110.0)):
+            assert np.array_equal(evaluate(op, chi, u), evaluate(ref, chi, u))
+
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "spaceship"}, "unknown model kind 'spaceship'"),
+        ({"kind": "trajectory", "preset": "three_crossing"},
+         "unknown trajectory preset 'three_crossing'"),
+    ], ids=["kind", "preset"])
+    def test_unknown_kind_or_preset_exits_1(self, tmp_path, capsys, model, message):
+        cfg = write_config(tmp_path, model=model)
+        assert main(["flutter", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTraceCommand:

@@ -187,7 +187,7 @@ class TestCorrectors:
             calls.append((chi, u))
             return ts_op.func(chi, u)
 
-        op = dataclasses.replace(ts_op, name="counting", func=func, terms=None)
+        op = dataclasses.replace(ts_op, name="counting", func=func)
         scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
         t = initial_tangent(ts_op, ts_flutter)
         base = ts_flutter.point
@@ -330,6 +330,19 @@ class TestContinuationSettings:
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="scale"):
             ContinuationSettings(scale=scale)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ds": 0.0, "min_ds": 0.0}, "min_ds <= ds"),
+        ({"ds": 1e-7}, "min_ds <= ds"),
+        ({"ds": 0.6}, "ds <= max_ds"),
+        ({"max_corrector_iters": 0}, "max_corrector_iters"),
+        ({"corrector": "broyden"}, "corrector"),
+        ({"constraint_form": "eq4"}, "constraint_form"),
+    ], ids=["zero_min_ds", "ds_below_min_ds", "ds_above_max_ds", "max_corrector_iters",
+            "corrector", "constraint_form"])
+    def test_invalid_field_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ContinuationSettings(**kwargs)
 
     def test_scale_stored_as_tuple(self):
         assert ContinuationSettings(scale=[120.0, 54.0]).scale == (120.0, 54.0)
@@ -489,6 +502,21 @@ class TestFlightEnvelope:
             u_lo, u_hi = sorted((super_path.points[c.bracket[0]].U,
                                  super_path.points[c.bracket[1]].U))
             assert u_lo <= c.u_star <= u_hi
+
+    @pytest.mark.parametrize("at", ["first", "interior", "last"])
+    def test_level_exactly_at_a_path_point(self, traj_op, traj_point, at):
+        path = natural_continuation(traj_op, 100.0, 140.0, 1.7, traj_point(100.0))
+        zetas = path.zetas()
+        assert np.all(np.diff(zetas) < 0.0)  # one crossing per level
+        last = len(zetas) - 1
+        k = {"first": 0, "interior": 5, "last": last}[at]
+        crossings = flight_envelope(path, float(zetas[k]), op=traj_op)
+        # the neighbouring segments, with a zero end, add no crossing of their own
+        assert len(crossings) == 1
+        c = crossings[0]
+        assert c.bracket == (max(k - 1, 0), min(k + 1, last))
+        assert c.u_star == path.points[k].U and c.point is path.points[k]
+        assert c.side == "subcritical"
 
     def test_interpolation_only_without_operator(self, super_path):
         refined = flight_envelope(super_path, -0.01, op=None)

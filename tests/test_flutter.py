@@ -1,10 +1,13 @@
 """Flutter location: iterated contour candidates and Newton polish."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flutterspec import flutter
 from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSpec,
                          NumericalError, Window, build_galerkin_wing, build_normal_operator,
                          build_trajectory_operator, find_flutter_points, locate_candidates,
@@ -14,6 +17,17 @@ from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectoryS
 from conftest import det_scan_flutter
 
 SEARCH = Window(10.0, 400.0, 20.0, 200.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid_count": 7}, "grid_count"),
+    ({"refine_iters": 0}, "refine_iters"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"max_iters": 0}, "max_iters"),
+], ids=["grid_count", "refine_iters", "tol", "max_iters"])
+def test_invalid_search_settings_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        FlutterSearchSettings(**kwargs)
 
 
 class TestLocateCandidates:
@@ -124,6 +138,43 @@ class TestFindFlutterPoints:
             for b in points[i + 1:]:
                 assert (abs(a.point.U - b.point.U) > cell_u
                         or abs(a.point.chi_R - b.point.chi_R) > cell_w)
+
+    @staticmethod
+    def failing_polish(monkeypatch, fails):
+        """Patch the polish to raise for candidates with fails(U); returns the candidates seen."""
+        seen, polish = [], flutter.polish_flutter_point
+
+        def patched(op, candidate, **kwargs):
+            seen.append(candidate)
+            if fails(candidate[0]):
+                error = NumericalError if candidate[0] < 200.0 else ConvergenceError
+                raise error(f"no polish at U={candidate[0]}")
+            return polish(op, candidate, **kwargs)
+
+        monkeypatch.setattr(flutter, "polish_flutter_point", patched)
+        return seen
+
+    def test_failed_polish_is_logged_and_others_kept(self, monkeypatch, caplog):
+        op = build_trajectory_operator(two_crossing_spec())
+        seen = self.failing_polish(monkeypatch, lambda u: u > 200.0)
+        with caplog.at_level(logging.WARNING, logger="flutterspec.flutter"):
+            points = find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0),
+                                         FlutterSearchSettings(grid_count=32, refine_iters=2))
+        assert len(seen) == 2
+        assert [round(fp.point.U, 6) for fp in points] == [120.0]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "polish failed" in warnings[0].getMessage()
+        assert "no polish at U=" in warnings[0].getMessage()
+
+    def test_all_polishes_failing_names_each_candidate(self, monkeypatch):
+        op = build_trajectory_operator(two_crossing_spec())
+        seen = self.failing_polish(monkeypatch, lambda u: True)
+        with pytest.raises(ConvergenceError, match="all flutter candidates failed") as info:
+            find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0),
+                                FlutterSearchSettings(grid_count=32, refine_iters=2))
+        assert len(seen) == 2
+        for u, w in seen:
+            assert f"candidate (U={u:.6g}, chi_R={w:.6g}): no polish at U={u}" in str(info.value)
 
     def test_divergence_flagged_static(self):
         # singular along chi_R = 0 at U = 150: a static (divergence) point

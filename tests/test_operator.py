@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flutterspec import (DampingParameterization, EigenPoint, NumericalError,
+from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalError,
                          ParametricOperator, Window, build_normal_operator,
-                         complex_to_damping, damping_to_complex, evaluate,
+                         complex_to_damping, compute_sigma_field, damping_to_complex, evaluate,
                          param_derivatives, residual_norm, sigma_min)
-from flutterspec.operator import _solve_bordered, evaluate_batch, polynomial_pencil
+from flutterspec.operator import Pencil, _solve_bordered, evaluate_batch, polynomial_pencil
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -116,6 +116,32 @@ class TestEvaluateBatch:
         assert np.allclose(d_r, -2.0 * chi * m + 1j * u * d, rtol=1e-15, atol=1e-15)
         assert np.allclose(d_i, 1j * d_r, rtol=0, atol=0)
         assert np.allclose(d_u, 1j * chi * d + 3.0 * u ** 2 * m, rtol=1e-15, atol=1e-14)
+
+    def test_replaced_func_is_followed(self, shifted_op):
+        """dataclasses.replace(op, func=f) batches through f, pencil or not."""
+        grid = Grid2D((0.0, 1.0, 3), (0.0, 4.0, 9))
+        chis, us = grid.w_values(), 0.5
+        doubled = dataclasses.replace(shifted_op, func=lambda chi, u: 2.0 * shifted_op.func(chi, u))
+        other = polynomial_pencil("other", [(0, 0, np.diag([2.0, 6.0])), (1, 0, -2.0 * np.eye(2))],
+                                  WIDE)
+        repenciled = dataclasses.replace(shifted_op, func=other.func)
+        base = evaluate_batch(shifted_op, chis, us)
+        for op in (doubled, repenciled):
+            assert np.array_equal(evaluate_batch(op, chis, us), 2.0 * base)
+            assert np.array_equal(compute_sigma_field(op, grid).values,
+                                  2.0 * compute_sigma_field(shifted_op, grid).values)
+        with pytest.raises(ValueError, match="must be 3x3"):
+            dataclasses.replace(shifted_op, dim=3)
+
+    def test_pencil_is_read_only_and_equal_by_identity(self, shifted_op):
+        pencil = shifted_op.func
+        assert isinstance(pencil, Pencil) and shifted_op.derivs == pencil.derivs
+        with pytest.raises(ValueError):
+            pencil.coeffs[0, 0, 0] = 5.0
+        twin = Pencil(pencil.exps, pencil.coeffs, pencil.d_pencil)
+        assert twin != pencil and pencil == pencil
+        assert shifted_op == dataclasses.replace(shifted_op)
+        assert shifted_op != dataclasses.replace(shifted_op, func=twin, derivs=twin.derivs)
 
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,12 @@ from scipy import ndimage
 from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOperator,
                          ScalarField, Window, build_galerkin_wing, build_normal_operator,
                          build_trajectory_operator, build_typical_section, compute_det_field,
-                         compute_sigma_field, epsilon_pseudospectrum, extract_contours,
-                         find_borderline_regions, sigma_min)
+                         compute_sigma_field, det_zero_contours, epsilon_pseudospectrum,
+                         extract_contours, find_borderline_regions, sigma_min)
 from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
-from flutterspec.pseudospectrum import DetComponentField, _label_components
+from flutterspec.pseudospectrum import ComplexField, _label_components
 
 from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
                       edge_crossings)
@@ -111,8 +111,7 @@ class TestSigmaField:
             a = base.func(chi, u)
             return a * np.nan if u in (2.0, 4.0) else a
 
-        # a replaced func needs the pencil terms cleared, or batched rows ignore it
-        op = dataclasses.replace(base, func=func, terms=None)
+        op = dataclasses.replace(base, func=func)
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
         # one chunk by default; at 60 entries two rows (28 entries each) per chunk,
         # so the NaN rows i=2 and i=4 open the second and third chunks; at 1 entry
@@ -133,7 +132,7 @@ class TestSigmaField:
                 raise ValueError("no model at U=3")
             return base.func(chi, u) * (np.nan if u == 2.0 else 1.0)
 
-        op = dataclasses.replace(base, func=func, terms=None)
+        op = dataclasses.replace(base, func=func)
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
         monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 1)
         set_available_cpus(monkeypatch, 4)
@@ -152,7 +151,7 @@ class TestSigmaField:
             callers.add(threading.get_ident())
             return base.func(chi, u)
 
-        op = dataclasses.replace(base, func=func, terms=None)
+        op = dataclasses.replace(base, func=func)
         grid = Grid2D((0.0, 4.0, 9), (0.0, 3.0, 7))
         monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 60)  # two rows per chunk
         set_available_cpus(monkeypatch, cpus)
@@ -178,24 +177,24 @@ class TestDetField:
         values = np.exp(fld.log_magnitude[0]) * np.exp(1j * fld.phase[0])
         assert np.allclose(values.real, expected, atol=1e-12)
         assert np.allclose(values.imag, 0.0, atol=1e-12)
-        re_contours = extract_contours(fld.real_part(), 0.0)
+        re_contours, im_contours = det_zero_contours(fld)
         lines = sorted(pl[:, 1].mean() for pl in re_contours.polylines)
         assert lines == pytest.approx([1.0, 3.0], abs=1e-12)
         # det always real: no isolated Im contour anywhere
-        assert extract_contours(fld.imag_part(), 0.0).polylines == []
+        assert im_contours.polylines == []
 
     def test_typical_section_real_slice_at_zero_airspeed(self, ts_op):
         grid = Grid2D((0.5, 20.0, 6), (10.0, 60.0, 31))
         fld = compute_det_field(ts_op, grid)
-        im_part = fld.imag_part()
-        assert not im_part.degenerate_rows().any()
+        assert not imag_degenerate_rows(fld).any()
         grid0 = Grid2D((0.0, 20.0, 6), (10.0, 60.0, 31))
         op0 = build_typical_window_op(ts_op)
         fld0 = compute_det_field(op0, grid0)
-        degen = fld0.imag_part().degenerate_rows()
+        degen = imag_degenerate_rows(fld0)
         assert degen[0] and not degen[1:].any()
         # no Im-contour vertex may touch the degenerate U = 0 row
-        im_c = extract_contours(fld0.imag_part(), 0.0)
+        _, im_c = det_zero_contours(fld0)
+        assert im_c.polylines
         for pl in im_c.polylines:
             assert (pl[:, 0] >= grid0.u_values()[1]).all()
 
@@ -203,19 +202,23 @@ class TestDetField:
         grid = Grid2D((100.0, 140.0, 33), (48.0, 60.0, 33))
         fld = compute_det_field(traj_op, grid)
         from flutterspec.flutter import _polyline_intersections
-        pts = _polyline_intersections(extract_contours(fld.real_part(), 0.0),
-                                      extract_contours(fld.imag_part(), 0.0))
+        pts = _polyline_intersections(*det_zero_contours(fld))
         assert len(pts) >= 1
         cell_u, cell_w = 40.0 / 32, 12.0 / 32
         hits = [(u, w) for u, w in pts
                 if abs(u - 120.0) <= cell_u and abs(w - traj_oracle.omega(120.0)) <= cell_w]
         assert len(hits) >= 1
 
-    def test_nonzero_level_rejected(self, traj_op):
+    def test_det_field_is_not_a_sigma_field(self, traj_op):
         grid = Grid2D((100.0, 140.0, 5), (48.0, 60.0, 5))
         fld = compute_det_field(traj_op, grid)
-        with pytest.raises(ValueError):
-            extract_contours(fld.real_part(), 0.5)
+        with pytest.raises(TypeError):
+            extract_contours(fld, 0.0)
+
+
+def imag_degenerate_rows(fld):
+    """Rows on which Im(det) vanishes identically (|sin(phase)| at rounding level)."""
+    return np.all(np.abs(np.sin(fld.phase)) <= pseudospectrum.DEGENERATE_COMPONENT_TOL, axis=1)
 
 
 def build_typical_window_op(ts_op):
@@ -391,11 +394,11 @@ class TestArrayMarch:
         grid = Grid2D((0.0, 1.0, nu), (0.0, 1.0, nw))
         log_mag = rng.uniform(-5.0, 5.0, (nu, nw))
         phase = rng.uniform(-np.pi, np.pi, (nu, nw))
-        for component, unit in (("real", np.cos(phase)), ("imag", np.sin(phase))):
-            fld = DetComponentField(grid, log_mag, phase, component)
+        contours = det_zero_contours(ComplexField(grid, log_mag, phase))
+        for cs, unit in zip(contours, (np.cos(phase), np.sin(phase))):
             expected = edge_crossings(grid.u_values(), grid.w_values(),
                                       det_pair_values(log_mag, unit), 0.0)
-            assert_vertices_match(extract_contours(fld, 0.0), expected, grid)
+            assert_vertices_match(cs, expected, grid)
 
     @pytest.mark.parametrize("center_inside", [True, False])
     @pytest.mark.parametrize("case", [5, 10])
@@ -428,7 +431,7 @@ class TestArrayMarch:
         grid = Grid2D((0.0, 1.0, 4), (0.0, 4.0, 9))
         fld = compute_det_field(op, grid)
         assert np.isneginf(fld.log_magnitude).sum() == 2 * 4
-        cs = extract_contours(fld.real_part(), 0.0)
+        cs, _ = det_zero_contours(fld)
         expected = edge_crossings(grid.u_values(), grid.w_values(),
                                   det_pair_values(fld.log_magnitude, np.cos(fld.phase)), 0.0)
         assert_vertices_match(cs, expected, grid)
@@ -439,7 +442,7 @@ class TestArrayMarch:
         log_mag[3, 3] = 0.0
         phase = np.zeros((4, 4))
         phase[3, 3] = np.pi
-        cs = extract_contours(DetComponentField(grid, log_mag, phase, "real"), 0.0)
+        cs, _ = det_zero_contours(ComplexField(grid, log_mag, phase))
         expected = edge_crossings(grid.u_values(), grid.w_values(),
                                   det_pair_values(log_mag, np.cos(phase)), 0.0)
         assert len(expected) == 2
@@ -463,7 +466,7 @@ class TestArrayMarch:
         phase = np.sin(7.0 * us[:, None] + 5.0 * ws[None, :]) * 2.5
         phase[[0, 3]] = 0.0            # Im(det) identically zero on rows 0 and 3
         log_mag = np.zeros_like(phase)
-        fld = DetComponentField(grid, log_mag, phase, "imag")
+        fld = ComplexField(grid, log_mag, phase)
         unit = np.sin(phase)
         flat = np.all(np.abs(unit) <= 1e-12, axis=1)
         assert flat.tolist() == [True, False, False, True, False, False, False]
@@ -474,7 +477,7 @@ class TestArrayMarch:
             cells = [(r, r + 1) for r in range(len(us) - 1) if rows <= {r, r + 1}]
             return any(not flat[a] and not flat[b] for a, b in cells)
 
-        cs = extract_contours(fld, 0.0)
+        _, cs = det_zero_contours(fld)
         expected = edge_crossings(us, ws, det_pair_values(log_mag, unit), 0.0, in_live_cell)
         assert expected
         assert_vertices_match(cs, expected, grid)
