@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,10 +57,10 @@ class RunConfig:
     """Parsed run configuration, built by :meth:`from_dict`; see the README for the schema."""
 
     model: Dict[str, Any]
-    window: Optional[Window]
+    window: Dict[str, float]  # the config's window fields, flags applied; see _window
     grid: Dict[str, int]
     eps_list: List[float]
-    borderline: Dict[str, Any]
+    threshold: float  # of the borderline regions
     flutter: Dict[str, Any]
     continuation: Dict[str, Any]
     natural: Dict[str, Any]
@@ -83,11 +83,10 @@ class RunConfig:
         if not isinstance(model, dict):
             raise ValueError("config must supply a model object or model file path")
 
-        win_doc = dict(doc.get("window") or {})
+        window = dict(doc.get("window") or {})
         for key in ("u_min", "u_max", "chi_r_min", "chi_r_max"):
             if overrides.get(key) is not None:
-                win_doc[key] = overrides[key]
-        window = Window(**win_doc) if win_doc else None
+                window[key] = overrides[key]
 
         grid = {"u_count": 101, "w_count": 101, **(doc.get("grid") or {})}
         if overrides.get("grid") is not None:
@@ -96,6 +95,11 @@ class RunConfig:
         eps_list = list(doc.get("eps_list") or [0.04, 0.08])
         if overrides.get("eps"):
             eps_list = [float(v) for v in overrides["eps"].split(",")]
+
+        borderline = dict(doc.get("borderline") or {})
+        threshold = float(borderline.pop("threshold", min(eps_list)))
+        if borderline:
+            raise ValueError(f"borderline takes only 'threshold', not {sorted(borderline)}")
 
         continuation = dict(doc.get("continuation") or {})
         if "direction" in doc:
@@ -107,8 +111,7 @@ class RunConfig:
             direction = overrides["direction"]
 
         out_dir = Path(overrides.get("output_dir") or (doc.get("output") or {}).get("dir", "out"))
-        return cls(model=model, window=window, grid=grid, eps_list=eps_list,
-                   borderline=dict(doc.get("borderline") or {}),
+        return cls(model=model, window=window, grid=grid, eps_list=eps_list, threshold=threshold,
                    flutter=dict(doc.get("flutter") or {}),
                    continuation=continuation, natural=dict(doc.get("natural") or {}),
                    output_dir=out_dir, direction=direction)
@@ -237,9 +240,14 @@ def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
             "window_history": [asdict(w) for w in fp.window_history]}
 
 
+def _window(cfg: RunConfig, op: ParametricOperator) -> Window:
+    """The model's window with the config's window fields and flags applied over it."""
+    return replace(op.window, **cfg.window)
+
+
 def _flutter_search(cfg: RunConfig, op: ParametricOperator) -> Tuple[Window, List[FlutterPoint]]:
-    """The search window (the config's, else the model's) and the flutter points in it."""
-    window = cfg.window or op.window
+    """The search window (:func:`_window`) and the flutter points in it."""
+    window = _window(cfg, op)
     return window, find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
 
 
@@ -253,7 +261,7 @@ def cmd_flutter(cfg: RunConfig) -> int:
 
 def cmd_pseudo(cfg: RunConfig) -> int:
     op = build_model(cfg.model)
-    grid = Grid2D.over_window(cfg.window or op.window, cfg.grid["u_count"], cfg.grid["w_count"])
+    grid = Grid2D.over_window(_window(cfg, op), cfg.grid["u_count"], cfg.grid["w_count"])
     fld = compute_sigma_field(op, grid)
 
     us, ws = grid.u_values(), grid.w_values()
@@ -271,19 +279,14 @@ def cmd_pseudo(cfg: RunConfig) -> int:
                 lines.append(",".join((_fmt(eps), str(pid), str(vid), _fmt(u), _fmt(w))))
     _write_text(cfg.output_dir / "contours.csv", lines)
 
-    threshold = float(cfg.borderline.get("threshold", min(cfg.eps_list)))
     try:
         _, flutter_points = _flutter_search(cfg, op)
     except FlutterSpecError as exc:
         print(f"flutter search for near_flutter flags failed: {exc}", file=sys.stderr)
         flutter_points = []
-    exclusion = None
-    if "exclusion_u" in cfg.borderline and "exclusion_chi_r" in cfg.borderline:
-        exclusion = (float(cfg.borderline["exclusion_u"]),
-                     float(cfg.borderline["exclusion_chi_r"]))
-    regions = find_borderline_regions(fld, threshold, flutter_points, exclusion)
+    regions = find_borderline_regions(fld, cfg.threshold, flutter_points)
     _write_json(cfg.output_dir / "borderline.json", {
-        "threshold": threshold,
+        "threshold": cfg.threshold,
         "flutter_points": [[fp.point.U, fp.point.chi_R] for fp in flutter_points],
         "regions": [{"center_U": r.center[0], "center_chi_R": r.center[1],
                      "min_sigma": r.min_sigma,

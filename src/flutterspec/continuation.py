@@ -480,7 +480,7 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
 
 
 def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, dU: float,
-                         seed: EigenPoint, scale: Optional[Scale] = None) -> ModePath:
+                         seed: EigenPoint) -> ModePath:
     """March airspeed on a fixed grid, solving (chi_R, chi_I) at each U.
 
     The classical modal damping plot; the reference method for the
@@ -491,7 +491,7 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
         raise ValueError("dU must be positive")
     if abs(seed.U - U_start) > 1e-9 * max(1.0, abs(U_start)):
         raise ValueError(f"seed is converged at U={seed.U}, not at U_start={U_start}")
-    scale = _resolve_scale(scale, seed)
+    scale = _resolve_scale(None, seed)
     sign = 1.0 if U_end >= U_start else -1.0
     targets = []
     k, u = 1, U_start
@@ -538,8 +538,7 @@ def _damping_row(p: DampingParameterization, d: float) -> RowFn:
 
 
 def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
-                         p: DampingParameterization, seed: EigenPoint,
-                         scale: Optional[Scale] = None) -> ModePath:
+                         p: DampingParameterization, seed: EigenPoint) -> ModePath:
     """Solve (chi_R, U) on a grid of damping values; stops at turning points.
 
     Fixing the damping parameter restricts each solve to the fixed-d slice;
@@ -556,7 +555,7 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
     _, d_seed = complex_to_damping(p, seed.chi)
     if abs(d_seed - d_values[0]) > 1e-6 * (1.0 + abs(d_seed)):
         raise ValueError(f"seed damping {d_seed} does not match d_values[0] = {d_values[0]}")
-    scale = _resolve_scale(scale, seed)
+    scale = _resolve_scale(None, seed)
 
     path = ModePath(points=[seed], s=[0.0], origin="natural",
                     direction=+1 if (diffs.size == 0 or diffs[0] > 0) else -1, scale=scale)

@@ -34,8 +34,6 @@ __all__ = [
     "build_galerkin_wing",
     "reference_restabilization_spec",
     "two_crossing_spec",
-    "cantilever_bending_frequencies",
-    "cantilever_torsion_frequencies",
 ]
 
 MAX_MIXING_CONDITION = 100.0
@@ -64,9 +62,6 @@ class ModeTrajectory:
 
     def dg(self, U):
         return np.polynomial.polynomial.polyval(U, np.polynomial.polynomial.polyder(self.g_coeffs))
-
-    def chi(self, U) -> complex:
-        return complex(self.omega(U), self.g(U))
 
 
 @dataclass(frozen=True)
@@ -235,18 +230,6 @@ def _torsion_shape(j: int, y: np.ndarray, span: float) -> np.ndarray:
 def _torsion_shape_d(j: int, y: np.ndarray, span: float) -> np.ndarray:
     k = (2 * j - 1) * math.pi / (2.0 * span)
     return k * np.cos(k * y)
-
-
-def cantilever_bending_frequencies(spec: GalerkinWingSpec) -> np.ndarray:
-    """Closed-form clamped-free bending frequencies, rad/s."""
-    return np.array([(_beta_l(i) / spec.span) ** 2 * math.sqrt(spec.EI / spec.mass_per_span)
-                     for i in range(1, spec.n_bending + 1)])
-
-
-def cantilever_torsion_frequencies(spec: GalerkinWingSpec) -> np.ndarray:
-    """Closed-form fixed-free torsion frequencies, rad/s."""
-    j = np.arange(1, spec.n_torsion + 1)
-    return (2 * j - 1) * math.pi / (2.0 * spec.span) * math.sqrt(spec.GJ / spec.inertia_per_span)
 
 
 def build_galerkin_wing(spec: GalerkinWingSpec = GalerkinWingSpec(),

@@ -135,8 +135,9 @@ class ParametricOperator:
     A ``func`` that is a :class:`Pencil` (see :func:`polynomial_pencil`) is
     summed over many nodes at once by :func:`evaluate_batch`; any other
     callable is evaluated node by node.  Replacing ``func`` keeps ``derivs``.
-    ``func``, ``derivs`` and :func:`evaluate_batch` only run on the caller's
-    thread: they need not be thread-safe.
+    A :class:`Pencil` is read-only, and the sigma field evaluates its chunks on
+    worker threads; any other ``func``, and ``derivs``, only run on the
+    caller's thread: they need not be thread-safe.
     """
 
     name: str

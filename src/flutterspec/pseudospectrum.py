@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .operator import ParametricOperator, Window, evaluate_batch
+from .operator import ParametricOperator, Pencil, Window, evaluate_batch
 
 __all__ = [
     "Grid2D",
@@ -42,6 +41,10 @@ DEGENERATE_COMPONENT_TOL = 1e-12
 # Complex entries (1 MB) per field chunk: a whole n=16 grid in one stack ran slower.
 # The chunk count also caps the sigma field's worker threads, so its parallelism.
 CHUNK_ENTRIES = 1 << 16
+
+# Semi-axes of the ellipse that marks a borderline region near a flutter point,
+# as a share of each grid span.
+NEAR_FLUTTER_SPAN = 0.05
 
 
 @dataclass(frozen=True)
@@ -109,70 +112,54 @@ class BorderlineRegion:
     near_flutter: bool
 
 
-def _check_grid_window(op: ParametricOperator, grid: Grid2D):
+def _chunk_rows(op: ParametricOperator, grid: Grid2D) -> List[slice]:
+    """Grid rows of each field chunk: <= 2^16 entries (``CHUNK_ENTRIES``) or one row."""
     if not (op.window.contains(grid.u_axis[0], grid.w_axis[0])
             and op.window.contains(grid.u_axis[1], grid.w_axis[1])):
         raise ValueError(f"grid {grid.u_axis[:2]}x{grid.w_axis[:2]} exceeds the "
                          f"operator window {op.window}")
-
-
-def _chunk_rows(op: ParametricOperator, grid: Grid2D) -> List[slice]:
-    """Grid rows of each field chunk: <= 2^16 entries (``CHUNK_ENTRIES``) or one row."""
     step = max(1, CHUNK_ENTRIES // (grid.w_axis[2] * op.dim * op.dim))
     return [slice(i0, min(i0 + step, grid.u_axis[2])) for i0 in range(0, grid.u_axis[2], step)]
 
 
-def _row_stacks(op: ParametricOperator, grid: Grid2D):
-    """Yield (rows, us, stack) per chunk of U rows, stack[r, j] = A(w_j + i*chi_I_fixed, us[r]).
-
-    ``rows`` is the chunk's slice of the grid rows (:func:`_chunk_rows`).
-    Each stack is one fresh :func:`evaluate_batch` result, never the whole grid's.
-    """
-    _check_grid_window(op, grid)
+def _rows_stack(op: ParametricOperator, grid: Grid2D, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
+    """(us, stack) of one chunk of U rows: stack[r, j] = A(w_j + i*chi_I_fixed, us[r])."""
     chis = grid.w_values() + 1j * grid.chi_I_fixed
-    us = grid.u_values()
-    for rows in _chunk_rows(op, grid):
-        stack = evaluate_batch(op, chis[None, :], us[rows, None])
-        yield rows, us[rows], stack.reshape(-1, chis.size, op.dim, op.dim)
+    us = grid.u_values()[rows]
+    stack = evaluate_batch(op, chis[None, :], us[:, None])
+    return us, stack.reshape(-1, chis.size, op.dim, op.dim)
 
 
 def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
     """Minimum-singular-value field over the grid, one batched SVD per chunk of U rows.
 
-    The calling thread evaluates the chunks; their SVDs run on one worker thread per
-    available CPU and chunk, at most one chunk per worker in flight.  A chunk whose
-    SVD fails is redone row by row, to name the first failing row.
+    Each chunk is evaluated and decomposed as one unit of work.  A :class:`Pencil`
+    ``func`` (read-only numpy) has its chunks mapped over one worker thread per
+    available CPU and chunk; any other ``func`` runs chunk by chunk on the calling
+    thread.  Results come in row order, and a failing chunk cancels the later ones.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of `import flutterspec`
-    values = np.empty((grid.u_axis[2], grid.w_axis[2]))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(_chunk_rows(op, grid)))
-    in_flight: deque = deque()  # (rows, us, stack, SVD future) per chunk, in row order
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for rows, us, stack in _row_stacks(op, grid):
-                svd = pool.submit(np.linalg.svd, stack, compute_uv=False)
-                in_flight.append((rows, us, stack, svd))
-                _collect_sigma(op, values, in_flight, workers - 1)
-        finally:  # also when an evaluation raises: an earlier chunk's failure comes first
-            _collect_sigma(op, values, in_flight, 0)
-    return ScalarField(grid, values)
 
-
-def _collect_sigma(op: ParametricOperator, values: np.ndarray, in_flight: deque, keep: int):
-    """Store the oldest chunks in flight, in row order, until ``keep`` are left."""
-    while len(in_flight) > keep:
-        rows, us, stack, svd = in_flight.popleft()
+    def chunk_sigma(rows: slice) -> np.ndarray:
+        us, stack = _rows_stack(op, grid, rows)
         try:
-            values[rows] = svd.result()[..., -1]
-        except np.linalg.LinAlgError:
-            for i, u, row in zip(range(rows.start, rows.stop), us, stack):
+            return np.linalg.svd(stack, compute_uv=False)[..., -1]
+        except np.linalg.LinAlgError:  # redo row by row, to name the first failing row
+            sigma = np.empty(stack.shape[:2])
+            for r, (u, row) in enumerate(zip(us, stack)):
                 try:
-                    values[i] = np.linalg.svd(row, compute_uv=False)[:, -1]
+                    sigma[r] = np.linalg.svd(row, compute_uv=False)[:, -1]
                 except np.linalg.LinAlgError as exc:
-                    in_flight.clear()  # the later chunks' results are not needed
-                    raise NumericalError(
-                        f"sigma field row i={i}, U={u} of operator '{op.name}': {exc}") from exc
+                    raise NumericalError(f"sigma field row i={rows.start + r}, U={u} of "
+                                         f"operator '{op.name}': {exc}") from exc
+            return sigma
+
+    chunks = _chunk_rows(op, grid)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, len(chunks))) as pool:
+        run = pool.map if isinstance(op.func, Pencil) else map
+        values = np.concatenate(list(run(chunk_sigma, chunks)))
+    return ScalarField(grid, values)
 
 
 def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
@@ -183,8 +170,8 @@ def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
     """
     log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
     phase = np.empty_like(log_mag)
-    for rows, _, stack in _row_stacks(op, grid):
-        sign, log_mag[rows] = np.linalg.slogdet(stack)
+    for rows in _chunk_rows(op, grid):
+        sign, log_mag[rows] = np.linalg.slogdet(_rows_stack(op, grid, rows)[1])
         phase[rows] = np.angle(sign)
     return ComplexField(grid, log_mag, phase)
 
@@ -346,23 +333,18 @@ def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def find_borderline_regions(fld: ScalarField, threshold: float,
-                            flutter_points: Sequence = (),
-                            exclusion_radius: Optional[Tuple[float, float]] = None
-                            ) -> List[BorderlineRegion]:
+                            flutter_points: Sequence = ()) -> List[BorderlineRegion]:
     """Connected components (4-connectivity) of {sigma_min < threshold}.
 
     Each region reports its minimizing node as center; near_flutter is set
-    when the center falls inside the axis-aligned exclusion ellipse of some
-    supplied flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
-    ``fp.point.chi_R``; default semi-axes: 5% of each grid span).
+    when the center falls inside the axis-aligned ellipse of some supplied
+    flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
+    ``fp.point.chi_R``) with semi-axes ``NEAR_FLUTTER_SPAN`` of each grid span.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     us, ws = fld.grid.u_values(), fld.grid.w_values()
-    if exclusion_radius is None:
-        exclusion_radius = (0.05 * (us[-1] - us[0]), 0.05 * (ws[-1] - ws[0]))
-    elif not all(r > 0.0 for r in exclusion_radius):
-        raise ValueError(f"exclusion radii must be positive, got {exclusion_radius}")
+    radius = (NEAR_FLUTTER_SPAN * (us[-1] - us[0]), NEAR_FLUTTER_SPAN * (ws[-1] - ws[0]))
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]
 
     mask = fld.values < threshold
@@ -375,8 +357,8 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
         center = (float(us[ii[k]]), float(ws[jj[k]]))
         extent = (float(us[ii.min()]), float(us[ii.max()]),
                   float(ws[jj.min()]), float(ws[jj.max()]))
-        near = any(((center[0] - cu) / exclusion_radius[0]) ** 2
-                   + ((center[1] - cw) / exclusion_radius[1]) ** 2 <= 1.0
+        near = any(((center[0] - cu) / radius[0]) ** 2
+                   + ((center[1] - cw) / radius[1]) ** 2 <= 1.0
                    for cu, cw in centers)
         regions.append(BorderlineRegion(center, float(vals[k]), extent, near))
     regions.sort(key=lambda r: r.center)

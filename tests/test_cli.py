@@ -1,5 +1,6 @@
 """CLI subcommands: file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -136,6 +137,22 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         assert RunConfig.load(cfg, {}).model == NORMAL_MODEL
 
+    def test_window_flags_apply_over_the_model_window(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {"kind": "typical_section"},
+                                   "output": {"dir": str(tmp_path / "out")}}), encoding="utf-8")
+        assert main(["flutter", "--config", str(cfg), "--u-max", "60"]) == 0
+        doc = json.loads((tmp_path / "out" / "flutter_points.json").read_text())
+        model_window = models.build_typical_section().window
+        assert doc["window"] == {**dataclasses.asdict(model_window), "u_max": 60.0}
+
+    @pytest.mark.parametrize("key", ["exclusion_u", "exclusion_chi_r"])
+    def test_borderline_takes_only_threshold(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, borderline={"threshold": 0.15, key: 1.0})
+        assert main(["pseudo", "--config", str(cfg)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc, expected", [
         ({"kind": "trajectory", "preset": "two_crossing"},
          lambda: models.build_trajectory_operator(models.two_crossing_spec())),
@@ -197,6 +214,15 @@ class TestTraceCommand:
         assert main(["trace", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "path.csv").read_bytes() == first_csv
         assert (tmp_path / "out" / "path.json").read_bytes() == first_json
+
+    def test_no_flutter_point_exits_empty(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model=NORMAL_MODEL,
+                           window={"u_min": 0.0, "u_max": 1.0,
+                                   "chi_r_min": 0.0, "chi_r_max": 8.0},
+                           flutter={"grid_count": 16, "refine_iters": 1})
+        assert main(["trace", "--config", str(cfg)]) == 3
+        assert "no flutter point to start from" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "path.csv").exists()
 
     def test_first_step_failure_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, continuation={
@@ -321,6 +347,24 @@ class TestDampingPlotCommand:
         assert us[k[0]] <= ts_oracle[0] <= us[k[0] + 1]
 
 
+    @pytest.mark.parametrize("key", ["u_start", "u_end", "du", "seed_chi_r"])
+    def test_missing_natural_key_exits_1(self, tmp_path, capsys, key):
+        natural = {"u_start": 100.0, "u_end": 110.0, "du": 5.0, "seed_chi_r": 55.0}
+        del natural[key]
+        cfg = write_config(tmp_path, natural=natural)
+        assert main(["damping-plot", "--config", str(cfg)]) == 1
+        assert f"natural.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_solve_failure_exits_2(self, tmp_path, capsys):
+        # from chi = 0 at U = 1 the typical section's bordered Newton stalls
+        cfg = write_config(tmp_path, model={"kind": "typical_section"},
+                           natural={"u_start": 1.0, "u_end": 2.0, "du": 1.0, "seed_chi_r": 0.0})
+        assert main(["damping-plot", "--config", str(cfg)]) == 2
+        assert "seed solve failed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPseudoCommand:
     def test_far_spectrum_empty_contours(self, tmp_path):
         model = {"kind": "normal", "eigenvalues": [0.0],
@@ -381,6 +425,20 @@ class TestPseudoCommand:
         assert len(off) == 1
         assert off[0]["center_U"] == pytest.approx(traj_oracle.hump_u, abs=1.0)
         assert off[0]["min_sigma"] == pytest.approx(abs(traj_oracle.hump_g), abs=1e-3)
+
+
+    def test_failed_flutter_search_still_writes_results(self, tmp_path, capsys):
+        # one polish iteration is too few for the flutter point at U = 120
+        cfg = write_config(tmp_path, grid={"u_count": 11, "w_count": 11},
+                           flutter={"max_iters": 1})
+        assert main(["pseudo", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert "flutter search for near_flutter flags failed" in err
+        doc = json.loads((tmp_path / "out" / "borderline.json").read_text())
+        assert doc["flutter_points"] == []
+        assert not any(r["near_flutter"] for r in doc["regions"])
+        for name in ("sigma_field.csv", "contours.csv"):
+            assert (tmp_path / "out" / name).exists()
 
 
 class TestUsageErrors:

@@ -28,6 +28,20 @@ def scaled_gap(a, b, scale):
                            (a.chi_I - b.chi_I) / scale[1]])
 
 
+def linear_damping_mode(u0):
+    """One mode chi = 50 + 0.01 i (U - 10) in U in [0, 100], and its exact point at u0."""
+    spec = TrajectorySpec(modes=(ModeTrajectory((50.0,), (-0.1, 0.01)),))
+    op = build_trajectory_operator(spec, Window(0.0, 100.0, 40.0, 60.0))
+    return op, EigenPoint.from_vector(op, 50.0, float(spec.modes[0].g(u0)), u0, np.array([1.0]))
+
+
+def ending_mode(op, u_end):
+    """op.func below u_end; above it the identity, which has no eigenvalue."""
+    def func(chi, u):
+        return op.func(chi, u) if u < u_end else np.eye(op.dim, dtype=complex)
+    return func
+
+
 @pytest.fixture(scope="module")
 def traj_scale(traj_flutter):
     p = traj_flutter.point
@@ -393,6 +407,17 @@ class TestTracePath:
         for k in range(len(pts) - 1):
             assert abs(scaled_gap(pts[k + 1], pts[k], scale) - ds[k]) <= 1e-8
 
+    def test_min_ds_exhausted_after_accepted_steps(self):
+        op, seed = linear_damping_mode(10.0)
+        ends = dataclasses.replace(op, func=ending_mode(op, 12.5), derivs=None)
+        for corrector in ("newton", "slp"):
+            settings = ContinuationSettings(ds=0.05, max_ds=0.1, min_ds=1e-3,
+                                            corrector=corrector)
+            path = trace_path(ends, seed, settings=settings)
+            assert path.termination_reason == "min-ds-exhausted"
+            assert len(path.points) >= 2
+            assert all(p.U < 12.5 for p in path.points)
+
     def test_direction_sign(self, traj_op, traj_flutter):
         settings = ContinuationSettings(ds=0.05, max_ds=0.05, max_steps=3)
         sub = trace_path(traj_op, traj_flutter, direction=+1, settings=settings)
@@ -425,6 +450,13 @@ class TestNaturalContinuation:
         k = np.nonzero((zs[:-1] > 0) & (zs[1:] <= 0))[0]
         assert k.size == 1
         assert us[k[0]] <= ts_oracle[0] <= us[k[0] + 1]
+
+    def test_non_convergence_ends_the_path(self):
+        op, seed = linear_damping_mode(10.0)
+        ends = dataclasses.replace(op, func=ending_mode(op, 12.5), derivs=None)
+        path = natural_continuation(ends, 10.0, 20.0, 1.0, seed)
+        assert path.termination_reason.startswith("non-convergence at U=13:")
+        assert [p.U for p in path.points] == [10.0, 11.0, 12.0]
 
     def test_seed_airspeed_validated(self, traj_op, traj_point):
         with pytest.raises(ValueError):
@@ -462,6 +494,26 @@ class TestDampingContinuation:
         scale = (max(abs(u0), 1.0), max(abs(seed.chi_R), 1.0))
         for a, b in zip(chi_run.points, zeta_run.points):
             assert scaled_gap(a, b, scale) <= 1e-8
+
+    def test_xi_round_trips_chi_i_run(self, traj_op, traj_point, traj_oracle):
+        u0 = brentq(lambda u: traj_oracle.g(u) + 0.3, 400.0, traj_oracle.hump_u)
+        seed = traj_point(u0)
+        d_values = [traj_oracle.g(u0) + 0.05 * k for k in range(4)]
+        chi_run = damping_continuation(traj_op, d_values, DampingParameterization.CHI_I, seed)
+        xi_values = [p.chi_I / p.chi_R for p in chi_run.points]
+        xi_run = damping_continuation(traj_op, xi_values, DampingParameterization.XI, seed)
+        assert xi_run.termination_reason == "completed"
+        scale = (max(abs(u0), 1.0), max(abs(seed.chi_R), 1.0))
+        for a, b in zip(chi_run.points, xi_run.points):
+            assert scaled_gap(a, b, scale) <= 1e-8
+
+    def test_far_converged_step_hits_the_jump_guard(self):
+        # chi_I = 0.01 (U - 10): a damping step of 0.04 moves U by 4, 0.4 of the U scale
+        op, seed = linear_damping_mode(10.0)
+        path = damping_continuation(op, [seed.chi_I, 0.01, 0.05],
+                                    DampingParameterization.CHI_I, seed)
+        assert path.termination_reason == "turning-point suspected"
+        assert [p.U for p in path.points] == pytest.approx([10.0, 11.0], abs=1e-9)
 
     def test_monotonicity_validated(self, traj_op, traj_point, traj_oracle):
         seed = traj_point(500.0)

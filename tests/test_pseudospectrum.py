@@ -115,7 +115,7 @@ class TestSigmaField:
         grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
         # one chunk by default; at 60 entries two rows (28 entries each) per chunk,
         # so the NaN rows i=2 and i=4 open the second and third chunks; at 1 entry
-        # one row per chunk, and from 3 workers up both NaN chunks are in flight
+        # one row per chunk
         for cpus in (1, 2, 3, 4):
             set_available_cpus(monkeypatch, cpus)
             for chunk_entries in (pseudospectrum.CHUNK_ENTRIES, 60, 1):
@@ -124,7 +124,7 @@ class TestSigmaField:
                     compute_sigma_field(op, grid)
 
     def test_evaluation_error_waits_for_earlier_chunks(self, monkeypatch):
-        """A NaN row in flight is reported before a later row's evaluation error."""
+        """A NaN row is reported before a later row's evaluation error."""
         base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
 
         def func(chi, u):
@@ -159,6 +159,27 @@ class TestSigmaField:
         assert callers == {threading.get_ident()}
         expected = np.abs(grid.w_values()[:, None] - np.array([1.0, 2.0])).min(axis=1)
         assert np.abs(fld.values - expected).max() <= 1e-12
+
+
+    def test_nan_rows_of_pencil_chunks_on_workers(self, monkeypatch):
+        """Pencil chunks fail on worker threads; the first failing row is still named."""
+        op = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
+        evaluate_batch, callers = pseudospectrum.evaluate_batch, set()
+
+        def nan_rows(op_, chis, us):
+            callers.add(threading.get_ident())
+            node_us = np.broadcast_arrays(chis, us)[1].ravel()
+            nan = np.where(np.isin(node_us, (2.0, 4.0)), np.nan, 1.0)
+            return evaluate_batch(op_, chis, us) * nan[:, None, None]
+
+        monkeypatch.setattr(pseudospectrum, "evaluate_batch", nan_rows)
+        monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 1)  # one row per chunk
+        grid = Grid2D((0.0, 4.0, 5), (0.0, 3.0, 7))
+        for cpus in (1, 2, 3, 4):  # from 3 workers up, both NaN chunks run at once
+            set_available_cpus(monkeypatch, cpus)
+            with pytest.raises(NumericalError, match=r"row i=2, U=2\.0\b"):
+                compute_sigma_field(op, grid)
+        assert callers and threading.get_ident() not in callers
 
 
 def set_available_cpus(monkeypatch, count):
@@ -269,7 +290,8 @@ def test_sigma_field_identical_for_any_worker_count(monkeypatch):
 
 
 def test_sigma_chunks_in_flight_are_bounded(monkeypatch):
-    """With slow SVDs, the calling thread evaluates at most workers - 1 chunks ahead of them."""
+    """With slow SVDs, each of 3 workers evaluates and decomposes one chunk at a time:
+    no chunk is evaluated while 3 others await their SVD."""
     op = build_typical_section()
     grid = Grid2D.over_window(op.window, 40, 11)
     monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 44)  # one row (11 2x2 nodes) per chunk
@@ -527,13 +549,6 @@ class TestBorderlineRegions:
         with pytest.raises(ValueError):
             find_borderline_regions(fld, 0.0)
 
-    @pytest.mark.parametrize("radius", [(0.0, 1.0), (1.0, -1.0)])
-    def test_exclusion_radius_validation(self, radius):
-        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
-        fld = ScalarField(grid, np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="exclusion"):
-            find_borderline_regions(fld, 0.5, exclusion_radius=radius)
-
     def test_dipping_trajectory_single_region(self):
         # one mode whose damping dips to 0.03 at U = 200, no flutter anywhere
         spec = TrajectorySpec(modes=(
@@ -561,7 +576,7 @@ class TestBorderlineRegions:
         assert abs(region.center[0] - traj_oracle.hump_u) <= cell_u
         assert abs(region.center[1] - traj_oracle.omega(traj_oracle.hump_u)) <= cell_w
         assert region.min_sigma < threshold
-        # region must stay clear of the flutter exclusion ellipse
+        # region must stay clear of the near-flutter ellipse (5% of each span)
         ex_u, ex_w = 0.05 * 250.0, 0.05 * 10.0
         fu, fw = traj_flutter.point.U, traj_flutter.point.chi_R
         assert ((region.center[0] - fu) / ex_u) ** 2 + ((region.center[1] - fw) / ex_w) ** 2 > 1.0
