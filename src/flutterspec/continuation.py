@@ -375,7 +375,7 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         wr += cs * candidate[0]
         wi += cs * candidate[1]
         u += us * candidate[2]
-        if _converged(candidate_norm, tol=1e-2 * RESIDUAL_TOL):
+        if candidate_norm <= 1e-2 * RESIDUAL_TOL:
             # Increments at rounding level but residuals still above the gate.
             a = evaluate(op, complex(wr, wi), u)
             sig, x = _sigma_min_of(op, a, complex(wr, wi), u)

@@ -62,23 +62,15 @@ class FlutterPoint:
 
 
 def _segment_arrays(contours: ContourSet) -> Tuple[np.ndarray, np.ndarray]:
-    starts, ends = [], []
-    for pl in contours.polylines:
-        if len(pl) >= 2:
-            starts.append(pl[:-1])
-            ends.append(pl[1:])
-    if not starts:
-        empty = np.empty((0, 2))
-        return empty, empty
-    return np.vstack(starts), np.vstack(ends)
+    """(starts, ends) of all segments, each (N, 2); the empty line keeps N = 0 stackable."""
+    lines = [np.empty((0, 2)), *contours.polylines]
+    return np.vstack([pl[:-1] for pl in lines]), np.vstack([pl[1:] for pl in lines])
 
 
 def _polyline_intersections(re_set: ContourSet, im_set: ContourSet) -> List[Tuple[float, float]]:
     """Pairwise segment intersections between two contour families."""
     a1, a2 = _segment_arrays(re_set)
     b1, b2 = _segment_arrays(im_set)
-    if a1.shape[0] == 0 or b1.shape[0] == 0:
-        return []
     d1 = a2 - a1                                   # (N, 2)
     d2 = b2 - b1                                   # (M, 2)
     denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
@@ -119,10 +111,10 @@ def _shrunk_window(parent: Window, outer: Window, u: float, w: float) -> Window:
     return Window(u_min, u_min + su, w_min, w_min + sw)
 
 
-def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int,
-                         refine_iters: int) -> List[Tuple[float, float, Tuple[Window, ...]]]:
+def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int, refine_iters: int
+                         ) -> Tuple[List[Tuple[float, float, Tuple[Window, ...]]], float, float]:
+    """Merged candidates (U, chi_R, window history) of the last level and its grid cell."""
     active: List[Tuple[Window, Tuple[Window, ...]]] = [(window, (window,))]
-    found: List[Tuple[float, float, tuple]] = []
     for level in range(refine_iters + 1):
         found = []
         cell_u = cell_w = 0.0
@@ -134,32 +126,29 @@ def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int
             cell_u = max(cell_u, win.u_span / (grid_count - 1))
             cell_w = max(cell_w, win.chi_r_span / (grid_count - 1))
         found = _merge_points(found, cell_u, cell_w)
-        if not found:
-            return []
-        if level == refine_iters:
-            break
+        if not found or level == refine_iters:
+            return found, cell_u, cell_w
         next_active = []
         for u, w, hist in found:
             win = _shrunk_window(hist[-1], window, u, w)
             next_active.append((win, hist + (win,)))
         active = next_active
-    return found
 
 
-def locate_candidates(op: ParametricOperator, window: Window, grid_count: int = 64,
-                      refine_iters: int = 3) -> List[Tuple[float, float]]:
+def locate_candidates(op: ParametricOperator, window: Window,
+                      grid_count: int = FlutterSearchSettings.grid_count,
+                      refine_iters: int = FlutterSearchSettings.refine_iters
+                      ) -> List[Tuple[float, float]]:
     """Candidate (U, chi_R) pairs from iterated Re/Im det contour crossings.
 
     Each refinement shrinks a window around every candidate to a quarter
     span per side and recomputes the contours; candidates within one
-    final-grid cell are merged.  No intersections is not an error.
+    final-grid cell are merged.  No intersections is not an error.  Settings
+    outside the ranges of :class:`FlutterSearchSettings`, or a window outside
+    the operator window, raise ValueError before any evaluation.
     """
-    if grid_count < 8 or refine_iters < 1:
-        raise ValueError("grid_count must be >= 8 and refine_iters >= 1")
-    if not (op.window.contains(window.u_min, window.chi_r_min)
-            and op.window.contains(window.u_max, window.chi_r_max)):
-        raise ValueError(f"search window {window} exceeds operator window {op.window}")
-    return [(u, w) for u, w, _ in _locate_with_history(op, window, grid_count, refine_iters)]
+    FlutterSearchSettings(grid_count=grid_count, refine_iters=refine_iters)
+    return [(u, w) for u, w, _ in _locate_with_history(op, window, grid_count, refine_iters)[0]]
 
 
 def _real_chi_row(wr: float, wi: float, u: float):
@@ -167,7 +156,8 @@ def _real_chi_row(wr: float, wi: float, u: float):
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
-                         tol: float = RESIDUAL_TOL, max_iters: int = 50) -> FlutterPoint:
+                         tol: float = FlutterSearchSettings.tol,
+                         max_iters: int = FlutterSearchSettings.max_iters) -> FlutterPoint:
     """Bordered Newton on {A x = 0, c*x = 1, chi_I = 0} from a candidate (U, chi_R).
 
     The solver is the one the continuation correctors use, started from
@@ -175,8 +165,10 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
     unit-eigenvector residual and |chi_I| are both <= tol.  The result
     stores chi_I as exactly zero.  A singular Jacobian raises
     NumericalError; no convergence raises ConvergenceError with
-    best = (U, chi_R, chi_I).
+    best = (U, chi_R, chi_I).  tol and max_iters outside the ranges of
+    :class:`FlutterSearchSettings` raise ValueError before any evaluation.
     """
+    FlutterSearchSettings(tol=tol, max_iters=max_iters)
     u, w = float(candidate[0]), float(candidate[1])
     if not op.window.contains(u, w):
         raise ValueError(f"candidate {candidate} outside operator window {op.window}")
@@ -205,7 +197,8 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
     """
     window = window or op.window
     settings = settings or FlutterSearchSettings()
-    candidates = _locate_with_history(op, window, settings.grid_count, settings.refine_iters)
+    candidates, cell_u, cell_w = _locate_with_history(op, window, settings.grid_count,
+                                                      settings.refine_iters)
 
     points: List[FlutterPoint] = []
     failures: List[str] = []
@@ -223,9 +216,6 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
         raise ConvergenceError("all flutter candidates failed to polish:\n  "
                                + "\n  ".join(failures))
 
-    shrink = 4.0 ** settings.refine_iters
-    cell_u = window.u_span / shrink / (settings.grid_count - 1)
-    cell_w = window.chi_r_span / shrink / (settings.grid_count - 1)
     points.sort(key=lambda p: p.point.residual)
     unique: List[FlutterPoint] = []
     for fp in points:

@@ -205,21 +205,14 @@ def _beta_l(i: int) -> float:
     return _CANTILEVER_BETA_L[i - 1] if i <= len(_CANTILEVER_BETA_L) else (2 * i - 1) * math.pi / 2.0
 
 
-def _bending_shape(i: int, y: np.ndarray, span: float) -> np.ndarray:
-    """Clamped-free bending mode i (1-based), tip amplitude 2."""
+def _bending_shape(i: int, y: np.ndarray, span: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Clamped-free bending mode i (1-based), tip amplitude 2, and its second derivative."""
     bl = _beta_l(i)
     beta = bl / span
     sigma = (math.sinh(bl) - math.sin(bl)) / (math.cosh(bl) + math.cos(bl))
     by = beta * y
-    return np.cosh(by) - np.cos(by) - sigma * (np.sinh(by) - np.sin(by))
-
-
-def _bending_shape_dd(i: int, y: np.ndarray, span: float) -> np.ndarray:
-    bl = _beta_l(i)
-    beta = bl / span
-    sigma = (math.sinh(bl) - math.sin(bl)) / (math.cosh(bl) + math.cos(bl))
-    by = beta * y
-    return beta ** 2 * (np.cosh(by) + np.cos(by) - sigma * (np.sinh(by) + np.sin(by)))
+    return (np.cosh(by) - np.cos(by) - sigma * (np.sinh(by) - np.sin(by)),
+            beta ** 2 * (np.cosh(by) + np.cos(by) - sigma * (np.sinh(by) + np.sin(by))))
 
 
 def _torsion_shape(j: int, y: np.ndarray, span: float) -> np.ndarray:
@@ -248,8 +241,7 @@ def build_galerkin_wing(spec: GalerkinWingSpec = GalerkinWingSpec(),
     y = 0.5 * span * (nodes + 1.0)
     w = 0.5 * span * weights
 
-    phi = np.stack([_bending_shape(i, y, span) for i in range(1, nb + 1)])
-    phi_dd = np.stack([_bending_shape_dd(i, y, span) for i in range(1, nb + 1)])
+    phi, phi_dd = map(np.stack, zip(*[_bending_shape(i, y, span) for i in range(1, nb + 1)]))
     psi = np.stack([_torsion_shape(j, y, span) for j in range(1, nt + 1)])
     psi_d = np.stack([_torsion_shape_d(j, y, span) for j in range(1, nt + 1)])
 

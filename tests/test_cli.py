@@ -137,6 +137,11 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         assert RunConfig.load(cfg, {}).model == NORMAL_MODEL
 
+    @pytest.mark.parametrize("doc", [{}, {"model": 5}], ids=["missing", "number"])
+    def test_model_must_be_an_object_or_a_path(self, doc):
+        with pytest.raises(ValueError, match="model object or model file path"):
+            RunConfig.from_dict(doc, {})
+
     def test_window_flags_apply_over_the_model_window(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": {"kind": "typical_section"},
@@ -205,6 +210,16 @@ class TestTraceCommand:
             expected_zeta = chi_i / math.hypot(chi_r, chi_i)
             assert abs(zeta - expected_zeta) <= 1e-12
             assert residual <= 1e-10
+
+    def test_trace_ends_at_the_model_window(self, tmp_path):
+        # the config window bounds the flutter search only, not the traced path
+        cfg = write_config(tmp_path, continuation={"ds": 0.05, "max_steps": 200})
+        assert main(["trace", "--config", str(cfg), "--direction", "-1"]) == 0
+        doc = json.loads((tmp_path / "out" / "path.json").read_text())
+        last = doc["points"][-1]
+        assert doc["termination_reason"] == "window-exit"
+        assert max(p["U"] for p in doc["points"]) > 400.0      # the config's u_max
+        assert not build_model(TRAJ_MODEL).window.contains(last["U"], last["chi_R"])
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, continuation={"ds": 0.05, "max_steps": 25})

@@ -1,6 +1,7 @@
 """Pseudo-arclength machinery: tangents, correctors, tracing, envelopes."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          solve_at_airspeed, trace_path)
-from flutterspec.continuation import (_corrector_slp, _operator_determinants, _real_forms,
-                                      _slp_increment)
+from flutterspec.continuation import (ModePath, _corrector_slp, _operator_determinants,
+                                      _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
+from flutterspec.operator import _sigma_min_of
 
 
 def scaled_gap(a, b, scale):
@@ -212,6 +214,38 @@ class TestCorrectors:
         assert len(calls) == iterations + 1
         assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
 
+    def test_slp_stall_is_a_convergence_error(self, ts_op, ts_flutter):
+        # A scaled by 1e9: the increments reach rounding level while sigma_min stays above the gate
+        op = dataclasses.replace(
+            ts_op, func=lambda chi, u: 1e9 * ts_op.func(chi, u),
+            derivs=lambda chi, u: tuple(1e9 * d for d in ts_op.derivs(chi, u)))
+        base = ts_flutter.point
+        t = initial_tangent(ts_op, ts_flutter)
+        guess = predictor(base, t, 0.05, ContinuationSettings().resolved_scale(base))
+        with pytest.raises(ConvergenceError, match="SLP stalled") as info:
+            corrector_slp(op, guess, base, t, 0.05)
+        assert info.value.iterations == 2
+
+    def test_slp_eigenvector_jump_warns_once(self, ts_op, ts_flutter, monkeypatch, caplog):
+        # from the second iteration on, the sigma_min vector is swapped for its orthogonal one
+        vectors = []
+
+        def swapped(op, a, chi, u):
+            sigma, x = _sigma_min_of(op, a, chi, u)
+            vectors.append(x)
+            return sigma, x if len(vectors) == 1 else np.array([-x[1].conj(), x[0].conj()])
+
+        monkeypatch.setattr("flutterspec.continuation._sigma_min_of", swapped)
+        scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
+        t = initial_tangent(ts_op, ts_flutter)
+        base = ts_flutter.point
+        with caplog.at_level(logging.WARNING, logger="flutterspec.continuation"):
+            corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
+                          ContinuationSettings(scale=scale))
+        assert len(vectors) >= 2
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "eigenvector jump" in caplog.records[0].getMessage()
+
     def test_slp_zero_tangent_has_no_increment(self, ts_op, ts_flutter):
         # every term of Delta_0 carries a tangent component, so Delta_0 = 0
         base = ts_flutter.point
@@ -305,6 +339,14 @@ class TestSlpLinearStep:
         _, vs, t, _, _ = known_solution_problem(7, 3)
         with pytest.raises(ConvergenceError, match="eigenproblem failed"):
             _slp_increment(np.zeros((3, 3), complex), vs[0], vs[1], vs[2], t, 0.0)
+
+    def test_no_real_triple_is_a_convergence_error(self):
+        # the 8th complex normal draw of default_rng(0) has no real increment triple
+        rng = np.random.default_rng(0)
+        blocks = [rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+                  for _ in range(8)][-1]
+        with pytest.raises(ConvergenceError, match="no real increment triple"):
+            _slp_increment(*blocks, Tangent(0.3, 0.5, 0.8), 0.1)
 
 
 def off_newton_branch(op, path, newton):
@@ -603,7 +645,30 @@ class TestExtremumDamping:
         assert result.on_boundary is False
         assert result.point.U == pytest.approx(300.0, abs=1e-6)
 
+    def test_flat_bracket_takes_the_middle_point(self, traj_op):
+        points = [EigenPoint.from_vector(traj_op, 50.0, 0.0, u, np.array([1.0, 0.0]))
+                  for u in (100.0, 101.0, 102.0)]
+        path = ModePath(points=points, s=[0.0, 0.01, 0.02], origin="flat")
+        result = extremum_damping(path)
+        assert result.point is points[1]
+        assert result.zeta == 0.0 and result.on_boundary is False
+
     def test_short_path_rejected(self, traj_op, traj_point):
         path = natural_continuation(traj_op, 250.0, 250.0, 5.0, traj_point(250.0))
         with pytest.raises(ValueError):
             extremum_damping(path, op=traj_op)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda op, pt: natural_continuation(op, 250.0, 300.0, 0.0, pt), "dU must be positive"),
+    (lambda op, pt: damping_continuation(op, [pt.chi_I / abs(pt.chi), 1.0],
+                                         DampingParameterization.ZETA, pt),
+     r"zeta value 1.0 outside \(-1, 1\)"),
+    (lambda op, pt: damping_continuation(op, [], DampingParameterization.CHI_I, pt),
+     "d_values must be nonempty"),
+    (lambda op, pt: damping_continuation(op, [pt.chi_I + 0.5], DampingParameterization.CHI_I, pt),
+     "does not match d_values"),
+], ids=["natural_dU", "zeta_out_of_range", "empty_d_values", "seed_damping"])
+def test_invalid_arguments_rejected(traj_op, traj_point, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(traj_op, traj_point(250.0))

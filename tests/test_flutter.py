@@ -73,6 +73,12 @@ class TestLocateCandidates:
 
 
 class TestPolish:
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iters": 0}],
+                             ids=["zero_tol", "negative_tol", "no_iterations"])
+    def test_settings_out_of_range_rejected(self, traj_op, kwargs):
+        with pytest.raises(ValueError, match="tol must be positive and max_iters >= 1"):
+            polish_flutter_point(traj_op, (119.7, 54.0), **kwargs)
+
     def test_restabilization_from_nearby_candidate(self, traj_op, traj_oracle):
         candidate = (119.7, traj_oracle.omega(119.7))
         fp = polish_flutter_point(traj_op, candidate, tol=1e-10)

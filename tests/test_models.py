@@ -193,3 +193,14 @@ class TestGalerkinWing:
             GalerkinWingSpec(n_bending=0)
         with pytest.raises(ValueError):
             GalerkinWingSpec(EI=-1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrajectorySpec(modes=()), "at least one mode trajectory required"),
+    (lambda: build_trajectory_operator(TrajectorySpec(
+        modes=(ModeTrajectory((50.0,), (0.0,)),), mixing=np.eye(2))),
+     "mixing matrix must be 1x1"),
+], ids=["no_modes", "mixing_shape"])
+def test_invalid_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

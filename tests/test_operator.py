@@ -190,6 +190,12 @@ class TestSigmaMin:
         sigma, x = sigma_min(ts_op, complex(30.0, 2.0), 25.0)
         assert residual_norm(ts_op, complex(30.0, 2.0), 25.0, x) == pytest.approx(sigma, abs=1e-10)
 
+    def test_nan_operator_is_a_numerical_error(self):
+        op = ParametricOperator("nan", 2, lambda chi, u: np.full((2, 2), np.nan, dtype=complex),
+                                WIDE)
+        with pytest.raises(NumericalError, match="SVD failed for operator 'nan'"):
+            sigma_min(op, 1.0, 0.0)
+
     def test_min_max_bound(self, ts_op):
         rng = np.random.default_rng(11)
         sigma, _ = sigma_min(ts_op, complex(35.0, 1.0), 30.0)
@@ -339,3 +345,17 @@ class TestWindow:
         w = Window(0.0, 10.0, 1.0, 5.0)
         assert w.contains(0.0, 1.0) and w.contains(10.0, 5.0)
         assert not w.contains(-0.1, 2.0) and not w.contains(5.0, 5.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Window(0.0, math.inf, 0.0, 1.0), "window bounds must be finite"),
+    (lambda: ParametricOperator("empty", 0, lambda chi, u: np.zeros((0, 0)), WIDE),
+     "operator dimension must be >= 1"),
+    (lambda: damping_to_complex(DampingParameterization.CHI_I, math.nan, 0.1),
+     "non-finite damping arguments"),
+    (lambda: complex_to_damping(DampingParameterization.CHI_I, complex(math.inf, 0.0)),
+     "non-finite chi"),
+], ids=["infinite_window", "zero_dimension", "nan_chi_R", "infinite_chi"])
+def test_invalid_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
