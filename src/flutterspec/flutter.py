@@ -1,10 +1,12 @@
 """Flutter point location by the iterated contour-plot method.
 
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
-singular.  Candidates come from intersecting the Re(det) = 0 and
-Im(det) = 0 contours of a determinant field, refined by shrinking the
-window around each intersection; the bordered Newton the continuation
-correctors share then polishes each candidate onto chi_I = 0.
+singular.  Candidates are the crossings of the Re(det) = 0 and
+Im(det) = 0 contours of a determinant field, intersected cell by cell
+from their marching-squares segments without chaining them into
+polylines, and refined by shrinking the window around each crossing; the
+bordered Newton the continuation correctors share then polishes each
+candidate onto chi_I = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, EigenPoint, ParametricOperator, Window, _solve_bordered,
                        sigma_min)
-from .pseudospectrum import ContourSet, Grid2D, compute_det_field, det_zero_contours
+from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
 
 __all__ = [
     "FlutterSearchSettings",
@@ -61,31 +63,6 @@ class FlutterPoint:
     static: bool = False
 
 
-def _segment_arrays(contours: ContourSet) -> Tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of all segments, each (N, 2); the empty line keeps N = 0 stackable."""
-    lines = [np.empty((0, 2)), *contours.polylines]
-    return np.vstack([pl[:-1] for pl in lines]), np.vstack([pl[1:] for pl in lines])
-
-
-def _polyline_intersections(re_set: ContourSet, im_set: ContourSet) -> List[Tuple[float, float]]:
-    """Pairwise segment intersections between two contour families."""
-    a1, a2 = _segment_arrays(re_set)
-    b1, b2 = _segment_arrays(im_set)
-    d1 = a2 - a1                                   # (N, 2)
-    d2 = b2 - b1                                   # (M, 2)
-    denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-    rel = b1[None, :, :] - a1[:, None, :]          # (N, M, 2)
-    t_num = rel[:, :, 0] * d2[None, :, 1] - rel[:, :, 1] * d2[None, :, 0]
-    s_num = rel[:, :, 0] * d1[:, None, 1] - rel[:, :, 1] * d1[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num / denom
-        s = s_num / denom
-    hit = (np.abs(denom) > 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
-    ii, jj = np.nonzero(hit)
-    pts = a1[ii] + t[ii, jj, None] * d1[ii]
-    return [(float(u), float(w)) for u, w in pts]
-
-
 def _merge_points(points: List[Tuple[float, float, tuple]],
                   du: float, dw: float) -> List[Tuple[float, float, tuple]]:
     """Greedy clustering: points closer than one cell in both axes merge."""
@@ -120,9 +97,7 @@ def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int
         cell_u = cell_w = 0.0
         for win, hist in active:
             grid = Grid2D.over_window(win, grid_count, grid_count, 0.0)
-            fld = compute_det_field(op, grid)
-            pts = _polyline_intersections(*det_zero_contours(fld))
-            found.extend((u, w, hist) for u, w in pts)
+            found.extend((u, w, hist) for u, w in _det_zero_crossings(compute_det_field(op, grid)))
             cell_u = max(cell_u, win.u_span / (grid_count - 1))
             cell_w = max(cell_w, win.chi_r_span / (grid_count - 1))
         found = _merge_points(found, cell_u, cell_w)

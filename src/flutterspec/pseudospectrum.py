@@ -2,10 +2,13 @@
 
 The epsilon-pseudospectrum is the sublevel set of the minimum-singular-value
 field; its contours come from marching squares with linear edge
-interpolation.  Determinant fields are stored as (log-magnitude, phase)
-pairs so that zero contours survive overflow; the zero contours of their
-real/imaginary parts come from per-cell rescaling, which leaves the
-crossings exactly where the unscaled values would put them.
+interpolation, run as array code over the cells a contour crosses, whose
+segments are then chained into polylines.  Determinant fields are stored as
+(log-magnitude, phase) pairs so that zero contours survive overflow; the
+zero contours of their real/imaginary parts come from per-cell rescaling,
+which leaves the crossings exactly where the unscaled values would put
+them.  Where the Re and Im zero contours cross (the flutter candidates)
+is found cell by cell from the same segments, without chaining.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -122,12 +125,9 @@ def _chunk_rows(op: ParametricOperator, grid: Grid2D) -> List[slice]:
     return [slice(i0, min(i0 + step, grid.u_axis[2])) for i0 in range(0, grid.u_axis[2], step)]
 
 
-def _rows_stack(op: ParametricOperator, grid: Grid2D, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
-    """(us, stack) of one chunk of U rows: stack[r, j] = A(w_j + i*chi_I_fixed, us[r])."""
-    chis = grid.w_values() + 1j * grid.chi_I_fixed
-    us = grid.u_values()[rows]
-    stack = evaluate_batch(op, chis[None, :], us[:, None])
-    return us, stack.reshape(-1, chis.size, op.dim, op.dim)
+def _rows_stack(op: ParametricOperator, chis: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """stack[r, j] = A(chis[j], us[r]) for one chunk of U rows."""
+    return evaluate_batch(op, chis[None, :], us[:, None]).reshape(-1, chis.size, op.dim, op.dim)
 
 
 def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
@@ -140,8 +140,11 @@ def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of `import flutterspec`
 
+    u_nodes, chis = grid.u_values(), grid.w_values() + 1j * grid.chi_I_fixed
+
     def chunk_sigma(rows: slice) -> np.ndarray:
-        us, stack = _rows_stack(op, grid, rows)
+        us = u_nodes[rows]
+        stack = _rows_stack(op, chis, us)
         try:
             return np.linalg.svd(stack, compute_uv=False)[..., -1]
         except np.linalg.LinAlgError:  # redo row by row, to name the first failing row
@@ -170,8 +173,9 @@ def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
     """
     log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
     phase = np.empty_like(log_mag)
+    us, chis = grid.u_values(), grid.w_values() + 1j * grid.chi_I_fixed
     for rows in _chunk_rows(op, grid):
-        sign, log_mag[rows] = np.linalg.slogdet(_rows_stack(op, grid, rows)[1])
+        sign, log_mag[rows] = np.linalg.slogdet(_rows_stack(op, chis, us[rows]))
         phase[rows] = np.angle(sign)
     return ComplexField(grid, log_mag, phase)
 
@@ -186,54 +190,70 @@ _SEGMENT_TABLE = {
     11: ((1, 2),), 12: ((1, 3),), 13: ((0, 1),), 14: ((3, 0),),
     21: ((0, 1), (2, 3)), 26: ((0, 3), (1, 2)),
 }
+# The table as arrays: segments per case, and their edge pairs (unused rows stay 0).
+_SEGMENT_COUNT = np.zeros(27, dtype=int)
+_SEGMENT_EDGES = np.zeros((27, 2, 2), dtype=int)
+for _code, _segs in _SEGMENT_TABLE.items():
+    _SEGMENT_COUNT[_code] = len(_segs)
+    _SEGMENT_EDGES[_code, :len(_segs)] = _segs
+# The corners (from, to) of each edge, as indices into (c00, c10, c11, c01).
+_EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 
 
 def _cell_corners(values: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(c00, c10, c11, c01) of every cell, each (u_count - 1, w_count - 1)."""
-    return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
+    """(c00, c10, c11, c01) of every cell, each (..., u_count - 1, w_count - 1)."""
+    return values[..., :-1, :-1], values[..., 1:, :-1], values[..., 1:, 1:], values[..., :-1, 1:]
 
 
-def _march(us: np.ndarray, ws: np.ndarray, corners: Sequence[np.ndarray], level: float,
-           skip_rows: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """Marching squares over per-cell corner arrays; returns chained polylines.
-
-    Cells are classified in numpy; only those the contour crosses reach
-    Python.  ``skip_rows[i]`` drops the cells of row i.  A grid edge gets
-    its vertex once, from the first crossing cell in row-major order, so
-    shared edges agree bit-exactly.
-    """
+def _cell_cases(corners: Sequence[np.ndarray], level: float) -> np.ndarray:
+    """Case code of each cell from its corners (c00, c10, c11, c01), any array shape."""
     c00, c10, c11, c01 = corners
     case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
             | (c01 >= level) << 3).astype(int)
     saddle = (case == 5) | (case == 10)
-    case += 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
-    active = (case != 0) & (case != 15)
-    if skip_rows is not None:
-        active &= ~skip_rows[:, None]
-    ii, jj = np.nonzero(active)
+    return case + 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
 
-    # per active cell and edge (bottom, right, top, left): crossing vertex
-    # from this cell's corners, and the global edge id (u-directed edges first)
-    a = np.stack([c00[ii, jj], c10[ii, jj], c01[ii, jj], c00[ii, jj]], axis=1)
-    b = np.stack([c10[ii, jj], c11[ii, jj], c11[ii, jj], c01[ii, jj]], axis=1)
+
+def _cell_segments(us: np.ndarray, ws: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                   code: np.ndarray, corners: Sequence[np.ndarray], level: float
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Marching-squares segments of the cells (ii, jj), listed in row-major order.
+
+    ``code`` and ``corners`` hold the case code (:func:`_cell_cases`) and the
+    corners (c00, c10, c11, c01) of each listed cell.  Returns per segment its
+    cell (i, j), the global edge ids of its two ends (S, 2; u-directed edges
+    first) and their (U, chi_R) vertices (S, 2, 2); a cell's segments follow
+    ``_SEGMENT_TABLE`` in order and direction.  A grid edge gets its vertex
+    once, from the first listed cell that crosses it, so shared edges agree
+    bit-exactly.
+    """
+    cell, seg = np.nonzero(np.arange(2) < _SEGMENT_COUNT[code][:, None])
+    edge = _SEGMENT_EDGES[code[cell], seg]
+    i, j = ii[cell][:, None], jj[cell][:, None]
+    ends = np.stack(corners, axis=-1)[cell[:, None, None], _EDGE_CORNERS[edge]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (level - a) / (b - a)
-    u0, u1, w0, w1 = us[ii], us[ii + 1], ws[jj], ws[jj + 1]
-    vert_u = np.stack([u0 + t[:, 0] * (u1 - u0), u1, u0 + t[:, 2] * (u1 - u0), u0], axis=1)
-    vert_w = np.stack([w0, w0 + t[:, 1] * (w1 - w0), w1, w0 + t[:, 3] * (w1 - w0)], axis=1)
-    n_w, n_u_edges = ws.size, (us.size - 1) * ws.size
-    keys = np.stack([ii * n_w + jj, n_u_edges + (ii + 1) * (n_w - 1) + jj,
-                     ii * n_w + jj + 1, n_u_edges + ii * (n_w - 1) + jj], axis=1)
+        t = (level - ends[..., 0]) / (ends[..., 1] - ends[..., 0])
+    u0, u1, w0, w1 = us[i], us[i + 1], ws[j], ws[j + 1]
+    along_u = edge % 2 == 0
+    vert_u = np.where(along_u, u0 + t * (u1 - u0), np.where(edge == 1, u1, u0))
+    vert_w = np.where(along_u, np.where(edge == 2, w1, w0), w0 + t * (w1 - w0))
+    n_w = ws.size
+    keys = np.where(along_u, i * n_w + j + (edge == 2),
+                    (us.size - 1) * n_w + (i + (edge == 1)) * (n_w - 1) + j)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    verts = np.stack([vert_u, vert_w], axis=-1).reshape(-1, 2)[first][inverse.reshape(-1)]
+    return ii[cell], jj[cell], keys, verts.reshape(-1, 2, 2)
 
-    segments: List[Tuple[int, int]] = []
-    vertex_cache: Dict[int, Tuple[float, float]] = {}
-    for code, cell_keys, cell_u, cell_w in zip(case[ii, jj].tolist(), keys.tolist(),
-                                               vert_u.tolist(), vert_w.tolist()):
-        for ea, eb in _SEGMENT_TABLE[code]:
-            for e in (ea, eb):
-                vertex_cache.setdefault(cell_keys[e], (cell_u[e], cell_w[e]))
-            segments.append((cell_keys[ea], cell_keys[eb]))
-    return _chain_segments(segments, vertex_cache)
+
+def _march(us: np.ndarray, ws: np.ndarray, case: np.ndarray, corners: Sequence[np.ndarray],
+           level: float, cells: np.ndarray) -> List[np.ndarray]:
+    """The segments of :func:`_cell_segments` for the ``cells`` of 2-D case and
+    corner arrays, chained into polylines."""
+    ii, jj = np.nonzero(cells)
+    _, _, keys, verts = _cell_segments(us, ws, ii, jj, case[ii, jj], [c[ii, jj] for c in corners],
+                                       level)
+    vertex_cache = dict(zip(keys.ravel().tolist(), map(tuple, verts.reshape(-1, 2).tolist())))
+    return _chain_segments(keys.tolist(), vertex_cache)
 
 
 def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:
@@ -270,33 +290,91 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
     """
     if not isinstance(fld, ScalarField):
         raise TypeError(f"cannot contour {type(fld).__name__}")
-    polylines = _march(fld.grid.u_values(), fld.grid.w_values(), _cell_corners(fld.values),
-                       float(level))
-    return ContourSet(float(level), polylines)
+    level = float(level)
+    corners = _cell_corners(fld.values)
+    case = _cell_cases(corners, level)
+    polylines = _march(fld.grid.u_values(), fld.grid.w_values(), case, corners, level,
+                       (case != 0) & (case != 15))
+    return ContourSet(level, polylines)
+
+
+def _det_components(fld: ComplexField) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """Re(det) and Im(det) of a determinant field, set up for their zero contours.
+
+    Returns (case, corners, cells): the case code and the corners (c00, c10,
+    c11, c01) of every cell for both components, each (2, u_count - 1,
+    w_count - 1), and the cells each component's zero contour crosses.  Each
+    cell is rescaled by its largest |det| corner, which leaves the zero
+    crossings where the unscaled values would put them; an all-singular cell
+    (every log|det| = -inf) reads as four zeros.  Rows where a component
+    vanishes identically are left out: a real pencil makes Im(det) zero along
+    whole airspeed slices, which would give spurious flutter candidates.
+    """
+    lm = _cell_corners(fld.log_magnitude)
+    top = np.maximum.reduce(lm)
+    top[top == -math.inf] = 0.0  # exp(-inf - 0) = 0: an all-singular cell is all zeros
+    unit = np.stack([np.cos(fld.phase), np.sin(fld.phase)])  # Re, Im at unit magnitude
+    corners = [np.exp(c - top) * u for c, u in zip(lm, _cell_corners(unit))]
+    case = _cell_cases(corners, 0.0)
+    degenerate = np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=-1)
+    skip = (degenerate[:, :-1] | degenerate[:, 1:])[..., None]
+    return case, corners, (case != 0) & (case != 15) & ~skip
 
 
 def det_zero_contours(fld: ComplexField) -> Tuple[ContourSet, ContourSet]:
     """The Re(det) = 0 and Im(det) = 0 contours of a determinant field.
 
-    Each cell is rescaled by its largest |det| corner, which leaves the zero
-    crossings where the unscaled values would put them; an all-singular cell
-    (every log|det| = -inf) reads as four zeros.  Rows where a component
-    vanishes identically are skipped: a real pencil makes Im(det) zero along
-    whole airspeed slices, which would give spurious flutter candidates.
+    Each cell is rescaled by its largest |det| corner, and rows where a
+    component vanishes identically are skipped (see :func:`_det_components`).
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
-    lm = _cell_corners(fld.log_magnitude)
-    top = np.maximum.reduce(lm)
-    with np.errstate(invalid="ignore"):
-        scale = [np.exp(c - top) for c in lm]
-    sets = []
-    for unit in (np.cos(fld.phase), np.sin(fld.phase)):  # Re, Im at unit magnitude
-        corners = [np.where(top == -math.inf, 0.0, s * c)
-                   for s, c in zip(scale, _cell_corners(unit))]
-        degenerate = np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=1)
-        sets.append(ContourSet(0.0, _march(us, ws, corners, 0.0,
-                                           skip_rows=degenerate[:-1] | degenerate[1:])))
-    return sets[0], sets[1]
+    case, corners, cells = _det_components(fld)
+    re_set, im_set = (ContourSet(0.0, _march(us, ws, case[k], [c[k] for c in corners], 0.0,
+                                             cells[k])) for k in (0, 1))
+    return re_set, im_set
+
+
+def _det_zero_crossings(fld: ComplexField) -> List[Tuple[float, float]]:
+    """Crossings (U, chi_R) of the Re(det) = 0 and Im(det) = 0 contours, without chaining.
+
+    The segments are those of :func:`det_zero_contours`, with the same vertices.
+    Each Re segment is intersected with the Im segments of its own cell and of
+    the eight around it, the only cells it can touch.  So the hits are those of
+    all Re x Im segment pairs, while the pairing work grows with the cells the
+    contours cross, and they come in row-major order of the Re segments' cells.
+    """
+    us, ws = fld.grid.u_values(), fld.grid.w_values()
+    case, corners, cells = _det_components(fld)
+    kk, ii, jj = np.nonzero(cells)
+    # both components in one pass: Im on a second copy of the grid after Re along U
+    # (no cell spans the two), so their edges get distinct ids
+    seg_i, seg_j, _, verts = _cell_segments(np.tile(us, 2), ws, kk * us.size + ii, jj,
+                                            case[kk, ii, jj], [c[kk, ii, jj] for c in corners],
+                                            0.0)
+    n_re = np.searchsorted(seg_i, us.size)
+    re_i, re_j, re_v = seg_i[:n_re], seg_j[:n_re], verts[:n_re]
+    im_i, im_j, im_v = seg_i[n_re:] - us.size, seg_j[n_re:], verts[n_re:]
+
+    # Im segment ids per cell (-1 for none), padded by one cell on each side
+    im_at = np.full((us.size + 1, ws.size + 1, 2), -1)
+    second = np.r_[False, (im_i[1:] == im_i[:-1]) & (im_j[1:] == im_j[:-1])]
+    im_at[im_i + 1, im_j + 1, second.astype(int)] = np.arange(im_i.size)
+    di, dj = np.divmod(np.arange(9), 3)
+    near_im = im_at[re_i[:, None] + di, re_j[:, None] + dj].reshape(re_i.size, 18)
+    p, k = np.nonzero(near_im >= 0)
+    q = near_im[p, k]
+
+    a1, a2, b1, b2 = re_v[p, 0], re_v[p, 1], im_v[q, 0], im_v[q, 1]
+    d1, d2, rel = a2 - a1, b2 - b1, b1 - a1
+    denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    t_num = rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]
+    s_num = rel[:, 0] * d1[:, 1] - rel[:, 1] * d1[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t_num / denom
+        s = s_num / denom
+    hit = (np.abs(denom) > 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
+    pts = a1[hit] + t[hit, None] * d1[hit]
+    return [(float(u), float(w)) for u, w in pts]
 
 
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,

@@ -5,7 +5,9 @@ computation that does not share code with the path it checks: closed-form
 polynomial trajectories, brute-force distance-to-spectrum, a dense
 determinant scan with bisection refinement for the typical section, and
 explicit Kronecker expansions for the SLP corrector's operator determinants
-with the three-parameter linear step built on them.
+with the three-parameter linear step built on them, and marching squares
+cell by cell with the all-pairs intersection of Re/Im det contours (the
+Python loop and the N x M pass that the array code replaced).
 """
 
 import itertools
@@ -21,6 +23,7 @@ from flutterspec import (ContinuationSettings, EigenPoint, Window, evaluate,
                          build_normal_operator, build_trajectory_operator,
                          build_typical_section, find_flutter_points,
                          reference_restabilization_spec, trace_path)
+from flutterspec import pseudospectrum
 
 # Property tests run a fixed example sequence with no per-example deadline,
 # so a slow or loaded machine cannot make them flaky.
@@ -256,6 +259,110 @@ def det_pair_values(log_mag, unit):
                 float(np.exp(log_mag[q] - top) * unit[q]))
 
     return pair
+
+
+# ---------------------------------------------------------------------------
+# marching squares cell by cell, as before the array marching: a Python loop
+# over the crossed cells and a vertex cache, chained by the package's
+# unchanged chainer; and the all-pairs intersection of two contour families
+
+_REFERENCE_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 5: ((0, 3), (1, 2)),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((0, 2),), 10: ((0, 1), (2, 3)),
+    11: ((1, 2),), 12: ((1, 3),), 13: ((0, 1),), 14: ((3, 0),),
+    21: ((0, 1), (2, 3)), 26: ((0, 3), (1, 2)),
+}
+
+
+def reference_segments(us, ws, corners, level, skip_rows=None):
+    """Marching squares over per-cell corner arrays (c00, c10, c11, c01), unchained.
+
+    Returns the segments as edge-key pairs, in row-major cell order and the
+    segment table's direction, and the vertex of every key: each grid edge
+    gets its vertex from the first crossing cell (``setdefault``).
+    ``skip_rows[i]`` drops the cells of row i.
+    """
+    c00, c10, c11, c01 = corners
+    case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
+            | (c01 >= level) << 3).astype(int)
+    saddle = (case == 5) | (case == 10)
+    case += 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
+    active = (case != 0) & (case != 15)
+    if skip_rows is not None:
+        active &= ~skip_rows[:, None]
+    n_w, n_u_edges = ws.size, (us.size - 1) * ws.size
+    segments, vertex_cache = [], {}
+    for i, j in zip(*np.nonzero(active)):
+        ends = ((c00[i, j], c10[i, j]), (c10[i, j], c11[i, j]), (c01[i, j], c11[i, j]),
+                (c00[i, j], c01[i, j]))
+        keys = (i * n_w + j, n_u_edges + (i + 1) * (n_w - 1) + j, i * n_w + j + 1,
+                n_u_edges + i * (n_w - 1) + j)
+        for edge_pair in _REFERENCE_SEGMENTS[int(case[i, j])]:
+            for e in edge_pair:
+                a, b = ends[e]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = (level - a) / (b - a)
+                u0, u1, w0, w1 = us[i], us[i + 1], ws[j], ws[j + 1]
+                vertex = ((u0 + t * (u1 - u0), w0), (u1, w0 + t * (w1 - w0)),
+                          (u0 + t * (u1 - u0), w1), (u0, w0 + t * (w1 - w0)))[e]
+                vertex_cache.setdefault(int(keys[e]), tuple(float(x) for x in vertex))
+            segments.append(tuple(int(keys[e]) for e in edge_pair))
+    return segments, vertex_cache
+
+
+def reference_march(us, ws, corners, level, skip_rows=None):
+    """The polylines of :func:`reference_segments`."""
+    return pseudospectrum._chain_segments(*reference_segments(us, ws, corners, level, skip_rows))
+
+
+def reference_det_zero_segments(fld):
+    """(Re, Im) zero-contour segments of a det field as :func:`reference_segments`
+    gives them: every cell rescaled by its largest |det| corner (an all-singular
+    cell reads as zeros), identically vanishing rows skipped."""
+    us, ws = fld.grid.u_values(), fld.grid.w_values()
+    lm = fld.log_magnitude
+    lm_corners = (lm[:-1, :-1], lm[1:, :-1], lm[1:, 1:], lm[:-1, 1:])
+    top = np.maximum.reduce(lm_corners)
+    with np.errstate(invalid="ignore"):
+        scale = [np.exp(c - top) for c in lm_corners]
+    out = []
+    for unit in (np.cos(fld.phase), np.sin(fld.phase)):
+        unit_corners = (unit[:-1, :-1], unit[1:, :-1], unit[1:, 1:], unit[:-1, 1:])
+        corners = [np.where(top == -np.inf, 0.0, s * c) for s, c in zip(scale, unit_corners)]
+        flat = np.all(np.abs(unit) <= 1e-12, axis=1)
+        out.append(reference_segments(us, ws, corners, 0.0, skip_rows=flat[:-1] | flat[1:]))
+    return out
+
+
+def reference_det_zero_contours(fld):
+    """(Re, Im) zero polylines of a det field from :func:`reference_det_zero_segments`."""
+    return [pseudospectrum._chain_segments(*component)
+            for component in reference_det_zero_segments(fld)]
+
+
+def segment_arrays(polylines):
+    """(starts, ends) of all segments of some polylines, each (N, 2)."""
+    lines = [np.empty((0, 2)), *polylines]
+    return np.vstack([pl[:-1] for pl in lines]), np.vstack([pl[1:] for pl in lines])
+
+
+def polyline_intersections(re_polylines, im_polylines):
+    """Intersections of every Re segment with every Im segment (ends included)."""
+    a1, a2 = segment_arrays(re_polylines)
+    b1, b2 = segment_arrays(im_polylines)
+    d1 = a2 - a1                                   # (N, 2)
+    d2 = b2 - b1                                   # (M, 2)
+    denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
+    rel = b1[None, :, :] - a1[:, None, :]          # (N, M, 2)
+    t_num = rel[:, :, 0] * d2[None, :, 1] - rel[:, :, 1] * d2[None, :, 0]
+    s_num = rel[:, :, 0] * d1[:, None, 1] - rel[:, :, 1] * d1[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t_num / denom
+        s = s_num / denom
+    hit = (np.abs(denom) > 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
+    ii, jj = np.nonzero(hit)
+    pts = a1[ii] + t[ii, jj, None] * d1[ii]
+    return [(float(u), float(w)) for u, w in pts]
 
 
 # ---------------------------------------------------------------------------

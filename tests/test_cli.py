@@ -267,6 +267,20 @@ class TestTraceCommand:
         assert doc["origin"]["U"] == pytest.approx(u0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command, files", [
+    ("flutter", ("flutter_points.json",)),
+    ("pseudo", ("sigma_field.csv", "contours.csv", "borderline.json")),
+])
+def test_flutter_and_pseudo_reruns_are_byte_identical(tmp_path, command, files):
+    cfg = write_config(tmp_path, grid={"u_count": 41, "w_count": 41}, eps_list=[1.0, 4.0],
+                       borderline={"threshold": 1.0})
+    assert main([command, "--config", str(cfg)]) == 0
+    first = {name: (tmp_path / "out" / name).read_bytes() for name in files}
+    assert all(len(text.splitlines()) > 1 for text in first.values())
+    assert main([command, "--config", str(cfg)]) == 0
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in files} == first
+
+
 class TestEnvelopeCommand:
     def _subcritical_path(self, tmp_path):
         cfg = write_config(tmp_path, continuation={

@@ -18,10 +18,11 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
 from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
-from flutterspec.pseudospectrum import ComplexField, _label_components
+from flutterspec.pseudospectrum import ComplexField, _det_zero_crossings, _label_components
 
 from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
-                      edge_crossings)
+                      edge_crossings, polyline_intersections, reference_det_zero_contours,
+                      reference_det_zero_segments, reference_march)
 
 
 def assert_contours_on_grid(contour, grid):
@@ -222,8 +223,7 @@ class TestDetField:
     def test_restabilization_intersections_near_flutter(self, traj_op, traj_oracle):
         grid = Grid2D((100.0, 140.0, 33), (48.0, 60.0, 33))
         fld = compute_det_field(traj_op, grid)
-        from flutterspec.flutter import _polyline_intersections
-        pts = _polyline_intersections(*det_zero_contours(fld))
+        pts = _det_zero_crossings(fld)
         assert len(pts) >= 1
         cell_u, cell_w = 40.0 / 32, 12.0 / 32
         hits = [(u, w) for u, w in pts
@@ -504,6 +504,133 @@ class TestArrayMarch:
         assert expected
         assert_vertices_match(cs, expected, grid)
         assert all(u not in (us[0], us[3]) for pl in cs.polylines for u in pl[:, 0])
+
+
+def assert_same_polylines(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def cell_corners(values):
+    return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
+
+
+def saddle_phase(rng, nu, nw):
+    """Phases whose Re signs alternate like a checkerboard (a saddle in every
+    cell) and whose Im signs alternate by U row, each away from the axes."""
+    i, j = np.indices((nu, nw))
+    angle = rng.uniform(0.1, 1.4, (nu, nw))
+    return np.where((i + j) % 2 == 0, angle, np.pi - angle) * np.where(i % 2 == 0, 1.0, -1.0)
+
+
+@st.composite
+def det_fields(draw):
+    """Det fields on up to 9 x 9 nodes with what the zero contours must survive:
+    -inf nodes, nodes more than 745 below a neighbour (scaled to +-0, inside),
+    exact phases 0, +-pi/2 and pi, rows where one component vanishes, and
+    saddle cells of both kinds."""
+    nu, nw = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log_mag = rng.uniform(-5.0, 5.0, (nu, nw))
+    if draw(st.booleans()):
+        phase = saddle_phase(rng, nu, nw)
+    else:
+        phase = rng.uniform(-np.pi, np.pi, (nu, nw))
+
+    def some(share):
+        return rng.random((nu, nw)) < share
+
+    exact = some(draw(st.sampled_from([0.0, 0.2, 0.5])))
+    phase[exact] = rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], exact.sum())
+    log_mag[some(draw(st.sampled_from([0.0, 0.1, 0.3])))] = -np.inf
+    log_mag[some(draw(st.sampled_from([0.0, 0.2, 0.4])))] -= 800.0
+    rows = rng.random(nu) < draw(st.sampled_from([0.0, 0.3]))
+    phase[rows] = rng.choice([0.0, np.pi, np.pi / 2, -np.pi / 2])
+    return ComplexField(Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw)), log_mag, phase)
+
+
+class TestMarchMatchesReference:
+    """The array marching gives the per-cell loop's polylines bit for bit."""
+
+    @settings(max_examples=60)
+    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+           level=st.floats(-1.0, 1.0), on_node=st.booleans(), integer=st.booleans())
+    def test_random_scalar_field(self, nu, nw, seed, level, on_node, integer):
+        rng = np.random.default_rng(seed)
+        grid = Grid2D((0.0, 1.0, nu), (-2.0, 3.0, nw))
+        # integer values make many nodes sit exactly on a level taken from a node
+        values = (rng.integers(-2, 3, (nu, nw)).astype(float) if integer
+                  else rng.standard_normal((nu, nw)))
+        if on_node:
+            level = float(values.flat[rng.integers(values.size)])
+        cs = extract_contours(ScalarField(grid, values), level)
+        assert_same_polylines(cs.polylines, reference_march(
+            grid.u_values(), grid.w_values(), cell_corners(values), level))
+
+    @settings(max_examples=100)
+    @given(fld=det_fields())
+    def test_random_det_field(self, fld):
+        for cs, expected in zip(det_zero_contours(fld), reference_det_zero_contours(fld)):
+            assert_same_polylines(cs.polylines, expected)
+
+    @pytest.mark.parametrize("level", [0.04, 0.08, 0.15, 1.0, 4.0, "node"])
+    def test_readme_sigma_field(self, level):
+        # the README `pseudo` run: its eps 0.04 and 0.08 give no polylines on this grid
+        op = build_trajectory_operator(reference_restabilization_spec())
+        fld = compute_sigma_field(op, Grid2D((10.0, 400.0, 101), (20.0, 200.0, 101)))
+        if level == "node":  # the node value at the 5th percentile
+            level = float(np.sort(fld.values, axis=None)[fld.values.size // 20])
+        cs = extract_contours(fld, level)
+        assert bool(cs.polylines) is (level > 0.1)
+        assert_same_polylines(cs.polylines, reference_march(
+            fld.grid.u_values(), fld.grid.w_values(), cell_corners(fld.values), level))
+
+
+class TestDetZeroCrossings:
+    """Per-cell crossings against all Re x Im segment pairs."""
+
+    @settings(max_examples=300)
+    @given(fld=det_fields())
+    def test_same_crossings_as_all_pairs(self, fld):
+        # every segment run in the segment table's direction, as the per-cell
+        # pass runs it: the same arithmetic, so the same crossings bit for bit
+        re, im = ([np.array([cache[a], cache[b]]) for a, b in segments]
+                  for segments, cache in reference_det_zero_segments(fld))
+        assert sorted(_det_zero_crossings(fld)) == sorted(polyline_intersections(re, im))
+
+    @settings(max_examples=100)
+    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_chained_contours_give_the_same_crossings(self, nu, nw, seed):
+        # A chained polyline may run a segment either way.  That moves an
+        # intersection by rounding (up to 2e-14 relative in 3000 random fields),
+        # and at a segment end it can decide a touching pair either way, so this
+        # takes generic fields only: uniform phases and finite log|det|.
+        rng = np.random.default_rng(seed)
+        fld = ComplexField(Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw)),
+                           rng.uniform(-5.0, 5.0, (nu, nw)), rng.uniform(-np.pi, np.pi, (nu, nw)))
+        got = _det_zero_crossings(fld)
+        expected = polyline_intersections(*(cs.polylines for cs in det_zero_contours(fld)))
+        assert len(got) == len(expected)
+        unmatched = list(got)
+        for u, w in expected:
+            unmatched.remove(next(p for p in unmatched if p == pytest.approx((u, w), rel=1e-12)))
+        # generic crossings lie inside their cell, and the cells come in row-major order
+        cells = [(np.searchsorted(fld.grid.u_values(), u), np.searchsorted(fld.grid.w_values(), w))
+                 for u, w in got]
+        assert cells == sorted(cells)
+
+    def test_saddle_fields_have_both_saddle_cases(self):
+        rng = np.random.default_rng(0)
+        phase = saddle_phase(rng, 9, 9)
+        log_mag = rng.uniform(-5.0, 5.0, (9, 9))
+        re = np.exp(log_mag - log_mag.max()) * np.cos(phase)
+        c00, c10, c11, c01 = cell_corners(re >= 0.0)
+        assert np.all((c00 == c11) & (c10 == c01) & (c00 != c10))  # every cell a saddle
+        center = sum(cell_corners(re))  # rescaling a cell keeps the sign of its center
+        assert (center >= 0.0).any() and (center < 0.0).any()
+        fld = ComplexField(Grid2D((100.0, 140.0, 9), (48.0, 60.0, 9)), log_mag, phase)
+        assert _det_zero_crossings(fld)
 
 
 class TestEpsilonPseudospectrum:
