@@ -1,12 +1,13 @@
-"""Flutter point location by the iterated contour-plot method.
+"""Flutter point location from the crossings of one determinant grid.
 
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
 singular.  Candidates are the crossings of the Re(det) = 0 and
-Im(det) = 0 contours of a determinant field, intersected cell by cell
-from their marching-squares segments without chaining them into
-polylines, and refined by shrinking the window around each crossing; the
-bordered Newton the continuation correctors share then polishes each
-candidate onto chi_I = 0.
+Im(det) = 0 contours of a determinant field over the search window,
+intersected cell by cell from their marching-squares segments without
+chaining them into polylines.  The bordered Newton the continuation
+correctors share polishes each candidate onto chi_I = 0; a candidate
+whose polish fails or leaves the window is retried from the crossings of
+a det grid in a shrunk window around it.
 """
 
 from __future__ import annotations
@@ -63,23 +64,6 @@ class FlutterPoint:
     static: bool = False
 
 
-def _merge_points(points: List[Tuple[float, float, tuple]],
-                  du: float, dw: float) -> List[Tuple[float, float, tuple]]:
-    """Greedy clustering: points closer than one cell in both axes merge."""
-    merged: List[List] = []
-    for u, w, hist in points:
-        for cluster in merged:
-            if abs(cluster[0] - u) <= du and abs(cluster[1] - w) <= dw:
-                n = cluster[3]
-                cluster[0] = (cluster[0] * n + u) / (n + 1)
-                cluster[1] = (cluster[1] * n + w) / (n + 1)
-                cluster[3] = n + 1
-                break
-        else:
-            merged.append([u, w, hist, 1])
-    return [(c[0], c[1], c[2]) for c in merged]
-
-
 def _shrunk_window(parent: Window, outer: Window, u: float, w: float) -> Window:
     """Quarter-span window centered on (u, w), clamped inside ``outer``."""
     su, sw = parent.u_span / 4.0, parent.chi_r_span / 4.0
@@ -88,42 +72,19 @@ def _shrunk_window(parent: Window, outer: Window, u: float, w: float) -> Window:
     return Window(u_min, u_min + su, w_min, w_min + sw)
 
 
-def _locate_with_history(op: ParametricOperator, window: Window, grid_count: int, refine_iters: int
-                         ) -> Tuple[List[Tuple[float, float, Tuple[Window, ...]]], float, float]:
-    """Merged candidates (U, chi_R, window history) of the last level and its grid cell."""
-    active: List[Tuple[Window, Tuple[Window, ...]]] = [(window, (window,))]
-    for level in range(refine_iters + 1):
-        found = []
-        cell_u = cell_w = 0.0
-        for win, hist in active:
-            grid = Grid2D.over_window(win, grid_count, grid_count, 0.0)
-            found.extend((u, w, hist) for u, w in _det_zero_crossings(compute_det_field(op, grid)))
-            cell_u = max(cell_u, win.u_span / (grid_count - 1))
-            cell_w = max(cell_w, win.chi_r_span / (grid_count - 1))
-        found = _merge_points(found, cell_u, cell_w)
-        if not found or level == refine_iters:
-            return found, cell_u, cell_w
-        next_active = []
-        for u, w, hist in found:
-            win = _shrunk_window(hist[-1], window, u, w)
-            next_active.append((win, hist + (win,)))
-        active = next_active
-
-
 def locate_candidates(op: ParametricOperator, window: Window,
-                      grid_count: int = FlutterSearchSettings.grid_count,
-                      refine_iters: int = FlutterSearchSettings.refine_iters
+                      grid_count: int = FlutterSearchSettings.grid_count
                       ) -> List[Tuple[float, float]]:
-    """Candidate (U, chi_R) pairs from iterated Re/Im det contour crossings.
+    """Candidate (U, chi_R) pairs: the Re/Im det contour crossings of one det grid.
 
-    Each refinement shrinks a window around every candidate to a quarter
-    span per side and recomputes the contours; candidates within one
-    final-grid cell are merged.  No intersections is not an error.  Settings
-    outside the ranges of :class:`FlutterSearchSettings`, or a window outside
-    the operator window, raise ValueError before any evaluation.
+    The grid has ``grid_count`` nodes per side over ``window``.  No
+    intersections is not an error.  A ``grid_count`` outside the range of
+    :class:`FlutterSearchSettings`, or a window outside the operator window,
+    raises ValueError before any evaluation.
     """
-    FlutterSearchSettings(grid_count=grid_count, refine_iters=refine_iters)
-    return [(u, w) for u, w, _ in _locate_with_history(op, window, grid_count, refine_iters)[0]]
+    FlutterSearchSettings(grid_count=grid_count)
+    grid = Grid2D.over_window(window, grid_count, grid_count, 0.0)
+    return _det_zero_crossings(compute_det_field(op, grid))
 
 
 def _real_chi_row(wr: float, wi: float, u: float):
@@ -153,8 +114,8 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
     except ConvergenceError as exc:
         if isinstance(exc.__cause__, np.linalg.LinAlgError):
             raise NumericalError(
-                f"{exc} polishing candidate (U={u}, chi_R={w}); refine the search window "
-                f"(locate_candidates with more refine_iters) and retry") from exc
+                f"{exc} polishing candidate (U={u}, chi_R={w}); refine the search (a larger "
+                f"FlutterSearchSettings.grid_count or refine_iters) and retry") from exc
         raise
     return FlutterPoint(point=EigenPoint.from_vector(op, pt.chi_R, 0.0, pt.U, pt.x),
                         iterations=iterations)
@@ -162,35 +123,52 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
 
 def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
                         settings: Optional[FlutterSearchSettings] = None) -> List[FlutterPoint]:
-    """Locate candidates, polish each, and return points sorted by U.
+    """Polish each det-grid crossing in the window and return the points sorted by U.
 
-    Failed polishes are logged (not silently dropped); if every candidate
-    fails, the per-candidate errors are aggregated into one exception.
-    Duplicate polished points within one final-grid cell are merged,
-    keeping the smaller residual.  Points with |chi_R| below 1e-6 of the
-    window span are flagged static (divergence).
+    A candidate whose polish fails, or lands outside the window, is retried
+    from the crossings of a det grid in a quarter-span window around it, at
+    most ``refine_iters`` windows deep; ``window_history`` holds the windows
+    a point's candidate came from.  A candidate that runs out of retries is
+    logged (not silently dropped); if no candidate polishes, the errors of
+    every attempt are aggregated into one exception.  Polished points within
+    one cell of a ``refine_iters``-deep grid are duplicates; the one with the
+    smaller residual is kept.  Points with |chi_R| below 1e-6 of the window
+    span are flagged static (divergence).
     """
     window = window or op.window
     settings = settings or FlutterSearchSettings()
-    candidates, cell_u, cell_w = _locate_with_history(op, window, settings.grid_count,
-                                                      settings.refine_iters)
+    pending = [(u, w, (window,)) for u, w in locate_candidates(op, window, settings.grid_count)]
 
     points: List[FlutterPoint] = []
     failures: List[str] = []
-    for u, w, hist in candidates:
+    for u, w, hist in pending:  # retries join the end of the list
         try:
             fp = polish_flutter_point(op, (u, w), tol=settings.tol, max_iters=settings.max_iters)
         except (ConvergenceError, NumericalError) as exc:
-            failures.append(f"candidate (U={u:.6g}, chi_R={w:.6g}): {exc}")
+            error = str(exc)
+        else:
+            if window.contains(fp.point.U, fp.point.chi_R):
+                static = abs(fp.point.chi_R) < STATIC_CHI_R_FRACTION * window.chi_r_span
+                points.append(replace(fp, window_history=hist, static=static))
+                continue
+            error = (f"polished to (U={fp.point.U:.6g}, chi_R={fp.point.chi_R:.6g}) "
+                     f"outside the search window")
+        failures.append(f"candidate (U={u:.6g}, chi_R={w:.6g}): {error}")
+        retries = []
+        if len(hist) <= settings.refine_iters:
+            sub = _shrunk_window(hist[-1], window, u, w)
+            retries = [(cu, cw, hist + (sub,))
+                       for cu, cw in locate_candidates(op, sub, settings.grid_count)]
+        if not retries:
             logger.warning("flutter polish failed for %s", failures[-1])
-            continue
-        static = abs(fp.point.chi_R) < STATIC_CHI_R_FRACTION * window.chi_r_span
-        points.append(replace(fp, window_history=hist, static=static))
+        pending.extend(retries)
 
-    if candidates and not points:
+    if failures and not points:
         raise ConvergenceError("all flutter candidates failed to polish:\n  "
                                + "\n  ".join(failures))
 
+    cell_u, cell_w = (span / 4.0 ** settings.refine_iters / (settings.grid_count - 1)
+                      for span in (window.u_span, window.chi_r_span))
     points.sort(key=lambda p: p.point.residual)
     unique: List[FlutterPoint] = []
     for fp in points:

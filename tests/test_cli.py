@@ -494,9 +494,12 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_flag_table():
     """{subcommand: set of flags} from the README's CLI flag table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M)
     return {command: set(re.findall(r"`(--[a-z-]+)`", flags)) for command, flags in rows}
 
@@ -508,3 +511,14 @@ def test_readme_flag_table_matches_parsers(capsys):
         assert main([command, "--help"]) == 0
         options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert options - {"--help"} == flags, command
+
+
+def test_readme_example_config_runs(tmp_path):
+    """The README's example run.json is accepted as written, every key included."""
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"Example `run.json`:\s*```json\n(.*?)```", text, re.S).group(1)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(example, encoding="utf-8")
+    assert main(["flutter", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "flutter_points.json").read_text(encoding="utf-8"))
+    assert [p["U"] for p in doc["points"]] == pytest.approx([120.0], rel=1e-6)

@@ -1,5 +1,6 @@
-"""Flutter location: iterated contour candidates and Newton polish."""
+"""Flutter location: det-grid contour candidates, Newton polish and retries."""
 
+import functools
 import logging
 
 import numpy as np
@@ -13,10 +14,20 @@ from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSp
                          build_trajectory_operator, find_flutter_points, locate_candidates,
                          polish_flutter_point, residual_norm, sigma_min, two_crossing_spec)
 from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
+from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
 from conftest import det_scan_flutter
 
 SEARCH = Window(10.0, 400.0, 20.0, 200.0)
+
+
+@functools.lru_cache(maxsize=None)
+def wing_and_scan(n):
+    """The n-mode Galerkin wing and its det-scan flutter points, sorted by U."""
+    op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
+    w = op.window
+    # 320 airspeeds: with 160, the n = 8 point at U ~ 64.43 falls between two scan rows
+    return op, sorted(det_scan_flutter(op, w.u_min, w.u_max, w.chi_r_min, w.chi_r_max, n_u=320))
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -36,11 +47,11 @@ class TestLocateCandidates:
         assert locate_candidates(op, Window(-5.0, 5.0, 0.0, 4.0)) == []
 
     def test_restabilization_candidate_in_final_cell(self, traj_op, traj_oracle):
-        grid_count, refine_iters = 64, 3
-        cands = locate_candidates(traj_op, SEARCH, grid_count, refine_iters)
+        grid_count = 64
+        cands = locate_candidates(traj_op, SEARCH, grid_count)
         assert len(cands) == 1
-        cell_u = SEARCH.u_span / 4.0 ** refine_iters / (grid_count - 1)
-        cell_w = SEARCH.chi_r_span / 4.0 ** refine_iters / (grid_count - 1)
+        cell_u = SEARCH.u_span / (grid_count - 1)
+        cell_w = SEARCH.chi_r_span / (grid_count - 1)
         u, w = cands[0]
         assert abs(u - 120.0) <= cell_u
         assert abs(w - traj_oracle.omega(120.0)) <= cell_w
@@ -48,16 +59,16 @@ class TestLocateCandidates:
     def test_typical_section_candidate_near_oracle(self, ts_op, ts_oracle):
         cands = locate_candidates(ts_op, ts_op.window)
         assert len(cands) == 1
-        cell_u = ts_op.window.u_span / 64.0 / 63.0
-        cell_w = ts_op.window.chi_r_span / 64.0 / 63.0
+        cell_u = ts_op.window.u_span / 63.0
+        cell_w = ts_op.window.chi_r_span / 63.0
         assert abs(cands[0][0] - ts_oracle[0]) <= cell_u
         assert abs(cands[0][1] - ts_oracle[1]) <= cell_w
 
     def test_refinement_never_worsens_displacement(self, traj_op):
         polished = 120.0, 54.0
         prev = np.inf
-        for iters in (1, 2, 4):
-            cands = locate_candidates(traj_op, SEARCH, 32, iters)
+        for grid_count in (16, 32, 64, 128):
+            cands = locate_candidates(traj_op, SEARCH, grid_count)
             assert len(cands) == 1
             disp = np.hypot(cands[0][0] - polished[0], cands[0][1] - polished[1])
             assert disp <= prev + 1e-12
@@ -66,8 +77,6 @@ class TestLocateCandidates:
     def test_argument_validation(self, traj_op):
         with pytest.raises(ValueError):
             locate_candidates(traj_op, SEARCH, grid_count=4)
-        with pytest.raises(ValueError):
-            locate_candidates(traj_op, SEARCH, refine_iters=0)
         with pytest.raises(ValueError):
             locate_candidates(traj_op, Window(-10.0, 100.0, 20.0, 40.0))
 
@@ -166,7 +175,8 @@ class TestFindFlutterPoints:
         with caplog.at_level(logging.WARNING, logger="flutterspec.flutter"):
             points = find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0),
                                          FlutterSearchSettings(grid_count=32, refine_iters=2))
-        assert len(seen) == 2
+        # U = 120 polishes; U = 300 fails on the search grid and in both retry windows
+        assert len(seen) == 4
         assert [round(fp.point.U, 6) for fp in points] == [120.0]
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "polish failed" in warnings[0].getMessage()
@@ -178,7 +188,7 @@ class TestFindFlutterPoints:
         with pytest.raises(ConvergenceError, match="all flutter candidates failed") as info:
             find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0),
                                 FlutterSearchSettings(grid_count=32, refine_iters=2))
-        assert len(seen) == 2
+        assert len(seen) == 6  # each of the two candidates, then two retries of each
         for u, w in seen:
             assert f"candidate (U={u:.6g}, chi_R={w:.6g}): no polish at U={u}" in str(info.value)
 
@@ -193,12 +203,12 @@ class TestFindFlutterPoints:
         assert points[0].point.U == pytest.approx(150.0, rel=1e-8)
         assert abs(points[0].point.chi_R) < 1e-6 * 10.0
 
-    def test_wing_lowest_point_comes_first(self):
+    @pytest.mark.parametrize("grid_count", [16, 64], ids=["grid16", "grid64"])
+    @pytest.mark.parametrize("n", [4, 8], ids=["n4", "n8"])
+    def test_wing_lowest_point_comes_first(self, n, grid_count):
         # |A| ~ 4.5e4 here; the point at U ~ 9.2458 must not be dropped
-        op = build_galerkin_wing()
-        w = op.window
-        expected = sorted(det_scan_flutter(op, w.u_min, w.u_max, w.chi_r_min, w.chi_r_max))
-        points = find_flutter_points(op)
+        op, expected = wing_and_scan(n)
+        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
         assert expected[0][0] == pytest.approx(9.2458, abs=1e-4)
         assert len(points) == len(expected)
         for fp, (u, chi_r) in zip(points, expected):
@@ -206,16 +216,59 @@ class TestFindFlutterPoints:
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
             assert fp.point.residual <= 1e-10
 
-    def test_sixteen_mode_wing_keeps_point_near_64(self):
+    @pytest.mark.parametrize("grid_count", [16, 64], ids=["grid16", "grid64"])
+    def test_sixteen_mode_wing_keeps_point_near_64(self, grid_count):
         op = build_galerkin_wing(GalerkinWingSpec(n_bending=8, n_torsion=8))
         expected = det_scan_flutter(op, 60.0, 70.0, op.window.chi_r_min, op.window.chi_r_max)
         assert len(expected) == 1
         u, chi_r = expected[0]
-        near = [fp for fp in find_flutter_points(op) if 60.0 <= fp.point.U <= 70.0]
+        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
+        near = [fp for fp in points if 60.0 <= fp.point.U <= 70.0]
         assert len(near) == 1
         assert near[0].point.U == pytest.approx(u, rel=1e-9)
         assert near[0].point.chi_R == pytest.approx(chi_r, rel=1e-9)
         assert near[0].point.residual <= 1e-10
+
+    @pytest.mark.parametrize("grid_count", [10, 12])
+    def test_coarse_grid_retry_recovers_the_lowest_wing_point(self, grid_count):
+        # on these grids the candidate near U = 9.25 polishes to the U = 0 singularity,
+        # outside the window; its retry in a shrunk window finds the point
+        op, expected = wing_and_scan(4)
+        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
+        assert len(points) == len(expected) == 3
+        for fp, (u, chi_r) in zip(points, expected):
+            assert fp.point.U == pytest.approx(u, rel=1e-9)
+            assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
+        assert points[0].point.U == pytest.approx(9.2458, abs=1e-4)
+        assert len(points[0].window_history) >= 2
+
+    @pytest.mark.parametrize("grid_count", range(8, 17))
+    def test_points_and_their_windows_lie_in_the_search_window(self, grid_count):
+        op = build_galerkin_wing()
+        window = op.window
+        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
+        assert points
+        for fp in points:
+            assert window.contains(fp.point.U, fp.point.chi_R)
+            assert fp.window_history[0] == window
+            for win in fp.window_history:
+                assert window.contains(win.u_min, win.chi_r_min)
+                assert window.contains(win.u_max, win.chi_r_max)
+
+    def test_det_zero_on_a_grid_node_gives_one_point(self):
+        # dyadic coefficients: flutter exactly at U = 120, chi_R = 52.5, and the
+        # 64-node axes below put a node on it, where det is exactly zero
+        spec = TrajectorySpec(modes=(
+            ModeTrajectory(omega_coeffs=(60.0, -0.0625), g_coeffs=(-15.0, 0.125)),
+            ModeTrajectory(omega_coeffs=(150.0,), g_coeffs=(5.0,))))
+        op = build_trajectory_operator(spec)
+        window = Window(120.0 - 31 * 2.0, 120.0 + 32 * 2.0, 52.5 - 31 * 0.5, 52.5 + 32 * 0.5)
+        field = compute_det_field(op, Grid2D.over_window(window, 64, 64))
+        assert field.log_magnitude[31, 31] == -np.inf
+        points = find_flutter_points(op, window)
+        assert len(points) == 1
+        assert points[0].point.U == pytest.approx(120.0, rel=1e-9)
+        assert points[0].point.chi_R == pytest.approx(52.5, rel=1e-9)
 
     @settings(max_examples=15)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
