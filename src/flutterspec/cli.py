@@ -27,7 +27,7 @@ from . import models
 from .errors import ConvergenceError, FlutterSpecError
 from .flutter import FlutterPoint, FlutterSearchSettings, find_flutter_points
 from .operator import EigenPoint, ParametricOperator, Window, sigma_min
-from .pseudospectrum import (Grid2D, compute_sigma_field, extract_contours,
+from .pseudospectrum import (Grid2D, _eps_levels, compute_sigma_field, extract_contours,
                              find_borderline_regions)
 
 __all__ = ["RunConfig", "main", "cmd_flutter", "cmd_pseudo", "cmd_trace",
@@ -92,9 +92,8 @@ class RunConfig:
         if overrides.get("grid") is not None:
             grid = {"u_count": overrides["grid"], "w_count": overrides["grid"]}
 
-        eps_list = list(doc.get("eps_list") or [0.04, 0.08])
-        if overrides.get("eps"):
-            eps_list = [float(v) for v in overrides["eps"].split(",")]
+        eps_list = _eps_levels(overrides["eps"].split(",") if overrides.get("eps")
+                               else doc.get("eps_list") or [0.04, 0.08])
 
         borderline = dict(doc.get("borderline") or {})
         threshold = float(borderline.pop("threshold", min(eps_list)))
@@ -104,7 +103,9 @@ class RunConfig:
         continuation = dict(doc.get("continuation") or {})
         if "direction" in doc:
             raise ValueError("top-level 'direction' is not read; set continuation.direction")
-        direction = int(continuation.pop("direction", 1))
+        direction = continuation.pop("direction", 1)
+        if direction not in (-1, 1):
+            raise ValueError(f"continuation.direction must be -1 or 1, not {direction!r}")
         if overrides.get("ds") is not None:
             continuation["ds"] = overrides["ds"]
         if overrides.get("direction") is not None:
@@ -114,7 +115,7 @@ class RunConfig:
         return cls(model=model, window=window, grid=grid, eps_list=eps_list, threshold=threshold,
                    flutter=dict(doc.get("flutter") or {}),
                    continuation=continuation, natural=dict(doc.get("natural") or {}),
-                   output_dir=out_dir, direction=direction)
+                   output_dir=out_dir, direction=int(direction))
 
 
 def build_model(doc: Dict[str, Any]) -> ParametricOperator:
@@ -169,15 +170,13 @@ def _point_record(s: float, p: EigenPoint) -> Dict[str, Any]:
             "x_re": [float(v) for v in p.x.real], "x_im": [float(v) for v in p.x.imag]}
 
 
-def write_path_csv(path: Path, mode_path: cont.ModePath):
+def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: Dict[str, Any]):
     lines = [PATH_CSV_HEADER]
     for s, p in zip(mode_path.s, mode_path.points):
         zeta = _zeta_of(p.chi_R, p.chi_I)
         lines.append(",".join(_fmt(v) for v in (s, p.U, p.chi_R, p.chi_I, zeta, p.residual)))
-    _write_text(path, lines)
+    _write_text(out_dir / f"{stem}.csv", lines)
 
-
-def write_path_json(path: Path, mode_path: cont.ModePath, model_doc: Dict[str, Any]):
     origin = mode_path.origin
     if isinstance(origin, FlutterPoint):
         origin_doc = {"type": "flutter", "U": origin.point.U, "chi_R": origin.point.chi_R,
@@ -187,7 +186,7 @@ def write_path_json(path: Path, mode_path: cont.ModePath, model_doc: Dict[str, A
                       "chi_I": origin.chi_I}
     else:
         origin_doc = {"type": str(origin)}
-    _write_json(path, {
+    _write_json(out_dir / f"{stem}.json", {
         "origin": origin_doc,
         "direction": mode_path.direction,
         "parameterization_note": mode_path.parameterization_note,
@@ -334,8 +333,7 @@ def cmd_trace(cfg: RunConfig, args) -> int:
     except ConvergenceError as exc:
         print(f"first continuation step failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP
-    write_path_csv(cfg.output_dir / "path.csv", path)
-    write_path_json(cfg.output_dir / "path.json", path, cfg.model)
+    _write_path(cfg.output_dir, "path", path, cfg.model)
     print(f"{len(path.points)} path point(s), terminated: {path.termination_reason} "
           f"-> {cfg.output_dir}")
     return EXIT_OK
@@ -372,8 +370,7 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     except ConvergenceError as exc:
         print(f"seed solve failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP
-    write_path_csv(cfg.output_dir / "damping_plot.csv", path)
-    write_path_json(cfg.output_dir / "damping_plot.json", path, cfg.model)
+    _write_path(cfg.output_dir, "damping_plot", path, cfg.model)
     print(f"{len(path.points)} point(s), terminated: {path.termination_reason} "
           f"-> {cfg.output_dir}")
     return EXIT_OK

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
-                       ParametricOperator, RowFn, _converged, _sigma_min_of, _solve_bordered,
-                       complex_to_damping, evaluate, param_derivatives)
+                       ParametricOperator, RowFn, _converged, _damping_row, _sigma_min_of,
+                       _solve_bordered, complex_to_damping, evaluate, param_derivatives)
 
 __all__ = [
     "Tangent",
@@ -162,12 +162,16 @@ class DampingExtremum:
     on_boundary: bool
 
 
-def _scaled(triple: Triple, scale: Scale) -> np.ndarray:
-    return np.array([triple[0] / scale[0], triple[1] / scale[1], triple[2] / scale[1]])
+def _scaled_step(a: EigenPoint, b: EigenPoint, scale: Scale) -> np.ndarray:
+    """b - a in scaled coordinates (U/u_scale, chi_R/chi_scale, chi_I/chi_scale)."""
+    div = (scale[0], scale[1], scale[1])
+    return np.array([b.U, b.chi_R, b.chi_I]) / div - np.array([a.U, a.chi_R, a.chi_I]) / div
 
 
-def _point_triple(p: EigenPoint) -> Triple:
-    return (p.U, p.chi_R, p.chi_I)
+def _mode_jumped(x_ref: np.ndarray, x: np.ndarray) -> bool:
+    """True when x, phase-aligned to x_ref, lies farther than MODE_SWITCH_NORM from it."""
+    aligned = x * np.exp(-1j * np.angle(np.vdot(x_ref, x)))
+    return bool(np.linalg.norm(aligned - x_ref) > MODE_SWITCH_NORM)
 
 
 def _resolve_scale(scale: Optional[Scale], p: EigenPoint) -> Scale:
@@ -193,13 +197,12 @@ def solve_at_airspeed(op: ParametricOperator, U: float, seed: EigenPoint) -> Eig
     def row(wr, wi, u):
         return u - U, (0.0, 0.0, 1.0)
 
-    point, _ = _solve_bordered(op, (U, seed.chi_R, seed.chi_I), seed.x, row)
-    return point
+    return _solve_bordered(op, (U, seed.chi_R, seed.chi_I), seed.x, row)[0]
 
 
 def fd_tangent(prev: EigenPoint, curr: EigenPoint, scale: Scale) -> Tangent:
     """Normalized scaled secant from prev to curr."""
-    delta = _scaled(_point_triple(curr), scale) - _scaled(_point_triple(prev), scale)
+    delta = _scaled_step(prev, curr, scale)
     nrm = float(np.linalg.norm(delta))
     if nrm == 0.0:
         raise DegenerateTangentError("tangent requested between coincident points")
@@ -356,10 +359,8 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     for iteration in range(settings.max_corrector_iters):
         a0 = evaluate(op, complex(wr, wi), u)
         sig, x = _sigma_min_of(op, a0, complex(wr, wi), u)
-        if x_prev is not None:
-            aligned = x * np.exp(-1j * np.angle(np.vdot(x_prev, x)))
-            if np.linalg.norm(aligned - x_prev) > MODE_SWITCH_NORM:
-                logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
+        if x_prev is not None and _mode_jumped(x_prev, x):
+            logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
         x_prev = x
         g, _ = constraint(wr, wi, u)
         if _converged(sig, g):
@@ -425,14 +426,13 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
     exit or min_ds exhaustion, recording the reason.
     """
     settings = settings or ContinuationSettings()
-    origin = start
     point = start.point if isinstance(start, FlutterPoint) else start
     if not _converged(point.residual):
         raise ValueError(f"start point residual {point.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     scale = settings.resolved_scale(point)
     correct = _CORRECTORS[settings.corrector]
 
-    path = ModePath(points=[point], s=[0.0], origin=origin,
+    path = ModePath(points=[point], s=[0.0], origin=start,
                     direction=+1 if direction >= 0 else -1, scale=scale)
     if settings.max_steps == 0:
         path.termination_reason = "max-steps"
@@ -446,15 +446,12 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
     for _ in range(settings.max_steps):
         base = path.points[-1]
         accepted = None
-        while True:
+        while accepted is None and ds >= settings.min_ds:
             guess = predictor(base, tangent, ds, scale)
             try:
                 accepted, iters = correct(op, guess, base, tangent, ds, settings, scale)
-                break
             except (ConvergenceError, NumericalError):
                 ds *= STEP_SHRINK
-                if ds < settings.min_ds:
-                    break
         if accepted is None:
             if len(path.points) == 1:
                 raise ConvergenceError("first continuation step failed at every ds "
@@ -462,8 +459,7 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
             path.termination_reason = "min-ds-exhausted"
             return path
 
-        aligned = accepted.x * np.exp(-1j * np.angle(np.vdot(base.x, accepted.x)))
-        if np.linalg.norm(aligned - base.x) > MODE_SWITCH_NORM:
+        if _mode_jumped(base.x, accepted.x):
             path.notes.append(f"mode switch suspected at step {len(path.points)}")
 
         path.points.append(accepted)
@@ -494,7 +490,7 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
     scale = _resolve_scale(None, seed)
     sign = 1.0 if U_end >= U_start else -1.0
     targets = []
-    k, u = 1, U_start
+    k = 1
     while abs((U_start + sign * k * dU) - U_start) < abs(U_end - U_start):
         targets.append(U_start + sign * k * dU)
         k += 1
@@ -510,31 +506,11 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
         except ConvergenceError as exc:
             path.termination_reason = f"non-convergence at U={u:.6g}: {exc}"
             return path
-        step = float(np.linalg.norm(_scaled(_point_triple(nxt), scale)
-                                    - _scaled(_point_triple(prev), scale)))
+        step = float(np.linalg.norm(_scaled_step(prev, nxt, scale)))
         path.points.append(nxt)
         path.s.append(path.s[-1] + step)
     path.termination_reason = "completed"
     return path
-
-
-def _damping_row(p: DampingParameterization, d: float) -> RowFn:
-    if p is DampingParameterization.CHI_I:
-        def row(wr, wi, u):
-            return wi - d, (0.0, 1.0, 0.0)
-    elif p is DampingParameterization.XI:
-        def row(wr, wi, u):
-            return wi - d * wr, (-d, 1.0, 0.0)
-    elif p is DampingParameterization.ZETA:
-        if abs(d) >= 1.0:
-            raise ValueError(f"zeta value {d} outside (-1, 1)")
-        root = math.sqrt(1.0 - d * d)
-
-        def row(wr, wi, u):
-            return wi * root - d * wr, (-d, root, 0.0)
-    else:
-        raise ValueError(f"unknown parameterization {p}")
-    return row
 
 
 def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
@@ -563,12 +539,11 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
         prev = path.points[-1]
         row = _damping_row(p, d)
         try:
-            nxt, _ = _solve_bordered(op, _point_triple(prev), prev.x, row)
+            nxt, _ = _solve_bordered(op, (prev.U, prev.chi_R, prev.chi_I), prev.x, row)
         except ConvergenceError:
             path.termination_reason = TURNING_POINT_REASON
             return path
-        jump = float(np.linalg.norm(_scaled(_point_triple(nxt), scale)
-                                    - _scaled(_point_triple(prev), scale)))
+        jump = float(np.linalg.norm(_scaled_step(prev, nxt, scale)))
         if jump > DAMPING_JUMP_GUARD:
             path.termination_reason = TURNING_POINT_REASON
             return path

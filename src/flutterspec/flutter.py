@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .operator import (RESIDUAL_TOL, EigenPoint, ParametricOperator, Window, _solve_bordered,
-                       sigma_min)
+from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
+                       Window, _damping_row, _solve_bordered, sigma_min)
 from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
 
 __all__ = [
@@ -87,10 +87,6 @@ def locate_candidates(op: ParametricOperator, window: Window,
     return _det_zero_crossings(compute_det_field(op, grid))
 
 
-def _real_chi_row(wr: float, wi: float, u: float):
-    return wi, (0.0, 1.0, 0.0)
-
-
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
                          tol: float = FlutterSearchSettings.tol,
                          max_iters: int = FlutterSearchSettings.max_iters) -> FlutterPoint:
@@ -109,8 +105,9 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
     if not op.window.contains(u, w):
         raise ValueError(f"candidate {candidate} outside operator window {op.window}")
     _, x0 = sigma_min(op, complex(w, 0.0), u)
+    real_chi = _damping_row(DampingParameterization.CHI_I, 0.0)
     try:
-        pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, _real_chi_row, tol, max_iters)
+        pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, real_chi, tol, max_iters)
     except ConvergenceError as exc:
         if isinstance(exc.__cause__, np.linalg.LinAlgError):
             raise NumericalError(

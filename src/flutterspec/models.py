@@ -215,14 +215,10 @@ def _bending_shape(i: int, y: np.ndarray, span: float) -> Tuple[np.ndarray, np.n
             beta ** 2 * (np.cosh(by) + np.cos(by) - sigma * (np.sinh(by) + np.sin(by))))
 
 
-def _torsion_shape(j: int, y: np.ndarray, span: float) -> np.ndarray:
-    """Fixed-free torsion mode j (1-based)."""
-    return np.sin((2 * j - 1) * math.pi * y / (2.0 * span))
-
-
-def _torsion_shape_d(j: int, y: np.ndarray, span: float) -> np.ndarray:
+def _torsion_shape(j: int, y: np.ndarray, span: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed-free torsion mode j (1-based) and its first derivative."""
     k = (2 * j - 1) * math.pi / (2.0 * span)
-    return k * np.cos(k * y)
+    return np.sin((2 * j - 1) * math.pi * y / (2.0 * span)), k * np.cos(k * y)
 
 
 def build_galerkin_wing(spec: GalerkinWingSpec = GalerkinWingSpec(),
@@ -242,8 +238,7 @@ def build_galerkin_wing(spec: GalerkinWingSpec = GalerkinWingSpec(),
     w = 0.5 * span * weights
 
     phi, phi_dd = map(np.stack, zip(*[_bending_shape(i, y, span) for i in range(1, nb + 1)]))
-    psi = np.stack([_torsion_shape(j, y, span) for j in range(1, nt + 1)])
-    psi_d = np.stack([_torsion_shape_d(j, y, span) for j in range(1, nt + 1)])
+    psi, psi_d = map(np.stack, zip(*[_torsion_shape(j, y, span) for j in range(1, nt + 1)]))
 
     bb = (phi * w) @ phi.T          # int phi_i phi_k dy
     bt = (phi * w) @ psi.T          # int phi_i psi_j dy

@@ -5,7 +5,8 @@ frequency chi = chi_R + i*chi_I (rad/s, convention x(t) = x0*exp(i*chi*t),
 so chi_I > 0 means decay) and a real airspeed U (m/s).  Everything
 downstream (pseudospectrum fields, flutter location, continuation) is
 built on the operations here: evaluation, residual norms, minimum
-singular values and parameter derivatives.
+singular values, parameter derivatives, the bordered Newton and the
+damping-level rows that pick its point.
 """
 
 from __future__ import annotations
@@ -329,16 +330,15 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         a = evaluate(op, complex(wr_v, wi_v), u_v)
         ax = a @ xv
         cn = np.vdot(c, xv) - 1.0
-        rowv, _ = row_fn(wr_v, wi_v, u_v)
-        return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a
+        rowv, rowg = row_fn(wr_v, wi_v, u_v)
+        return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a, rowg
 
     best = (math.inf, None)
-    f, a = full_residual(x, wr, wi, u)
+    f, a, rowg = full_residual(x, wr, wi, u)
     for iteration in range(max_iters):
         xhat = x / np.linalg.norm(x)
         res = float(np.linalg.norm(a @ xhat))
-        rowv, rowg = row_fn(wr, wi, u)
-        if _converged(res, rowv, tol):
+        if _converged(res, f[-1], tol):
             return EigenPoint._from_evaluated(a, wr, wi, u, xhat), iteration
         fn = float(np.linalg.norm(f))
         if fn < best[0]:
@@ -372,17 +372,24 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
             wr_t = wr + step * delta[2 * n]
             wi_t = wi + step * delta[2 * n + 1]
             u_t = u + step * delta[2 * n + 2]
-            f_t, a_t = full_residual(x_t, wr_t, wi_t, u_t)
+            f_t, a_t, rowg_t = full_residual(x_t, wr_t, wi_t, u_t)
             if np.linalg.norm(f_t) < fn:
                 break
             step *= 0.5
         else:
             raise ConvergenceError(f"bordered Newton stalled at U={u}, chi={wr}+{wi}j "
                                    f"(|F|={fn:.3e})", best=best[1], iterations=iteration)
-        x, wr, wi, u, f, a = x_t, wr_t, wi_t, u_t, f_t, a_t
+        x, wr, wi, u, f, a, rowg = x_t, wr_t, wi_t, u_t, f_t, a_t, rowg_t
 
     raise ConvergenceError(f"bordered Newton did not converge in {max_iters} iterations "
                            f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)
+
+
+def _zeta_root(d: float) -> float:
+    """sqrt(1 - d^2) of a damping ratio d, which must lie in (-1, 1)."""
+    if abs(d) >= 1.0:
+        raise ValueError(f"zeta value {d} outside (-1, 1)")
+    return math.sqrt(1.0 - d * d)
 
 
 def damping_to_complex(p: DampingParameterization, chi_R: float, d: float) -> complex:
@@ -399,11 +406,10 @@ def damping_to_complex(p: DampingParameterization, chi_R: float, d: float) -> co
     if p is DampingParameterization.XI:
         return complex(chi_R, chi_R * d)
     if p is DampingParameterization.ZETA:
-        if abs(d) >= 1.0:
-            raise ValueError(f"zeta parameterization requires |d| < 1, got {d}")
+        root = _zeta_root(d)
         if chi_R <= 0.0:
             raise ValueError(f"zeta parameterization requires chi_R > 0, got {chi_R}")
-        return complex(chi_R, chi_R * d / math.sqrt(1.0 - d * d))
+        return complex(chi_R, chi_R * d / root)
     raise ValueError(f"unknown parameterization {p}")
 
 
@@ -421,3 +427,22 @@ def complex_to_damping(p: DampingParameterization, chi: complex) -> Tuple[float,
     if p is DampingParameterization.ZETA:
         return chi_R, chi_I / abs(chi)
     raise ValueError(f"unknown parameterization {p}")
+
+
+def _damping_row(p: DampingParameterization, d: float) -> RowFn:
+    """The row that fixes the damping level d under p; it vanishes at
+    chi = damping_to_complex(p, chi_R, d)."""
+    if p is DampingParameterization.CHI_I:
+        def row(wr, wi, u):
+            return wi - d, (0.0, 1.0, 0.0)
+    elif p is DampingParameterization.XI:
+        def row(wr, wi, u):
+            return wi - d * wr, (-d, 1.0, 0.0)
+    elif p is DampingParameterization.ZETA:
+        root = _zeta_root(d)
+
+        def row(wr, wi, u):
+            return wi * root - d * wr, (-d, root, 0.0)
+    else:
+        raise ValueError(f"unknown parameterization {p}")
+    return row

@@ -52,7 +52,7 @@ NEAR_FLUTTER_SPAN = 0.05
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Rectangular sampling of the (U, chi_R) plane at fixed chi_I."""
+    """Rectangular (U, chi_R) grid at fixed chi_I; its node axes are built once, read-only."""
 
     u_axis: Tuple[float, float, int]
     w_axis: Tuple[float, float, int]
@@ -66,6 +66,10 @@ class Grid2D:
                 raise ValueError("axis count must be >= 2")
         if not math.isfinite(self.chi_I_fixed):
             raise ValueError("chi_I_fixed must be finite")
+        axes = (np.linspace(*self.u_axis), np.linspace(*self.w_axis))
+        for a in axes:
+            a.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @classmethod
     def over_window(cls, window: Window, u_count: int, w_count: int,
@@ -74,10 +78,10 @@ class Grid2D:
                    (window.chi_r_min, window.chi_r_max, w_count), chi_I_fixed)
 
     def u_values(self) -> np.ndarray:
-        return np.linspace(*self.u_axis)
+        return self._axes[0]
 
     def w_values(self) -> np.ndarray:
-        return np.linspace(*self.w_axis)
+        return self._axes[1]
 
 
 @dataclass(frozen=True)
@@ -381,13 +385,19 @@ def _det_zero_crossings(fld: ComplexField) -> List[Tuple[float, float]]:
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,
                            eps_list: Sequence[float]) -> List[ContourSet]:
     """One contour set per epsilon, all from a single shared sigma field."""
+    eps = _eps_levels(eps_list)
+    fld = compute_sigma_field(op, grid)
+    return [extract_contours(fld, e) for e in eps]
+
+
+def _eps_levels(eps_list: Sequence[float]) -> List[float]:
+    """``eps_list`` as floats, which must be nonempty, positive and strictly ascending."""
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("eps_list must be nonempty")
     if any(e <= 0.0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly ascending and positive")
-    fld = compute_sigma_field(op, grid)
-    return [extract_contours(fld, e) for e in eps]
+    return eps
 
 
 def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:

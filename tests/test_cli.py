@@ -485,6 +485,24 @@ class TestUsageErrors:
         assert "--direction" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,fields,flags", [
+        ("trace", {"continuation": {"max_steps": 2, "direction": 0}}, []),
+        ("trace", {"continuation": {"max_steps": 2, "direction": 7}}, []),
+        ("trace", {"continuation": {"max_steps": 2, "direction": 1.5}}, []),
+        ("pseudo", {"eps_list": [-0.1, 0.04], "borderline": {"threshold": 0.15}}, []),
+        ("pseudo", {"eps_list": [-0.1, 0.04]}, []),
+        ("pseudo", {"eps_list": [0.08, 0.04]}, []),
+        ("pseudo", {}, ["--eps", "0.08,0.04"]),
+    ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
+            "negative_eps", "descending_eps", "descending_eps_flag"])
+    def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags):
+        # the config is checked once, when it is read: no subcommand starts on a bad one
+        cfg = write_config(tmp_path, grid={"u_count": 11, "w_count": 11}, **fields)
+        assert main([command, "--config", str(cfg)] + flags) == 1
+        assert re.search("direction must be -1 or 1|eps_list must be strictly ascending and "
+                         "positive", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=lambda v: v.strip("-"))
     def test_removed_flag_exits_1(self, tmp_path, capsys, command, flag):
         cfg = write_config(tmp_path, continuation={"max_steps": 0}, natural={

@@ -19,8 +19,8 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          solve_at_airspeed, trace_path)
-from flutterspec.continuation import (ModePath, _corrector_slp, _operator_determinants,
-                                      _real_forms, _slp_increment)
+from flutterspec.continuation import (ModePath, _corrector_slp, _mode_jumped,
+                                      _operator_determinants, _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 from flutterspec.operator import _sigma_min_of
 
@@ -78,6 +78,20 @@ class TestInitialTangent:
         t = Tangent(0.6, -0.64, 0.48)
         n = t.negated()
         assert (n.du, n.dchi_r, n.dchi_i) == (-0.6, 0.64, -0.48)
+
+
+class TestModeJumped:
+    @settings(max_examples=40)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+           theta=st.floats(-2 * np.pi, 2 * np.pi))
+    def test_phase_is_ignored_and_an_orthogonal_vector_jumps(self, n, seed, theta):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        x /= np.linalg.norm(x)
+        y -= np.vdot(x, y) * x
+        y /= np.linalg.norm(y)
+        assert not _mode_jumped(x, x * np.exp(1j * theta))
+        assert _mode_jumped(x, y)
 
 
 class TestFdTangent:
@@ -459,6 +473,14 @@ class TestTracePath:
             assert path.termination_reason == "min-ds-exhausted"
             assert len(path.points) >= 2
             assert all(p.U < 12.5 for p in path.points)
+
+    def test_newton_path_on_typical_section_has_no_notes(self, ts_op, ts_flutter):
+        # both directions reach the window edge (9 and 17 points) on the flutter mode
+        for direction in (+1, -1):
+            path = trace_path(ts_op, ts_flutter, direction=direction,
+                              settings=ContinuationSettings(corrector="newton"))
+            assert path.termination_reason == "window-exit" and len(path.points) > 5
+            assert path.notes == []
 
     def test_direction_sign(self, traj_op, traj_flutter):
         settings = ContinuationSettings(ds=0.05, max_ds=0.05, max_steps=3)

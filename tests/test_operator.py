@@ -12,7 +12,8 @@ from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalE
                          ParametricOperator, Window, build_normal_operator,
                          complex_to_damping, compute_sigma_field, damping_to_complex, evaluate,
                          param_derivatives, residual_norm, sigma_min)
-from flutterspec.operator import Pencil, _solve_bordered, evaluate_batch, polynomial_pencil
+from flutterspec.operator import (Pencil, _damping_row, _solve_bordered, evaluate_batch,
+                                  polynomial_pencil)
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -278,7 +279,26 @@ class TestDampingMaps:
             assert back_r == pytest.approx(chi_r, rel=1e-12, abs=1e-12)
             assert back_d == pytest.approx(d, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(list(DampingParameterization)),
+           chi_r=st.floats(0.1, 500.0), d=st.floats(-0.95, 0.95), u=st.floats(0.0, 100.0))
+    def test_damping_row_vanishes_on_the_map(self, kind, chi_r, d, u):
+        # the bordered solver's damping row is zero (to rounding) where damping_to_complex
+        # puts chi, and its gradient is the row's derivative in (chi_R, chi_I, U)
+        row = _damping_row(kind, d)
+        chi = damping_to_complex(kind, chi_r, d)
+        value, grad = row(chi.real, chi.imag, u)
+        assert abs(value) <= 1e-12 * (1.0 + abs(chi))
+        h = 1e-3
+        for k in range(3):
+            step = np.eye(3)[k] * h
+            plus = row(*(np.array([chi.real, chi.imag, u]) + step))[0]
+            minus = row(*(np.array([chi.real, chi.imag, u]) - step))[0]
+            assert (plus - minus) / (2.0 * h) == pytest.approx(grad[k], abs=1e-9)
+
     def test_zeta_domain_errors(self):
+        with pytest.raises(ValueError, match=r"zeta value 1.0 outside \(-1, 1\)"):
+            _damping_row(DampingParameterization.ZETA, 1.0)
         with pytest.raises(ValueError):
             damping_to_complex(DampingParameterization.ZETA, 2.0, 1.0)
         with pytest.raises(ValueError):

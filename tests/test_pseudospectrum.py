@@ -66,6 +66,15 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             compute_sigma_field(normal_op, grid)
 
+    def test_axes_built_once_and_read_only(self):
+        grid = Grid2D((10.0, 400.0, 101), (20.0, 200.0, 64))
+        for values, axis in ((grid.u_values, grid.u_axis), (grid.w_values, grid.w_axis)):
+            nodes = values()
+            assert nodes.tobytes() == np.linspace(*axis).tobytes()
+            assert values() is nodes
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 0.0
+
 
 class TestSigmaField:
     def test_identity_like_constant(self):
