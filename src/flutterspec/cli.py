@@ -1,10 +1,13 @@
 """Batch front-end: model configs in, plot-ready CSV/JSON out.
 
 One JSON config document drives every subcommand; the listed CLI flags
-override the corresponding config fields.  The CLI emits data only (no
-plotting): CSV for tables, JSON for structured records, UTF-8 with LF
-line endings, and shortest round-trip float formatting so identical runs
-are byte-identical.
+override the corresponding config fields.  :meth:`RunConfig.from_dict`
+turns the document and the flags into the library's own objects (the
+operator, its window and grid, the flutter and continuation settings)
+once, so every section is checked before a subcommand starts and a bad
+one writes no file.  The CLI emits data only (no plotting): CSV for
+tables, JSON for structured records, UTF-8 with LF line endings, and
+shortest round-trip float formatting so identical runs are byte-identical.
 
 Exit codes: 0 success with results, 2 continuation first-step failure,
 3 success with an empty result, 1 any error.
@@ -27,8 +30,8 @@ from . import models
 from .errors import ConvergenceError, FlutterSpecError
 from .flutter import FlutterPoint, FlutterSearchSettings, find_flutter_points
 from .operator import EigenPoint, ParametricOperator, Window, sigma_min
-from .pseudospectrum import (Grid2D, _eps_levels, compute_sigma_field, extract_contours,
-                             find_borderline_regions)
+from .pseudospectrum import (Grid2D, _borderline_threshold, _eps_levels, compute_sigma_field,
+                             extract_contours, find_borderline_regions)
 
 __all__ = ["RunConfig", "main", "cmd_flutter", "cmd_pseudo", "cmd_trace",
            "cmd_envelope", "cmd_damping_plot"]
@@ -56,13 +59,14 @@ def _zeta_of(chi_R: float, chi_I: float) -> float:
 class RunConfig:
     """Parsed run configuration, built by :meth:`from_dict`; see the README for the schema."""
 
-    model: Dict[str, Any]
-    window: Dict[str, float]  # the config's window fields, flags applied; see _window
-    grid: Dict[str, int]
+    model: Dict[str, Any]  # the model document, copied into path JSONs
+    op: ParametricOperator
+    window: Window  # the model's window with the config's window fields and flags applied
+    grid: Grid2D  # over window
     eps_list: List[float]
     threshold: float  # of the borderline regions
-    flutter: Dict[str, Any]
-    continuation: Dict[str, Any]
+    flutter: FlutterSearchSettings
+    continuation: cont.ContinuationSettings
     natural: Dict[str, Any]
     output_dir: Path
     direction: int
@@ -82,21 +86,26 @@ class RunConfig:
                 model = json.load(fh)
         if not isinstance(model, dict):
             raise ValueError("config must supply a model object or model file path")
+        op = build_model(model)
 
         window = dict(doc.get("window") or {})
         for key in ("u_min", "u_max", "chi_r_min", "chi_r_max"):
             if overrides.get(key) is not None:
                 window[key] = overrides[key]
+        window = replace(op.window, **window)
 
         grid = {"u_count": 101, "w_count": 101, **(doc.get("grid") or {})}
         if overrides.get("grid") is not None:
             grid = {"u_count": overrides["grid"], "w_count": overrides["grid"]}
+        counts = grid.pop("u_count"), grid.pop("w_count")
+        if grid:
+            raise ValueError(f"grid takes only 'u_count' and 'w_count', not {sorted(grid)}")
 
         eps_list = _eps_levels(overrides["eps"].split(",") if overrides.get("eps")
                                else doc.get("eps_list") or [0.04, 0.08])
 
         borderline = dict(doc.get("borderline") or {})
-        threshold = float(borderline.pop("threshold", min(eps_list)))
+        threshold = _borderline_threshold(borderline.pop("threshold", min(eps_list)))
         if borderline:
             raise ValueError(f"borderline takes only 'threshold', not {sorted(borderline)}")
 
@@ -112,10 +121,12 @@ class RunConfig:
             direction = overrides["direction"]
 
         out_dir = Path(overrides.get("output_dir") or (doc.get("output") or {}).get("dir", "out"))
-        return cls(model=model, window=window, grid=grid, eps_list=eps_list, threshold=threshold,
-                   flutter=dict(doc.get("flutter") or {}),
-                   continuation=continuation, natural=dict(doc.get("natural") or {}),
-                   output_dir=out_dir, direction=int(direction))
+        return cls(model=model, op=op, window=window, grid=Grid2D.over_window(window, *counts),
+                   eps_list=eps_list, threshold=threshold,
+                   flutter=FlutterSearchSettings(**(doc.get("flutter") or {})),
+                   continuation=cont.ContinuationSettings(**continuation),
+                   natural=dict(doc.get("natural") or {}), output_dir=out_dir,
+                   direction=int(direction))
 
 
 def build_model(doc: Dict[str, Any]) -> ParametricOperator:
@@ -239,31 +250,18 @@ def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
             "window_history": [asdict(w) for w in fp.window_history]}
 
 
-def _window(cfg: RunConfig, op: ParametricOperator) -> Window:
-    """The model's window with the config's window fields and flags applied over it."""
-    return replace(op.window, **cfg.window)
-
-
-def _flutter_search(cfg: RunConfig, op: ParametricOperator) -> Tuple[Window, List[FlutterPoint]]:
-    """The search window (:func:`_window`) and the flutter points in it."""
-    window = _window(cfg, op)
-    return window, find_flutter_points(op, window, FlutterSearchSettings(**cfg.flutter))
-
-
 def cmd_flutter(cfg: RunConfig) -> int:
-    window, points = _flutter_search(cfg, build_model(cfg.model))
-    _write_json(cfg.output_dir / "flutter_points.json",
-                {"window": asdict(window), "points": [_flutter_point_record(f) for f in points]})
+    points = find_flutter_points(cfg.op, cfg.window, cfg.flutter)
+    _write_json(cfg.output_dir / "flutter_points.json", {
+        "window": asdict(cfg.window), "points": [_flutter_point_record(f) for f in points]})
     print(f"{len(points)} flutter point(s) -> {cfg.output_dir / 'flutter_points.json'}")
     return EXIT_OK if points else EXIT_EMPTY
 
 
 def cmd_pseudo(cfg: RunConfig) -> int:
-    op = build_model(cfg.model)
-    grid = Grid2D.over_window(_window(cfg, op), cfg.grid["u_count"], cfg.grid["w_count"])
-    fld = compute_sigma_field(op, grid)
+    fld = compute_sigma_field(cfg.op, cfg.grid)
 
-    us, ws = grid.u_values(), grid.w_values()
+    us, ws = cfg.grid.u_values(), cfg.grid.w_values()
     lines = [FIELD_CSV_HEADER]
     for i, u in enumerate(us):
         for j, w in enumerate(ws):
@@ -279,7 +277,7 @@ def cmd_pseudo(cfg: RunConfig) -> int:
     _write_text(cfg.output_dir / "contours.csv", lines)
 
     try:
-        _, flutter_points = _flutter_search(cfg, op)
+        flutter_points = find_flutter_points(cfg.op, cfg.window, cfg.flutter)
     except FlutterSpecError as exc:
         print(f"flutter search for near_flutter flags failed: {exc}", file=sys.stderr)
         flutter_points = []
@@ -308,11 +306,11 @@ def _solve_seed(op: ParametricOperator, u: float, chi: complex) -> EigenPoint:
     return cont.solve_at_airspeed(op, u, guess)
 
 
-def _resolve_trace_start(cfg: RunConfig, op: ParametricOperator, args) -> Optional[object]:
+def _resolve_trace_start(cfg: RunConfig, args) -> Optional[object]:
     if args.start_point is not None:
         u, wr, wi = (float(v) for v in args.start_point.split(","))
-        return _solve_seed(op, u, complex(wr, wi))
-    _, points = _flutter_search(cfg, op)
+        return _solve_seed(cfg.op, u, complex(wr, wi))
+    points = find_flutter_points(cfg.op, cfg.window, cfg.flutter)
     if not points:
         return None
     idx = args.start_index
@@ -322,14 +320,12 @@ def _resolve_trace_start(cfg: RunConfig, op: ParametricOperator, args) -> Option
 
 
 def cmd_trace(cfg: RunConfig, args) -> int:
-    op = build_model(cfg.model)
-    start = _resolve_trace_start(cfg, op, args)
+    start = _resolve_trace_start(cfg, args)
     if start is None:
         print("no flutter point to start from", file=sys.stderr)
         return EXIT_EMPTY
-    settings = cont.ContinuationSettings(**cfg.continuation)
     try:
-        path = cont.trace_path(op, start, direction=cfg.direction, settings=settings)
+        path = cont.trace_path(cfg.op, start, direction=cfg.direction, settings=cfg.continuation)
     except ConvergenceError as exc:
         print(f"first continuation step failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP
@@ -357,7 +353,6 @@ def cmd_envelope(path_file: Path, zeta_max: float, out_dir: Path) -> int:
 
 
 def cmd_damping_plot(cfg: RunConfig) -> int:
-    op = build_model(cfg.model)
     nat = cfg.natural
     for key in ("u_start", "u_end", "du", "seed_chi_r"):
         if key not in nat:
@@ -365,8 +360,8 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     u0 = float(nat["u_start"])
     chi = complex(float(nat["seed_chi_r"]), float(nat.get("seed_chi_i", 0.0)))
     try:
-        seed = _solve_seed(op, u0, chi)
-        path = cont.natural_continuation(op, u0, float(nat["u_end"]), float(nat["du"]), seed)
+        seed = _solve_seed(cfg.op, u0, chi)
+        path = cont.natural_continuation(cfg.op, u0, float(nat["u_end"]), float(nat["du"]), seed)
     except ConvergenceError as exc:
         print(f"seed solve failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP

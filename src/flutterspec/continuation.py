@@ -553,14 +553,6 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
     return path
 
 
-def _zeta_row(zeta_max: float) -> RowFn:
-    def row(wr, wi, u):
-        nrm = math.hypot(wr, wi)
-        return wi / nrm - zeta_max, (-wr * wi / nrm ** 3, wr * wr / nrm ** 3, 0.0)
-
-    return row
-
-
 def _interp_triple(path: ModePath, k: int, s_star: float) -> Triple:
     p0, p1 = path.points[k], path.points[k + 1]
     s0, s1 = path.s[k], path.s[k + 1]
@@ -582,9 +574,11 @@ def flight_envelope(path: ModePath, zeta_max: float,
 
     Each sign change of (zeta - zeta_max) is located by piecewise-linear
     interpolation in arclength; when the operator is supplied the crossing
-    is refined by one bordered corrector solve with the zeta constraint
+    is refined by one bordered corrector solve with the ZETA damping row
     replacing the arclength row (so the reported U_star re-evaluates to
-    zeta_max at solver accuracy).  Sides follow the local dzeta/dU sign:
+    zeta_max at solver accuracy).  That row vanishes at zeta = zeta_max only
+    where chi_R > 0, so a crossing whose interpolated guess has chi_R <= 0
+    stays unrefined (point None).  Sides follow the local dzeta/dU sign:
     negative slope means damping is deteriorating with airspeed, the
     subcritical approach to instability.
     """
@@ -608,8 +602,9 @@ def flight_envelope(path: ModePath, zeta_max: float,
         guess = _interp_triple(path, k, s_star)
         point = None
         u_star = guess[0]
-        if op is not None:
-            point, _ = _solve_bordered(op, guess, path.points[k].x, _zeta_row(zeta_max))
+        if op is not None and guess[1] > 0.0:
+            row = _damping_row(DampingParameterization.ZETA, zeta_max)
+            point, _ = _solve_bordered(op, guess, path.points[k].x, row)
             u_star = point.U
         crossings.append(EnvelopeCrossing(float(zeta_max), float(u_star), (k, k + 1),
                                           _side(path, zetas, k, k + 1), point))

@@ -57,12 +57,6 @@ class ModeTrajectory:
     def g(self, U):
         return np.polynomial.polynomial.polyval(U, self.g_coeffs)
 
-    def domega(self, U):
-        return np.polynomial.polynomial.polyval(U, np.polynomial.polynomial.polyder(self.omega_coeffs))
-
-    def dg(self, U):
-        return np.polynomial.polynomial.polyval(U, np.polynomial.polynomial.polyder(self.g_coeffs))
-
 
 @dataclass(frozen=True)
 class TrajectorySpec:

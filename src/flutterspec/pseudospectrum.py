@@ -395,9 +395,19 @@ def _eps_levels(eps_list: Sequence[float]) -> List[float]:
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("eps_list must be nonempty")
+    if not all(math.isfinite(e) for e in eps):
+        raise ValueError(f"eps_list levels must be finite, not {eps}")
     if any(e <= 0.0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly ascending and positive")
     return eps
+
+
+def _borderline_threshold(threshold: float) -> float:
+    """A borderline-region ``threshold`` as a float, which must be finite and positive."""
+    t = float(threshold)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"threshold must be positive and finite, not {t}")
+    return t
 
 
 def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -430,8 +440,7 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
     ``fp.point.chi_R``) with semi-axes ``NEAR_FLUTTER_SPAN`` of each grid span.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    threshold = _borderline_threshold(threshold)
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     radius = (NEAR_FLUTTER_SPAN * (us[-1] - us[0]), NEAR_FLUTTER_SPAN * (ws[-1] - ws[0]))
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]

@@ -59,6 +59,12 @@ class TrajectoryOracle:
     def g(self, u):
         return float(self.mode.g(u))
 
+    def domega(self, u):
+        return float(P.polyval(u, P.polyder(self.mode.omega_coeffs)))
+
+    def dg(self, u):
+        return float(P.polyval(u, P.polyder(self.mode.g_coeffs)))
+
     def zeta(self, u):
         chi = complex(self.omega(u), self.g(u))
         return chi.imag / abs(chi)

@@ -15,6 +15,7 @@ import pytest
 import flutterspec
 from flutterspec import models
 from flutterspec.cli import RunConfig, build_model, main, read_path_file
+from flutterspec.continuation import ContinuationSettings
 from flutterspec.operator import evaluate
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
@@ -33,6 +34,11 @@ REMOVED_FLAGS = ([("flutter", f) for f in ("--grid", "--eps", "--ds", "--directi
                  + [("pseudo", f) for f in ("--ds", "--direction", "--zeta-max")]
                  + [("trace", f) for f in ("--grid", "--eps", "--zeta-max")]
                  + [("damping-plot", f) for f in SHARED_FLAGS if f != "--output-dir"])
+
+
+DIRECTION_ERROR = "direction must be -1 or 1"
+EPS_ERROR = "eps_list must be strictly ascending and positive"
+THRESHOLD_ERROR = "threshold must be positive and finite"
 
 
 def fresh_python(code, cwd=None):
@@ -120,7 +126,7 @@ class TestConfig:
     def test_ds_and_direction_flags_override_the_config(self):
         doc = {"model": TRAJ_MODEL, "continuation": {"ds": 0.05, "max_ds": 0.5, "direction": 1}}
         cfg = RunConfig.from_dict(doc, {"ds": 0.2, "direction": -1})
-        assert cfg.continuation == {"ds": 0.2, "max_ds": 0.5}
+        assert cfg.continuation == ContinuationSettings(ds=0.2, max_ds=0.5)
         assert cfg.direction == -1
         assert RunConfig.from_dict(doc, {}).direction == 1
 
@@ -270,14 +276,23 @@ class TestTraceCommand:
 @pytest.mark.parametrize("command, files", [
     ("flutter", ("flutter_points.json",)),
     ("pseudo", ("sigma_field.csv", "contours.csv", "borderline.json")),
+    ("damping-plot", ("damping_plot.csv", "damping_plot.json")),
+    ("envelope", ("envelope.json",)),
 ])
-def test_flutter_and_pseudo_reruns_are_byte_identical(tmp_path, command, files):
+def test_reruns_are_byte_identical(tmp_path, command, files):
     cfg = write_config(tmp_path, grid={"u_count": 41, "w_count": 41}, eps_list=[1.0, 4.0],
-                       borderline={"threshold": 1.0})
-    assert main([command, "--config", str(cfg)]) == 0
+                       borderline={"threshold": 1.0}, natural={
+                           "u_start": 100.0, "u_end": 140.0, "du": 1.7, "seed_chi_r": 55.0})
+    argv = [command, "--config", str(cfg)]
+    if command == "envelope":
+        # the damping plot crosses zeta = -0.001 once, just past the flutter point at U = 120
+        assert main(["damping-plot", "--config", str(cfg)]) == 0
+        argv = [command, str(tmp_path / "out" / "damping_plot.json"), "--zeta-max", "-0.001",
+                "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
     first = {name: (tmp_path / "out" / name).read_bytes() for name in files}
     assert all(len(text.splitlines()) > 1 for text in first.values())
-    assert main([command, "--config", str(cfg)]) == 0
+    assert main(argv) == 0
     assert {name: (tmp_path / "out" / name).read_bytes() for name in files} == first
 
 
@@ -485,22 +500,34 @@ class TestUsageErrors:
         assert "--direction" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,fields,flags", [
-        ("trace", {"continuation": {"max_steps": 2, "direction": 0}}, []),
-        ("trace", {"continuation": {"max_steps": 2, "direction": 7}}, []),
-        ("trace", {"continuation": {"max_steps": 2, "direction": 1.5}}, []),
-        ("pseudo", {"eps_list": [-0.1, 0.04], "borderline": {"threshold": 0.15}}, []),
-        ("pseudo", {"eps_list": [-0.1, 0.04]}, []),
-        ("pseudo", {"eps_list": [0.08, 0.04]}, []),
-        ("pseudo", {}, ["--eps", "0.08,0.04"]),
+    @pytest.mark.parametrize("command,fields,flags,message", [
+        ("trace", {"continuation": {"max_steps": 2, "direction": 0}}, [], DIRECTION_ERROR),
+        ("trace", {"continuation": {"max_steps": 2, "direction": 7}}, [], DIRECTION_ERROR),
+        ("trace", {"continuation": {"max_steps": 2, "direction": 1.5}}, [], DIRECTION_ERROR),
+        ("pseudo", {"eps_list": [-0.1, 0.04], "borderline": {"threshold": 0.15}}, [], EPS_ERROR),
+        ("pseudo", {"eps_list": [-0.1, 0.04]}, [], EPS_ERROR),
+        ("pseudo", {"eps_list": [0.08, 0.04]}, [], EPS_ERROR),
+        ("pseudo", {}, ["--eps", "0.08,0.04"], EPS_ERROR),
+        ("pseudo", {}, ["--eps", "nan,0.04"], "eps_list levels must be finite"),
+        ("pseudo", {"borderline": {"threshold": 0.0}}, [], THRESHOLD_ERROR),
+        ("pseudo", {"borderline": {"threshold": math.nan}}, [], THRESHOLD_ERROR),
+        ("pseudo", {"flutter": {"grid_count": 4}}, [], "grid_count must be >= 8"),
+        # the model has no flutter point, so a trace that searched first would exit 3
+        ("trace", {"model": NORMAL_MODEL, "continuation": {"max_steps": 2, "bogus": 1.0}}, [],
+         "bogus"),
+        ("damping-plot", {"window": {"u_min": 400.0, "u_max": 10.0},
+                          "natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
+                                      "seed_chi_r": 55.0}}, [], "degenerate window"),
     ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
-            "negative_eps", "descending_eps", "descending_eps_flag"])
-    def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags):
+            "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
+            "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
+            "inverted_window"])
+    def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,
+                                               message):
         # the config is checked once, when it is read: no subcommand starts on a bad one
         cfg = write_config(tmp_path, grid={"u_count": 11, "w_count": 11}, **fields)
         assert main([command, "--config", str(cfg)] + flags) == 1
-        assert re.search("direction must be -1 or 1|eps_list must be strictly ascending and "
-                         "positive", capsys.readouterr().err)
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=lambda v: v.strip("-"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -118,8 +119,8 @@ class TestFdTangent:
 
     def test_first_order_against_analytic(self, traj_point, traj_oracle, traj_scale):
         u0 = 300.0
-        analytic = np.array([1.0 / traj_scale[0], traj_oracle.mode.domega(u0) / traj_scale[1],
-                             traj_oracle.mode.dg(u0) / traj_scale[1]])
+        analytic = np.array([1.0 / traj_scale[0], traj_oracle.domega(u0) / traj_scale[1],
+                             traj_oracle.dg(u0) / traj_scale[1]])
         analytic /= np.linalg.norm(analytic)
         errs = []
         for du in (12.0, 6.0):
@@ -149,7 +150,7 @@ class TestPredictor:
             u_true = brentq(gap, 300.0 + 1e-9, 420.0, xtol=1e-13)
             return traj_point(u_true)
 
-        raw = np.array([1.0, traj_oracle.mode.domega(300.0), traj_oracle.mode.dg(300.0)])
+        raw = np.array([1.0, traj_oracle.domega(300.0), traj_oracle.dg(300.0)])
         t_arr = np.array([raw[0] / traj_scale[0], raw[1] / traj_scale[1], raw[2] / traj_scale[1]])
         t_arr /= np.linalg.norm(t_arr)
         t = Tangent(*t_arr)
@@ -638,6 +639,25 @@ class TestFlightEnvelope:
         refined = flight_envelope(super_path, -0.01, op=None)
         assert len(refined) == 3
         assert all(c.point is None for c in refined)
+
+    @pytest.mark.parametrize("omega", [50.0, -50.0])
+    def test_crossing_refined_only_where_chi_r_is_positive(self, omega):
+        # chi = omega + 0.01 i (U - 10): zeta = 0.001 near U = 15 on either sign of omega, but
+        # there the ZETA row vanishes at zeta = 0.001 only for omega > 0 (at -0.001 for omega < 0)
+        spec = TrajectorySpec(modes=(ModeTrajectory((omega,), (-0.1, 0.01)),))
+        op = build_trajectory_operator(spec, Window(0.0, 100.0, -60.0, 60.0))
+        points = [EigenPoint.from_vector(op, omega, float(spec.modes[0].g(u)), u, np.array([1.0]))
+                  for u in (10.0, 20.0)]
+        path = ModePath(points=points, s=[0.0, 1.0], origin="natural")
+        [c] = flight_envelope(path, 0.001, op=op)
+        assert c.bracket == (0, 1)
+        if omega > 0.0:
+            assert c.point.chi_I / abs(c.point.chi) == pytest.approx(0.001, abs=1e-15)
+            assert c.u_star == pytest.approx(10.0 + 100.0 * omega * 0.001 / math.sqrt(1.0 - 1e-6),
+                                             rel=1e-12)
+        else:
+            assert c.point is None
+            assert c.u_star == pytest.approx(15.0, abs=1e-3)
 
 
 class TestExtremumDamping:

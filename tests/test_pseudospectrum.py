@@ -1,6 +1,7 @@
 """Fields, marching-squares contours, pseudospectra, borderline regions."""
 
 import dataclasses
+import math
 import threading
 import time
 
@@ -671,6 +672,9 @@ class TestEpsilonPseudospectrum:
             epsilon_pseudospectrum(normal_op, grid, [0.2, 0.1])
         with pytest.raises(ValueError):
             epsilon_pseudospectrum(normal_op, grid, [-0.1, 0.2])
+        for eps in ([math.nan, 0.04], [0.04, math.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                epsilon_pseudospectrum(normal_op, grid, eps)
 
 
 class TestBorderlineRegions:
@@ -682,8 +686,9 @@ class TestBorderlineRegions:
     def test_threshold_validation(self):
         grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
         fld = ScalarField(grid, np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            find_borderline_regions(fld, 0.0)
+        for threshold in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                find_borderline_regions(fld, threshold)
 
     def test_dipping_trajectory_single_region(self):
         # one mode whose damping dips to 0.03 at U = 200, no flutter anywhere
