@@ -4,10 +4,11 @@ One JSON config document drives every subcommand; the listed CLI flags
 override the corresponding config fields.  :meth:`RunConfig.from_dict`
 turns the document and the flags into the library's own objects (the
 operator, its window and grid, the flutter and continuation settings)
-once, so every section is checked before a subcommand starts and a bad
-one writes no file.  The CLI emits data only (no plotting): CSV for
-tables, JSON for structured records, UTF-8 with LF line endings, and
-shortest round-trip float formatting so identical runs are byte-identical.
+once, so every section and key is checked before a subcommand starts: a
+bad section, or a key that nothing reads, writes no file.  The CLI emits
+data only (no plotting): CSV for tables, JSON for structured records, UTF-8
+with LF line endings, and shortest round-trip float formatting so identical
+runs are byte-identical.
 
 Exit codes: 0 success with results, 2 continuation first-step failure,
 3 success with an empty result, 1 any error.
@@ -19,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,9 +46,29 @@ PATH_CSV_HEADER = "s,U,chi_R,chi_I,zeta,residual"
 FIELD_CSV_HEADER = "U,chi_R,sigma_min"
 CONTOUR_CSV_HEADER = "eps,polyline_id,vertex_id,U,chi_R"
 
+# The keys of a config document and of its `natural` section.  The sections read
+# into a dataclass take its field names (continuation also takes `direction`).
+_CONFIG_KEYS = ("model", "window", "grid", "eps_list", "borderline", "flutter", "continuation",
+               "natural", "output")
+_NATURAL_KEYS = ("u_start", "u_end", "du", "seed_chi_r", "seed_chi_i")
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _only(section: Optional[Dict[str, Any]], where: str, keys: Sequence[str]) -> Dict[str, Any]:
+    """A copy of a config section (empty for none or null); the one key rule: a key
+    outside ``keys`` is an error."""
+    section = dict(section or {})
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ValueError(f"{where} takes only {', '.join(map(repr, keys))}, not {unknown}")
+    return section
 
 
 def _zeta_of(chi_R: float, chi_I: float) -> float:
@@ -80,6 +101,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any], overrides: Dict[str, Any],
                   base_dir: Path = Path(".")) -> "RunConfig":
+        if "direction" in doc:
+            raise ValueError("top-level 'direction' is not read; set continuation.direction")
+        _only(doc, "a config", _CONFIG_KEYS)
         model = doc.get("model")
         if isinstance(model, str):
             with open(base_dir / model, encoding="utf-8") as fh:
@@ -88,30 +112,25 @@ class RunConfig:
             raise ValueError("config must supply a model object or model file path")
         op = build_model(model)
 
-        window = dict(doc.get("window") or {})
+        window = _only(doc.get("window"), "window", _field_names(Window))
         for key in ("u_min", "u_max", "chi_r_min", "chi_r_max"):
             if overrides.get(key) is not None:
                 window[key] = overrides[key]
         window = replace(op.window, **window)
 
-        grid = {"u_count": 101, "w_count": 101, **(doc.get("grid") or {})}
+        grid = {"u_count": 101, "w_count": 101,
+                **_only(doc.get("grid"), "grid", ("u_count", "w_count"))}
         if overrides.get("grid") is not None:
             grid = {"u_count": overrides["grid"], "w_count": overrides["grid"]}
-        counts = grid.pop("u_count"), grid.pop("w_count")
-        if grid:
-            raise ValueError(f"grid takes only 'u_count' and 'w_count', not {sorted(grid)}")
 
         eps_list = _eps_levels(overrides["eps"].split(",") if overrides.get("eps")
                                else doc.get("eps_list") or [0.04, 0.08])
 
-        borderline = dict(doc.get("borderline") or {})
-        threshold = _borderline_threshold(borderline.pop("threshold", min(eps_list)))
-        if borderline:
-            raise ValueError(f"borderline takes only 'threshold', not {sorted(borderline)}")
+        borderline = _only(doc.get("borderline"), "borderline", ("threshold",))
+        threshold = _borderline_threshold(borderline.get("threshold", min(eps_list)))
 
-        continuation = dict(doc.get("continuation") or {})
-        if "direction" in doc:
-            raise ValueError("top-level 'direction' is not read; set continuation.direction")
+        continuation = _only(doc.get("continuation"), "continuation",
+                             _field_names(cont.ContinuationSettings) + ("direction",))
         direction = continuation.pop("direction", 1)
         if direction not in (-1, 1):
             raise ValueError(f"continuation.direction must be -1 or 1, not {direction!r}")
@@ -120,20 +139,34 @@ class RunConfig:
         if overrides.get("direction") is not None:
             direction = overrides["direction"]
 
-        out_dir = Path(overrides.get("output_dir") or (doc.get("output") or {}).get("dir", "out"))
-        return cls(model=model, op=op, window=window, grid=Grid2D.over_window(window, *counts),
+        flutter = _only(doc.get("flutter"), "flutter", _field_names(FlutterSearchSettings))
+        output = _only(doc.get("output"), "output", ("dir",))
+        out_dir = Path(overrides.get("output_dir") or output.get("dir", "out"))
+        return cls(model=model, op=op, window=window,
+                   grid=Grid2D.over_window(window, grid["u_count"], grid["w_count"]),
                    eps_list=eps_list, threshold=threshold,
-                   flutter=FlutterSearchSettings(**(doc.get("flutter") or {})),
+                   flutter=FlutterSearchSettings(**flutter),
                    continuation=cont.ContinuationSettings(**continuation),
-                   natural=dict(doc.get("natural") or {}), output_dir=out_dir,
+                   natural=_only(doc.get("natural"), "natural", _NATURAL_KEYS), output_dir=out_dir,
                    direction=int(direction))
 
 
 def build_model(doc: Dict[str, Any]) -> ParametricOperator:
-    """Build a ParametricOperator from a kind-tagged model document."""
-    doc = dict(doc)
-    kind = doc.pop("kind", None)
-    win_doc = doc.pop("window", None)
+    """Build a ParametricOperator from a kind-tagged model document.
+
+    Besides ``kind`` and ``window``, a trajectory takes ``preset`` or ``modes`` and
+    ``mixing``, a normal operator ``eigenvalues`` and the other kinds their spec's fields.
+    """
+    kind = doc.get("kind")
+    keys = {"trajectory": ("preset",) if "preset" in doc else ("modes", "mixing"),
+            "typical_section": _field_names(models.TypicalSectionSpec),
+            "normal": ("eigenvalues",),
+            "galerkin_wing": _field_names(models.GalerkinWingSpec)}
+    if kind not in keys:
+        raise ValueError(f"unknown model kind {kind!r}")
+    doc = _only(doc, f"a {kind} model", ("kind", "window") + keys[kind])
+    del doc["kind"]
+    win_doc = _only(doc.pop("window", None), "a model window", _field_names(Window))
     kwargs = {"window": Window(**win_doc)} if win_doc else {}
     if kind == "trajectory":
         preset = doc.pop("preset", None)
@@ -143,9 +176,11 @@ def build_model(doc: Dict[str, Any]) -> ParametricOperator:
             spec = models.two_crossing_spec()
         elif preset is None:
             mixing = doc.pop("mixing", None)
+            modes = [_only(m, "a trajectory mode", ("omega_coeffs", "g_coeffs"))
+                     for m in doc.pop("modes")]
             spec = models.TrajectorySpec(
                 modes=tuple(models.ModeTrajectory(tuple(m["omega_coeffs"]), tuple(m["g_coeffs"]))
-                            for m in doc.pop("modes")),
+                            for m in modes),
                 mixing=np.asarray(mixing, dtype=float) if mixing is not None else None)
         else:
             raise ValueError(f"unknown trajectory preset {preset!r}")
@@ -156,9 +191,7 @@ def build_model(doc: Dict[str, Any]) -> ParametricOperator:
         eig = [complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
                for e in doc.pop("eigenvalues")]
         return models.build_normal_operator(eig, **kwargs)
-    if kind == "galerkin_wing":
-        return models.build_galerkin_wing(models.GalerkinWingSpec(**doc), **kwargs)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return models.build_galerkin_wing(models.GalerkinWingSpec(**doc), **kwargs)
 
 
 def _write_text(path: Path, lines: Sequence[str]):

@@ -245,14 +245,14 @@ def _operator_determinants(tops: np.ndarray) -> np.ndarray:
     (B_0 + eta_a B_a + eta_b B_b) x = 0 paired with its elementwise
     conjugate, Delta(p, q) = p (x) conj(q) - q (x) conj(p) gives
     Delta_0 = Delta(B_a, B_b) and, by Cramer's rule, Delta_a = Delta(-B_0, B_b)
-    and Delta_b = Delta(B_a, -B_0).  The products tops[i] (x) conj(tops[j])
-    are formed once, as one 3x3 broadcast table.
+    and Delta_b = Delta(B_a, -B_0).  The six products p (x) conj(q) and
+    q (x) conj(p) for those pairs are formed as two broadcast stacks.
     """
     n = tops.shape[1]
-    table = (tops[:, None, :, None, :, None]
-             * tops.conj()[None, :, None, :, None, :]).reshape(3, 3, n * n, n * n)
-    left, right = [0, 2, 0], [1, 1, 2]
-    return table[left, right] - table[right, left]
+    p, q = tops[[0, 2, 0]], tops[[1, 1, 2]]
+    deltas = (p[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
+    deltas -= (q[:, :, None, :, None] * p.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
+    return deltas
 
 
 @functools.cache

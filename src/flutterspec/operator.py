@@ -94,34 +94,50 @@ Term = Tuple[int, int, np.ndarray]
 class Pencil:
     """A(chi, U) = sum over k of chi^a U^b coeffs[k], (a, b) = exps[k]; equal only to itself.
 
-    ``coeffs`` is the read-only (K, r, c) coefficient stack.  ``d_pencil`` is the
-    (r, 2r) derivative block pencil [dA/dchi_R | dA/dU], read by :meth:`derivs`.
+    ``exps`` holds one nonnegative integer pair per matrix of ``coeffs``, a read-only complex
+    (K, n, n) copy of the given stack; the value and :meth:`derivs` weight it by one powers table.
     """
 
     exps: Tuple[Tuple[int, int], ...]
     coeffs: np.ndarray = field(repr=False)
-    d_pencil: Optional["Pencil"] = field(default=None, repr=False)
 
-    def __call__(self, chi, U) -> np.ndarray:
-        """The sum at one node or at 1-D node arrays, as one powers x coefficients product.
+    def __post_init__(self):
+        exps = tuple((int(a), int(b)) for a, b in self.exps)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if (not exps or exps != tuple(map(tuple, self.exps)) or min(map(min, exps)) < 0
+                or coeffs.shape != (len(exps),) + coeffs.shape[-1:] * 2):  # (K, n, n)
+            raise ValueError(f"a pencil takes nonnegative integer exponent pairs, one per square "
+                             f"coefficient, not {self.exps} with a stack of shape {coeffs.shape}")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coeffs", coeffs)
 
-        Powers by repeated multiplication, stacked as w, (K,) for scalar ``chi``, ``U`` or
-        (K, N) for node arrays; w.T @ coeffs gives (r, c) or (N, r, c).
-        """
+    def _powers(self, chi, U) -> Tuple[list, list]:
+        """chi^0..chi^max(a) and U^0..U^max(b), by repeated multiplication."""
         pc, pu = [1 + 0 * chi], [1 + 0 * U]
         for a, b in self.exps:
             while len(pc) <= a:
                 pc.append(pc[-1] * chi)
             while len(pu) <= b:
                 pu.append(pu[-1] * U)
+        return pc, pu
+
+    def __call__(self, chi, U) -> np.ndarray:
+        """The sum at one node, (n, n), or at 1-D node arrays, (N, n, n): weights w.T @ coeffs."""
+        pc, pu = self._powers(chi, U)
         w = np.array([pc[a] * pu[b] for a, b in self.exps])
         return (w.T @ self.coeffs.reshape(len(self.exps), -1)).reshape(
             np.shape(chi) + self.coeffs.shape[1:])
 
     def derivs(self, chi: complex, U: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dA/dchi_R, dA/dchi_I = i dA/dchi_R, dA/dU) from column views of ``d_pencil``."""
-        d, n = self.d_pencil(chi, U), self.coeffs.shape[1]
-        return d[:, :n], 1j * d[:, :n], d[:, n:]
+        """(dA/dchi_R, dA/dchi_I = i dA/dchi_R, dA/dU) at one node: the same terms
+        weighted by a chi^(a-1) U^b and b chi^a U^(b-1), one (2, K) x (K, n^2) product."""
+        pc, pu = self._powers(chi, U)
+        w = np.array([[a * pc[a - 1] * pu[b] if a else 0j for a, b in self.exps],
+                      [b * pc[a] * pu[b - 1] if b else 0j for a, b in self.exps]])
+        d_chi, d_u = (w @ self.coeffs.reshape(len(self.exps), -1)).reshape(
+            (2,) + self.coeffs.shape[1:])
+        return d_chi, 1j * d_chi, d_u
 
 
 @dataclass(frozen=True)
@@ -157,28 +173,11 @@ class ParametricOperator:
 def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> ParametricOperator:
     """Operator A(chi, U) = sum over (a, b, C) in ``terms`` of chi^a U^b C.
 
-    ``func`` is a :class:`Pencil`, summed at one node or, by :func:`evaluate_batch`,
-    over many (equal to rounding; the fields batch <= 2^16 entries or one row of
-    nodes).  Exact ``derivs`` sum its (n, 2n) block pencil [dA/dchi_R | dA/dU] of
-    the differentiated terms, equal exponent pairs merged.
+    ``func`` is a :class:`Pencil`, summed at one node or, by :func:`evaluate_batch`, over
+    many (equal to rounding), and ``derivs`` is its :meth:`Pencil.derivs`.
     """
-    terms = tuple((int(a), int(b), np.array(c, dtype=complex)) for a, b, c in terms)
-    if not terms or any(a < 0 or b < 0 for a, b, _ in terms):
-        raise ValueError("a polynomial pencil needs terms, with nonnegative exponents")
-    n = terms[0][2].shape[0]
-    if any(c.shape != (n, n) for _, _, c in terms):
-        raise ValueError(f"pencil terms of '{name}' must be {n}x{n}")
-    # (0, 0) always has a block, so a constant pencil still has a (zero) derivative
-    blocks = {(0, 0): np.zeros((n, 2 * n), dtype=complex)}
-    for a, b, c in terms:
-        for key, col, k in (((a - 1, b), 0, a), ((a, b - 1), n, b)):
-            if k:
-                blocks.setdefault(key, np.zeros((n, 2 * n), dtype=complex))[:, col:col + n] += k * c
-    coeffs, d_coeffs = np.array([c for _, _, c in terms]), np.array(list(blocks.values()))
-    for stack in (coeffs, d_coeffs):
-        stack.flags.writeable = False
-    pencil = Pencil(tuple((a, b) for a, b, _ in terms), coeffs, Pencil(tuple(blocks), d_coeffs))
-    return ParametricOperator(name=name, dim=n, func=pencil, window=window,
+    pencil = Pencil(tuple((a, b) for a, b, _ in terms), [c for _, _, c in terms])
+    return ParametricOperator(name=name, dim=pencil.coeffs.shape[1], func=pencil, window=window,
                               derivs=pencil.derivs)
 
 

@@ -173,8 +173,8 @@ def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
     """Determinant field in (log|det|, phase) form, one batched slogdet per chunk of U rows.
 
     A singular node gets log|det| = -inf and phase 0 (the angle of sign 0).
-    Serial: mapping its chunks over threads as the sigma field does gave bit-identical
-    fields but a slower search on 2 CPUs (n=16 wing: 0.17-0.20 s -> 0.28-0.32 s).
+    Serial: its chunks mapped over threads as the sigma field's gave bit-identical fields, no
+    faster (2 CPUs, 64^2 grid, serial/mapped ms: n=2 1.7/2.2, 8 7.4/7.8, 16 21/25, 32 90/99).
     """
     log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
     phase = np.empty_like(log_mag)

@@ -195,6 +195,30 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,fields,key", [
+        ("trace", {"continuaton": {"max_steps": 3, "direction": -1}}, "continuaton"),
+        ("damping-plot", {"natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
+                                      "seed_chi_r": 55.0, "seed_chi_imag": 2.0}}, "seed_chi_imag"),
+        ("flutter", {"output": {"format": "csv"}}, "format"),
+        ("flutter", {"model": {**TRAJ_MODEL, "mixing": [[1.0, 0.3], [-0.2, 1.0]]}}, "mixing"),
+        ("flutter", {"model": {**TRAJ_MODEL, "modes": [
+            {"omega_coeffs": [50.0], "g_coeffs": [1.0]}]}}, "modes"),
+        ("flutter", {"model": {"kind": "trajectory", "modes": [
+            {"omega_coeffs": [50.0], "g_coeffs": [1.0], "phase": 0.0}]}}, "phase"),
+        ("pseudo", {"model": {**NORMAL_MODEL, "shift": 1.0}, "window": {}}, "shift"),
+        ("flutter", {"model": {**TRAJ_MODEL, "window": {
+            "u_min": 10.0, "u_max": 400.0, "chi_r_min": 20.0, "chi_r_max": 200.0, "chi_i": 0.0}}},
+         "chi_i"),
+    ], ids=["top_level", "natural", "output", "preset_with_mixing", "preset_with_modes",
+            "mode_key", "normal_model", "model_window"])
+    def test_unknown_key_exits_1_before_writing(self, tmp_path, capsys, command, fields, key):
+        # every section, the document and the model take only the keys they read
+        cfg = write_config(tmp_path, grid={"u_count": 11, "w_count": 11}, **fields)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert f"not [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraceCommand:
     def test_zero_steps_single_row(self, tmp_path):
@@ -567,3 +591,14 @@ def test_readme_example_config_runs(tmp_path):
     assert main(["flutter", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     doc = json.loads((tmp_path / "out" / "flutter_points.json").read_text(encoding="utf-8"))
     assert [p["U"] for p in doc["points"]] == pytest.approx([120.0], rel=1e-6)
+
+
+def test_readme_library_sketch_runs():
+    """The README's library sketch runs as written and finds its commented U_f."""
+    text = README.read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\s*```python\n(.*?)```", text, re.S).group(1)
+    expected = float(re.search(r"U_f ~ ([0-9.]+) m/s", sketch).group(1))
+    scope = {}
+    exec(compile(sketch, "README.md", "exec"), scope)
+    assert scope["fp"].point.U == pytest.approx(expected, rel=1e-3)
+    assert scope["path"].points and isinstance(scope["crossings"], list)

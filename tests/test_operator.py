@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalError,
@@ -139,7 +139,7 @@ class TestEvaluateBatch:
         assert isinstance(pencil, Pencil) and shifted_op.derivs == pencil.derivs
         with pytest.raises(ValueError):
             pencil.coeffs[0, 0, 0] = 5.0
-        twin = Pencil(pencil.exps, pencil.coeffs, pencil.d_pencil)
+        twin = Pencil(pencil.exps, pencil.coeffs)
         assert twin != pencil and pencil == pencil
         assert shifted_op == dataclasses.replace(shifted_op)
         assert shifted_op != dataclasses.replace(shifted_op, func=twin, derivs=twin.derivs)
@@ -151,6 +151,74 @@ class TestEvaluateBatch:
             polynomial_pencil("negative", [(-1, 0, np.eye(2))], WIDE)
         with pytest.raises(ValueError):
             polynomial_pencil("mixed", [(0, 0, np.eye(2)), (1, 0, np.eye(3))], WIDE)
+
+
+class TestPencil:
+    """A Pencil built from its terms alone: checked, read-only, and its own derivatives."""
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           exps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=8))
+    @example(n=2, seed=0, exps=[(0, 0)])
+    @example(n=3, seed=1, exps=[(1, 2), (0, 0), (1, 2), (2, 0), (2, 0)])
+    def test_derivs_differentiate_the_terms(self, n, seed, exps):
+        rng = np.random.default_rng(seed)
+        shape = (len(exps), n, n)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pencil = Pencil(exps, coeffs)
+        op = ParametricOperator("direct", n, pencil, WIDE, derivs=pencil.derivs)
+        fd_op = dataclasses.replace(op, derivs=None)
+        for chi, u in zip(rng.uniform(-2.0, 2.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5),
+                          rng.uniform(-2.0, 2.0, 5)):
+            d_r, d_i, d_u = param_derivatives(op, chi.real, chi.imag, u)
+            # the derivative sum, term by term, and its per-term magnitude
+            w_chi = [a * complex(chi) ** (a - 1) * float(u) ** b if a else 0.0 for a, b in exps]
+            w_u = [b * complex(chi) ** a * float(u) ** (b - 1) if b else 0.0 for a, b in exps]
+            for d, ws in ((d_r, w_chi), (d_u, w_u)):
+                direct = sum(w * c for w, c in zip(ws, coeffs))
+                bound = 1e-13 * sum(abs(w) * np.linalg.norm(c) for w, c in zip(ws, coeffs))
+                assert np.linalg.norm(d - direct) <= bound
+            assert np.array_equal(d_i, 1j * d_r)
+            for a, fd in zip((d_r, d_i, d_u), param_derivatives(fd_op, chi.real, chi.imag, u)):
+                # the acceptance bound on analytic vs central-difference derivatives
+                assert np.linalg.norm(a - fd) <= 1e-5 * max(np.linalg.norm(a), 1.0)
+
+    def test_directly_built_pencil_gives_exact_derivatives(self):
+        """The same derivatives as test_pencil_derivatives_are_exact's pencil, bit for bit."""
+        m = np.array([[2.0, 0.3], [0.3, 1.0]])
+        d = np.array([[0.0, 1.0], [-1.0, 0.5]])
+        pencil = Pencil(((2, 0), (1, 1), (0, 3)), np.stack([-m, 1j * d, m]))
+        op = ParametricOperator("direct", 2, pencil, WIDE, derivs=pencil.derivs)
+        built = polynomial_pencil("built", [(2, 0, -m), (1, 1, 1j * d), (0, 3, m)], WIDE)
+        for ours, theirs in zip(param_derivatives(op, 1.7, -0.2, 3.0),
+                                param_derivatives(built, 1.7, -0.2, 3.0)):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("exps, shape", [
+        (((-1, 0),), (1, 2, 2)),
+        (((0, -2),), (1, 2, 2)),
+        (((0.5, 0),), (1, 2, 2)),
+        (((0, 0), (1, 0)), (1, 2, 2)),
+        (((0, 0),), (2, 2, 2)),
+        (((0, 0),), (1, 2, 3)),
+        (((0, 0),), (2, 2)),
+        ((), (0, 2, 2)),
+    ], ids=["negative_a", "negative_b", "fractional", "more_exponents", "more_coefficients",
+            "non_square", "not_a_stack", "empty"])
+    def test_invalid_terms_rejected(self, exps, shape):
+        with pytest.raises(ValueError):
+            Pencil(exps, np.ones(shape, dtype=complex))
+
+    def test_stack_is_a_read_only_copy(self):
+        coeffs = np.array([np.eye(2), np.diag([1.0, 2.0])])
+        pencil = Pencil(((0, 0), (1, 0)), coeffs)
+        assert coeffs.flags.writeable and not pencil.coeffs.flags.writeable
+        assert pencil.coeffs.dtype == complex
+        with pytest.raises(ValueError):
+            pencil.coeffs[0, 0, 0] = 5.0
+        coeffs[0, 0, 0] = 5.0
+        assert pencil.coeffs[0, 0, 0] == 1.0
+        assert np.array_equal(pencil(2.0 + 0j, 0.0), np.diag([3.0, 5.0]))
 
 
 class TestResidualNorm:
