@@ -233,7 +233,7 @@ def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: D
     _write_json(out_dir / f"{stem}.json", {
         "origin": origin_doc,
         "direction": mode_path.direction,
-        "parameterization_note": mode_path.parameterization_note,
+        "parameterization_note": "CHI_I",
         "termination_reason": mode_path.termination_reason,
         "scale": list(mode_path.scale),
         "notes": list(mode_path.notes),

@@ -31,7 +31,8 @@ from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
                        ParametricOperator, RowFn, _converged, _damping_row, _sigma_min_of,
-                       _solve_bordered, complex_to_damping, evaluate, param_derivatives)
+                       _solve_bordered, _unit_phased, complex_to_damping, evaluate,
+                       param_derivatives)
 
 __all__ = [
     "Tangent",
@@ -134,7 +135,6 @@ class ModePath:
     origin: Union[FlutterPoint, EigenPoint, str]  # trace_path's start, or a tag ("natural")
     direction: int = 1
     scale: Scale = (1.0, 1.0)
-    parameterization_note: str = "CHI_I"
     termination_reason: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
@@ -351,12 +351,16 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     iteration from absolute coordinates (the -ds form); "eq3" keeps the
     increment-only form r = 0, exact when the predictor already satisfies
     the constraint.
+
+    Each iteration starts at the one gate, :func:`_converged` on sigma_min
+    (the residual the point keeps) and the row; a rounding-level increment
+    (<= 1e-2 RESIDUAL_TOL) gets one more check, even past the cap, or stalls.
     """
     u, wr, wi = float(guess[0]), float(guess[1]), float(guess[2])
     us, cs = scale
     constraint = _arclength_row(base, t, ds, scale)
-    x_prev = None
-    for iteration in range(settings.max_corrector_iters):
+    x_prev, stalled, iteration = None, False, 0
+    while iteration < settings.max_corrector_iters or stalled:
         a0 = evaluate(op, complex(wr, wi), u)
         sig, x = _sigma_min_of(op, a0, complex(wr, wi), u)
         if x_prev is not None and _mode_jumped(x_prev, x):
@@ -364,7 +368,10 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         x_prev = x
         g, _ = constraint(wr, wi, u)
         if _converged(sig, g):
-            return EigenPoint._from_evaluated(a0, wr, wi, u, x), iteration
+            return EigenPoint(float(wr), float(wi), float(u), _unit_phased(x), sig), iteration
+        if stalled:
+            raise ConvergenceError(f"SLP stalled at U={u} (sigma={sig:.3e}, |g|={abs(g):.3e})",
+                                   iterations=iteration - 1)
 
         d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
         r = -g if settings.constraint_form == "eq2" else 0.0
@@ -376,15 +383,8 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
         wr += cs * candidate[0]
         wi += cs * candidate[1]
         u += us * candidate[2]
-        if candidate_norm <= 1e-2 * RESIDUAL_TOL:
-            # Increments at rounding level but residuals still above the gate.
-            a = evaluate(op, complex(wr, wi), u)
-            sig, x = _sigma_min_of(op, a, complex(wr, wi), u)
-            g, _ = constraint(wr, wi, u)
-            if _converged(sig, g):
-                return EigenPoint._from_evaluated(a, wr, wi, u, x), iteration + 1
-            raise ConvergenceError(f"SLP stalled at U={u} (sigma={sig:.3e}, |g|={abs(g):.3e})",
-                                   iterations=iteration)
+        stalled = candidate_norm <= 1e-2 * RESIDUAL_TOL
+        iteration += 1
 
     raise ConvergenceError(f"SLP corrector did not converge in "
                            f"{settings.max_corrector_iters} iterations",

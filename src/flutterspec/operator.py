@@ -183,7 +183,8 @@ def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> Param
 
 @dataclass(frozen=True)
 class EigenPoint:
-    """A solved triple (chi_R, chi_I, U) with its unit eigenvector."""
+    """A solved triple (chi_R, chi_I, U), its unit eigenvector and the residual that
+    :func:`_converged` accepted: sigma_min of A for SLP, ||A x|| for Newton and from_vector."""
 
     chi_R: float
     chi_I: float
@@ -198,22 +199,19 @@ class EigenPoint:
     @classmethod
     def from_vector(cls, op: ParametricOperator, chi_R: float, chi_I: float, U: float,
                     x: np.ndarray) -> "EigenPoint":
-        """Normalize x and record the recomputed residual norm."""
-        return cls._from_evaluated(evaluate(op, complex(chi_R, chi_I), U), chi_R, chi_I, U, x)
+        """Normalize x and record ||A x||, evaluated here (seeds, the polish's chi_I = 0 point)."""
+        a = evaluate(op, complex(chi_R, chi_I), U)
+        x = _unit_phased(np.asarray(x, dtype=complex).reshape(op.dim))
+        return cls(float(chi_R), float(chi_I), float(U), x, float(np.linalg.norm(a @ x)))
 
-    @classmethod
-    def _from_evaluated(cls, a: np.ndarray, chi_R: float, chi_I: float, U: float,
-                        x: np.ndarray) -> "EigenPoint":
-        """:meth:`from_vector` with a = A(chi_R + i chi_I, U) already evaluated."""
-        x = np.asarray(x, dtype=complex).reshape(a.shape[0])
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            raise ValueError("eigenvector must be nonzero")
-        x = x / nrm
-        # fix the free phase: the largest-modulus entry (the first on ties) real and >= 0
-        x = x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
-        res = float(np.linalg.norm(a @ x))
-        return cls(float(chi_R), float(chi_I), float(U), x, res)
+
+def _unit_phased(x: np.ndarray) -> np.ndarray:
+    """x / ||x||, its free phase fixed: the largest-modulus entry (first on ties) real >= 0."""
+    nrm = np.linalg.norm(x)
+    if nrm == 0.0:
+        raise ValueError("eigenvector must be nonzero")
+    x = x / nrm
+    return x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
 
 
 def _check_finite_args(chi: complex, U: float):
@@ -305,7 +303,7 @@ RowFn = Callable[[float, float, float], Tuple[float, Tuple[float, float, float]]
 
 
 def _converged(residual: float, row: float = 0.0, tol: float = RESIDUAL_TOL) -> bool:
-    """The one convergence test: ||A x|| of the unit eigenvector and |row| both <= tol."""
+    """The one convergence test: the residual (||A x||, or SLP's sigma_min) and |row| <= tol."""
     return residual <= tol and abs(row) <= tol
 
 
@@ -317,7 +315,7 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
     Unknowns are (Re x, Im x, chi_R, chi_I, U), started at ``triple`` =
     (U, chi_R, chi_I); the fixed normalization vector c is the initial
     eigenvector guess.  Stops when :func:`_converged` accepts the unit
-    eigenvector residual and the scalar row.
+    eigenvector residual and the scalar row; the point carries that residual.
     """
     n = op.dim
     u, wr, wi = float(triple[0]), float(triple[1]), float(triple[2])
@@ -338,7 +336,7 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         xhat = x / np.linalg.norm(x)
         res = float(np.linalg.norm(a @ xhat))
         if _converged(res, f[-1], tol):
-            return EigenPoint._from_evaluated(a, wr, wi, u, xhat), iteration
+            return EigenPoint(float(wr), float(wi), float(u), _unit_phased(xhat), res), iteration
         fn = float(np.linalg.norm(f))
         if fn < best[0]:
             best = (fn, (u, wr, wi))

@@ -159,7 +159,7 @@ def _branch_at(op, u, w_near, h, max_expand=50):
     return w, det_at(op, w, u).imag
 
 
-def det_scan_flutter(op, u_lo, u_hi, w_lo, w_hi, n_u=160, n_w=400):
+def det_scan_flutter(op, u_lo, u_hi, w_lo, w_hi, n_u=320, n_w=400):
     """Brute-force oracle: scan (U, chi_R) for simultaneous Re/Im det zeros.
 
     For each airspeed the Re(det) roots in chi_R are found by scan plus

@@ -19,11 +19,11 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          corrector_newton, corrector_slp, damping_continuation,
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
-                         solve_at_airspeed, trace_path)
+                         sigma_min, solve_at_airspeed, trace_path)
 from flutterspec.continuation import (ModePath, _corrector_slp, _mode_jumped,
                                       _operator_determinants, _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
-from flutterspec.operator import _sigma_min_of
+from flutterspec.operator import _converged, _sigma_min_of
 
 
 def scaled_gap(a, b, scale):
@@ -36,6 +36,12 @@ def linear_damping_mode(u0):
     spec = TrajectorySpec(modes=(ModeTrajectory((50.0,), (-0.1, 0.01)),))
     op = build_trajectory_operator(spec, Window(0.0, 100.0, 40.0, 60.0))
     return op, EigenPoint.from_vector(op, 50.0, float(spec.modes[0].g(u0)), u0, np.array([1.0]))
+
+
+def wing_flutter(n, u_start):
+    """The n-mode Galerkin wing and its flutter point near U = u_start."""
+    op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
+    return op, next(fp for fp in find_flutter_points(op) if abs(fp.point.U - u_start) < 1e-3)
 
 
 def ending_mode(op, u_end):
@@ -211,6 +217,14 @@ class TestCorrectors:
         assert scaled_gap(a, b, scale) <= 1e-8
         assert a.residual <= 1e-10 and b.residual <= 1e-10
 
+    def test_slp_point_carries_the_sigma_min_it_accepted(self, ts_op, ts_flutter):
+        scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
+        t = initial_tangent(ts_op, ts_flutter)
+        base = ts_flutter.point
+        p = corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
+                          ContinuationSettings(scale=scale))
+        assert p.residual == sigma_min(ts_op, p.chi, p.U)[0]
+
     def test_slp_accepted_point_is_not_evaluated_again(self, ts_op, ts_flutter):
         calls = []
 
@@ -384,12 +398,46 @@ class TestWingSlp:
         pytest.param(8, 53.4733, marks=pytest.mark.xfail(strict=True, reason=JUMP)),
     ])
     def test_default_slp_stays_on_the_newton_branch(self, n, u_start):
-        op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
-        start = next(fp for fp in find_flutter_points(op) if abs(fp.point.U - u_start) < 1e-3)
+        op, start = wing_flutter(n, u_start)
         slp = trace_path(op, start, +1, ContinuationSettings(corrector="slp"))
         newton = trace_path(op, start, +1, ContinuationSettings(corrector="newton"))
         assert slp.termination_reason == newton.termination_reason == "window-exit"
         assert off_newton_branch(op, slp, newton) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def flutter_starts(traj_op, traj_flutter, ts_op, ts_flutter):
+    wing = build_galerkin_wing()
+    return {"traj": (traj_op, [traj_flutter]), "typical_section": (ts_op, [ts_flutter]),
+            "wing_n4": (wing, find_flutter_points(wing))}
+
+
+class TestAcceptedResidual:
+    """A path point carries the residual its corrector accepted, so it is a valid start."""
+
+    @pytest.mark.parametrize("corrector", ["newton", "slp"])
+    @pytest.mark.parametrize("key, direction, kwargs", [
+        ("traj", -1, {"ds": 0.025, "max_ds": 0.025, "max_steps": 300}),
+        ("typical_section", +1, {}),
+        ("typical_section", -1, {}),
+        ("wing_n4", +1, {}),
+    ], ids=["traj", "typical_section+1", "typical_section-1", "wing_n4"])
+    def test_every_path_point_passes_the_gate(self, flutter_starts, key, direction, kwargs,
+                                              corrector):
+        op, starts = flutter_starts[key]
+        for start in starts:
+            path = trace_path(op, start, direction,
+                              ContinuationSettings(corrector=corrector, **kwargs))
+            assert len(path.points) > 1
+            assert all(_converged(p.residual) for p in path.points)
+
+    def test_sixteen_mode_wing_restarts_from_every_slp_point(self):
+        # accepted at sigma_min <= 1e-10, these points' ||A x|| reaches 5.9e-10
+        op, start = wing_flutter(16, 9.2458)
+        path = trace_path(op, start, +1, ContinuationSettings())
+        assert len(path.points) > 1
+        for p in path.points[1:]:
+            trace_path(op, p, settings=ContinuationSettings(max_steps=0))
 
 
 class TestContinuationSettings:
