@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -30,7 +29,7 @@ from . import continuation as cont
 from . import models
 from .errors import ConvergenceError, FlutterSpecError
 from .flutter import FlutterPoint, FlutterSearchSettings, find_flutter_points
-from .operator import EigenPoint, ParametricOperator, Window, sigma_min
+from .operator import EigenPoint, ParametricOperator, Window, _zeta, sigma_min
 from .pseudospectrum import (Grid2D, _borderline_threshold, _eps_levels, compute_sigma_field,
                              extract_contours, find_borderline_regions)
 
@@ -69,11 +68,6 @@ def _only(section: Optional[Dict[str, Any]], where: str, keys: Sequence[str]) ->
     if unknown:
         raise ValueError(f"{where} takes only {', '.join(map(repr, keys))}, not {unknown}")
     return section
-
-
-def _zeta_of(chi_R: float, chi_I: float) -> float:
-    nrm = math.hypot(chi_R, chi_I)
-    return chi_I / nrm if nrm > 0.0 else math.nan
 
 
 @dataclass
@@ -208,16 +202,16 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _point_record(s: float, p: EigenPoint) -> Dict[str, Any]:
+def _point_record(s: float, p: EigenPoint, zeta: float) -> Dict[str, Any]:
     return {"s": s, "U": p.U, "chi_R": p.chi_R, "chi_I": p.chi_I,
-            "zeta": _zeta_of(p.chi_R, p.chi_I), "residual": p.residual,
+            "zeta": float(zeta), "residual": p.residual,
             "x_re": [float(v) for v in p.x.real], "x_im": [float(v) for v in p.x.imag]}
 
 
 def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: Dict[str, Any]):
     lines = [PATH_CSV_HEADER]
-    for s, p in zip(mode_path.s, mode_path.points):
-        zeta = _zeta_of(p.chi_R, p.chi_I)
+    zetas = mode_path.zetas()
+    for s, p, zeta in zip(mode_path.s, mode_path.points, zetas):
         lines.append(",".join(_fmt(v) for v in (s, p.U, p.chi_R, p.chi_I, zeta, p.residual)))
     _write_text(out_dir / f"{stem}.csv", lines)
 
@@ -238,7 +232,8 @@ def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: D
         "scale": list(mode_path.scale),
         "notes": list(mode_path.notes),
         "model": model_doc,
-        "points": [_point_record(s, p) for s, p in zip(mode_path.s, mode_path.points)],
+        "points": [_point_record(s, p, zeta)
+                   for s, p, zeta in zip(mode_path.s, mode_path.points, zetas)],
     })
 
 
@@ -377,7 +372,7 @@ def cmd_envelope(path_file: Path, zeta_max: float, out_dir: Path) -> int:
         "refined": op is not None,
         "crossings": [{"U_star": c.u_star, "side": c.side,
                        "bracket": list(c.bracket),
-                       "zeta_check": (_zeta_of(c.point.chi_R, c.point.chi_I)
+                       "zeta_check": (float(_zeta(c.point.chi))
                                       if c.point is not None else None)}
                       for c in crossings],
     })

@@ -31,7 +31,7 @@ from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
                        ParametricOperator, RowFn, _converged, _damping_row, _sigma_min_of,
-                       _solve_bordered, _unit_phased, complex_to_damping, evaluate,
+                       _solve_bordered, _unit_phased, _zeta, complex_to_damping, evaluate,
                        param_derivatives)
 
 __all__ = [
@@ -139,9 +139,7 @@ class ModePath:
     notes: List[str] = field(default_factory=list)
 
     def zetas(self) -> np.ndarray:
-        chi = np.array([p.chi for p in self.points])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return chi.imag / np.abs(chi)
+        return _zeta([p.chi for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -648,5 +646,4 @@ def extremum_damping(path: ModePath, op: Optional[ParametricOperator] = None) ->
         t = fd_tangent(path.points[k - 1], path.points[k + 1], path.scale)
         row = _arclength_row(path.points[k], t, s_star - s1, path.scale)
         point, _ = _solve_bordered(op, guess, path.points[k].x, row)
-    chi = point.chi
-    return DampingExtremum(point, float(chi.imag / abs(chi)), False)
+    return DampingExtremum(point, float(_zeta(point.chi)), False)

@@ -389,6 +389,14 @@ def _zeta_root(d: float) -> float:
     return math.sqrt(1.0 - d * d)
 
 
+def _zeta(chi):
+    """The damping ratio chi_I/|chi| of one chi or of an array (nan at chi = 0): the one
+    formula behind ModePath.zetas, the ZETA inverse, the extremum and the CLI's zeta values."""
+    chi = np.asarray(chi, dtype=complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return chi.imag / np.abs(chi)
+
+
 def damping_to_complex(p: DampingParameterization, chi_R: float, d: float) -> complex:
     """Map (chi_R, d) to the complex frequency under parameterization p.
 
@@ -422,7 +430,7 @@ def complex_to_damping(p: DampingParameterization, chi: complex) -> Tuple[float,
     if p is DampingParameterization.XI:
         return chi_R, chi_I / chi_R
     if p is DampingParameterization.ZETA:
-        return chi_R, chi_I / abs(chi)
+        return chi_R, float(_zeta(chi))
     raise ValueError(f"unknown parameterization {p}")
 
 

@@ -2,8 +2,8 @@
 
 Oracles live here so every expected value in the tests traces back to a
 computation that does not share code with the path it checks: closed-form
-polynomial trajectories, brute-force distance-to-spectrum, a dense
-determinant scan with bisection refinement for the typical section, and
+polynomial trajectories, brute-force distance-to-spectrum, the bialternate
+Hopf test for the flutter and damping-level points of real pencils, and
 explicit Kronecker expansions for the SLP corrector's operator determinants
 with the three-parameter linear step built on them, and marching squares
 cell by cell with the all-pairs intersection of Re/Im det contours (the
@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import settings
 from scipy.optimize import brentq
 
-from flutterspec import (ContinuationSettings, EigenPoint, Window, evaluate,
+from flutterspec import (ContinuationSettings, EigenPoint, Window,
                          build_normal_operator, build_trajectory_operator,
                          build_typical_section, find_flutter_points,
                          reference_restabilization_spec, trace_path)
@@ -114,7 +114,7 @@ def super_path(traj_op, traj_flutter):
 
 
 # ---------------------------------------------------------------------------
-# typical section and its determinant-scan oracle
+# typical section, and the grid-free Hopf oracle for real pencils
 
 
 @pytest.fixture(scope="session")
@@ -129,84 +129,62 @@ def ts_flutter(ts_op):
     return points[0]
 
 
-def det_at(op, w, u):
-    return complex(np.linalg.det(evaluate(op, complex(w, 0.0), u)))
+def _bialternate(a):
+    """2A (.) I, the bialternate product of a real matrix, whose eigenvalues are
+    lambda_i + lambda_j (i > j) over the eigenvalues of A."""
+    p, q = np.tril_indices(len(a), -1)
+    return (a[np.ix_(p, p)] * (q[:, None] == q) + a[np.ix_(q, q)] * (p[:, None] == p)
+            - a[np.ix_(p, q)] * (q[:, None] == p) - a[np.ix_(q, p)] * (p[:, None] == q))
 
 
-def _re_det_roots(op, u, w_lo, w_hi, n_w):
-    ws = np.linspace(w_lo, w_hi, n_w)
-    vals = np.array([det_at(op, w, u).real for w in ws])
-    roots = []
-    for a, b, va, vb in zip(ws[:-1], ws[1:], vals[:-1], vals[1:]):
-        if va == 0.0:
-            roots.append(float(a))
-        elif va * vb < 0.0:
-            roots.append(brentq(lambda w: det_at(op, w, u).real, a, b,
-                                xtol=1e-13, rtol=8.9e-16))
-    return roots
+def _real_companion(pencil):
+    """(S_0, ..., S_k) of the real companion S(U) = sum_b U^b S_b of a Pencil written in
+    lambda = i chi: A(chi, U) is singular exactly when i chi is an eigenvalue of S(U)."""
+    m, k = np.max(pencil.exps, axis=0)
+    n = pencil.coeffs.shape[1]
+    c = np.zeros((m + 1, k + 1, n, n), dtype=complex)
+    for (a, b), term in zip(pencil.exps, pencil.coeffs):
+        c[a, b] += (1, -1j, -1, 1j)[a % 4] * term       # chi^a C_ab = lambda^a (-i)^a C_ab
+    if np.any(c.imag != 0.0) or np.any(c[m, 1:] != 0.0) or np.linalg.cond(c[m, 0].real) > 1e12:
+        raise ValueError("the Hopf oracle needs every (-i)^a C_ab real and a U-free, "
+                         "invertible leading chi coefficient")
+    s = np.zeros((k + 1, m * n, m * n))
+    s[0, :-n, n:] = np.eye((m - 1) * n)
+    s[:, -n:] = -np.linalg.solve(c[m, 0].real, np.concatenate(c[:m].real, axis=-1))
+    return s
 
 
-def _branch_at(op, u, w_near, h, max_expand=50):
-    lo, hi = w_near - h, w_near + h
-    for _ in range(max_expand):
-        if det_at(op, lo, u).real * det_at(op, hi, u).real <= 0.0:
-            break
-        lo -= h
-        hi += h
-    else:
-        raise RuntimeError("oracle lost the Re(det) root branch")
-    w = brentq(lambda w_: det_at(op, w_, u).real, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return w, det_at(op, w, u).imag
+def hopf_points(pencil, window, level=0.0):
+    """Grid-free oracle: every (U, chi_R) in ``window`` at which A(chi_R + i*level, U) is
+    singular, sorted by U, from a Pencil's ``exps`` and ``coeffs`` alone.
 
-
-def det_scan_flutter(op, u_lo, u_hi, w_lo, w_hi, n_u=320, n_w=400):
-    """Brute-force oracle: scan (U, chi_R) for simultaneous Re/Im det zeros.
-
-    For each airspeed the Re(det) roots in chi_R are found by scan plus
-    bisection; Im(det) is tracked along each root branch and its sign
-    changes are bisected in U.  Independent of the contour machinery.
+    At chi_I = level, lambda = i chi_R - level, so S(U) + level*I has the eigenvalue i chi_R.
+    A real matrix has two eigenvalues with lambda_i + lambda_j = 0, a pair +-i chi_R among
+    them, exactly when its bialternate product is singular (Guckenheimer, Myers & Sturmfels,
+    SINUM 34, 1997), so the airspeeds are real roots U of det sum_b U^b (2 S_b (.) I) = 0,
+    solved by QZ on its companion linearization.  A root is kept where S(U) has an eigenvalue
+    with Re ~ 0 and Im = chi_R in the window; the roots of real pairs +-mu are not flutter.
     """
-    h = (w_hi - w_lo) / (n_w - 1)
-    us = np.linspace(u_lo, u_hi, n_u)
+    s = _real_companion(pencil)
+    s[0] += level * np.eye(len(s[0]))
+    mats = [_bialternate(term) for term in s]
+    k, size = len(mats) - 1, len(mats[0])
+    lhs = np.eye(k * size, k=size)
+    lhs[-size:] = -np.hstack(mats[:-1])
+    rhs = np.eye(k * size)
+    rhs[-size:, -size:] = mats[-1]
     hits = []
-    prev = None
-    for u in us:
-        cur = [(w, det_at(op, w, u).imag) for w in _re_det_roots(op, u, w_lo, w_hi, n_w)]
-        if prev is not None:
-            u_prev, branches = prev
-            for w0, im0 in branches:
-                if not cur:
-                    continue
-                w1, im1 = min(cur, key=lambda t: abs(t[0] - w0))
-                if abs(w1 - w0) > (w_hi - w_lo) / 10.0:
-                    continue
-                if im0 * im1 < 0.0:
-                    ua, ub, w = u_prev, u, w0
-                    im_a = im0
-                    for _ in range(80):
-                        um = 0.5 * (ua + ub)
-                        wm, im_m = _branch_at(op, um, w, h)
-                        if im_m == 0.0:
-                            ua = ub = um
-                            w = wm
-                            break
-                        if im_a * im_m < 0.0:
-                            ub = um
-                        else:
-                            ua, im_a = um, im_m
-                        w = wm
-                        if ub - ua <= 1e-13 * max(1.0, abs(um)):
-                            break
-                    um = 0.5 * (ua + ub)
-                    wm, _ = _branch_at(op, um, w, h)
-                    hits.append((um, wm))
-        prev = (u, cur)
-    return hits
+    for u in scipy.linalg.eigvals(lhs, rhs):
+        if abs(u.imag) <= 1e-8 * abs(u) and window.u_min <= u.real <= window.u_max:
+            lam = np.linalg.eigvals(np.tensordot(u.real ** np.arange(k + 1), s, 1))
+            hits += [(float(u.real), float(v.imag)) for v in lam if abs(v.real) <= 1e-8 * abs(v)
+                     and window.chi_r_min <= v.imag <= window.chi_r_max]
+    return sorted(hits)
 
 
 @pytest.fixture(scope="session")
 def ts_oracle(ts_op):
-    hits = det_scan_flutter(ts_op, 1.0, 80.0, 5.0, 75.0)
+    hits = hopf_points(ts_op.func, Window(1.0, 80.0, 5.0, 75.0))
     assert len(hits) == 1, f"oracle expected a unique flutter point, got {hits}"
     return hits[0]
 

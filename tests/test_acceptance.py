@@ -64,7 +64,7 @@ def test_criterion_02_flutter_location(traj_op, traj_flutter, ts_flutter, ts_ora
     ts_u_err = abs(ts_flutter.point.U - ts_oracle[0]) / ts_oracle[0]
     ts_w_err = abs(ts_flutter.point.chi_R - ts_oracle[1]) / ts_oracle[1]
     assert ts_u_err <= 1e-6 and ts_w_err <= 1e-6
-    ok(2, f"trajectory U_f rel err {u_err:.1e}; typical section vs det-scan oracle "
+    ok(2, f"trajectory U_f rel err {u_err:.1e}; typical section vs Hopf oracle "
           f"rel err (U {ts_u_err:.1e}, chi_R {ts_w_err:.1e})")
 
 

@@ -251,6 +251,18 @@ class TestTraceCommand:
         assert max(p["U"] for p in doc["points"]) > 400.0      # the config's u_max
         assert not build_model(TRAJ_MODEL).window.contains(last["U"], last["chi_R"])
 
+    def test_zeta_values_are_the_path_zetas(self, tmp_path):
+        # one damping-ratio formula: path.csv and path.json carry ModePath.zetas() bit for bit
+        cfg = write_config(tmp_path, continuation={
+            "ds": 0.05, "max_ds": 0.05, "max_steps": 40, "direction": -1})
+        assert main(["trace", "--config", str(cfg)]) == 0
+        zetas = read_path_file(tmp_path / "out" / "path.json")[0].zetas().tolist()
+        _, rows = read_csv(tmp_path / "out" / "path.csv")
+        doc = json.loads((tmp_path / "out" / "path.json").read_text())
+        assert len(zetas) == 41
+        assert [row[4] for row in rows] == zetas
+        assert [p["zeta"] for p in doc["points"]] == zetas
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, continuation={"ds": 0.05, "max_steps": 25})
         assert main(["trace", "--config", str(cfg)]) == 0
