@@ -221,6 +221,14 @@ class TestFindFlutterPoints:
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
             assert fp.point.residual <= 1e-10
 
+    def test_eight_mode_wing_scan_has_three_points(self):
+        # a det scan at 160 airspeeds missed the point at U ~ 64.43; the oracle has no grid
+        op, expected = wing_and_oracle(8)
+        assert [u for u, _ in expected] == pytest.approx([9.2458, 53.4733, 64.4316], abs=1e-4)
+        for u, chi_r in expected:
+            s = np.linalg.svd(evaluate(op, complex(chi_r, 0.0), u), compute_uv=False)
+            assert s[-1] / s[0] <= 1e-10
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a candidate whose polish lands on "
                        "a point already found is not retried, so neighbouring crossings give "
                        "one point")
