@@ -5,9 +5,10 @@ singular.  Candidates are the crossings of the Re(det) = 0 and
 Im(det) = 0 contours of a determinant field over the search window,
 intersected cell by cell from their marching-squares segments without
 chaining them into polylines.  The bordered Newton the continuation
-correctors share polishes each candidate onto chi_I = 0; a candidate
-whose polish fails or leaves the window is retried from the crossings of
-a det grid in a shrunk window around it.
+correctors share polishes each candidate onto chi_I = 0.  One rule
+retries a candidate whose polish fails, leaves the window or lands on a
+point already found: from the crossings of a det grid in a shrunk window
+around it.
 """
 
 from __future__ import annotations
@@ -122,55 +123,52 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
                         settings: Optional[FlutterSearchSettings] = None) -> List[FlutterPoint]:
     """Polish each det-grid crossing in the window and return the points sorted by U.
 
-    A candidate whose polish fails, or lands outside the window, is retried
-    from the crossings of a det grid in a quarter-span window around it, at
-    most ``refine_iters`` windows deep; ``window_history`` holds the windows
-    a point's candidate came from.  A candidate that runs out of retries is
-    logged (not silently dropped); if no candidate polishes, the errors of
-    every attempt are aggregated into one exception.  Polished points within
-    one cell of a ``refine_iters``-deep grid are duplicates; the one with the
-    smaller residual is kept.  Points with |chi_R| below 1e-6 of the window
-    span are flagged static (divergence).
+    Polished points within one cell of a ``refine_iters``-deep grid are
+    duplicates, and the first one kept stands.  A candidate whose polish
+    fails, lands outside the window or lands on a point already kept is
+    retried from the crossings of a det grid in a quarter-span window around
+    it, at most ``refine_iters`` windows deep; ``window_history`` holds the
+    windows a point's candidate came from.  A failing candidate that runs out
+    of retries is logged (not silently dropped); if no candidate polishes,
+    the errors of every attempt are aggregated into one exception.  Points
+    with |chi_R| below 1e-6 of the window span are flagged static (divergence).
     """
     window = window or op.window
     settings = settings or FlutterSearchSettings()
+    cell_u, cell_w = (span / 4.0 ** settings.refine_iters / (settings.grid_count - 1)
+                      for span in (window.u_span, window.chi_r_span))
     pending = [(u, w, (window,)) for u, w in locate_candidates(op, window, settings.grid_count)]
 
     points: List[FlutterPoint] = []
     failures: List[str] = []
     for u, w, hist in pending:  # retries join the end of the list
+        error = None
         try:
             fp = polish_flutter_point(op, (u, w), tol=settings.tol, max_iters=settings.max_iters)
         except (ConvergenceError, NumericalError) as exc:
             error = str(exc)
         else:
-            if window.contains(fp.point.U, fp.point.chi_R):
-                static = abs(fp.point.chi_R) < STATIC_CHI_R_FRACTION * window.chi_r_span
+            pu, pw = fp.point.U, fp.point.chi_R
+            if not window.contains(pu, pw):
+                error = f"polished to (U={pu:.6g}, chi_R={pw:.6g}) outside the search window"
+            elif not any(abs(pu - q.point.U) <= cell_u and abs(pw - q.point.chi_R) <= cell_w
+                         for q in points):
+                static = abs(pw) < STATIC_CHI_R_FRACTION * window.chi_r_span
                 points.append(replace(fp, window_history=hist, static=static))
                 continue
-            error = (f"polished to (U={fp.point.U:.6g}, chi_R={fp.point.chi_R:.6g}) "
-                     f"outside the search window")
-        failures.append(f"candidate (U={u:.6g}, chi_R={w:.6g}): {error}")
         retries = []
         if len(hist) <= settings.refine_iters:
             sub = _shrunk_window(hist[-1], window, u, w)
             retries = [(cu, cw, hist + (sub,))
                        for cu, cw in locate_candidates(op, sub, settings.grid_count)]
-        if not retries:
-            logger.warning("flutter polish failed for %s", failures[-1])
         pending.extend(retries)
+        if error is not None:  # a duplicate landing is not a failure
+            failures.append(f"candidate (U={u:.6g}, chi_R={w:.6g}): {error}")
+            if not retries:
+                logger.warning("flutter polish failed for %s", failures[-1])
 
     if failures and not points:
         raise ConvergenceError("all flutter candidates failed to polish:\n  "
                                + "\n  ".join(failures))
-
-    cell_u, cell_w = (span / 4.0 ** settings.refine_iters / (settings.grid_count - 1)
-                      for span in (window.u_span, window.chi_r_span))
-    points.sort(key=lambda p: p.point.residual)
-    unique: List[FlutterPoint] = []
-    for fp in points:
-        if not any(abs(fp.point.U - q.point.U) <= cell_u
-                   and abs(fp.point.chi_R - q.point.chi_R) <= cell_w for q in unique):
-            unique.append(fp)
-    unique.sort(key=lambda p: p.point.U)
-    return unique
+    points.sort(key=lambda p: p.point.U)
+    return points

@@ -5,10 +5,10 @@ field; its contours come from marching squares with linear edge
 interpolation, run as array code over the cells a contour crosses, whose
 segments are then chained into polylines.  Determinant fields are stored as
 (log-magnitude, phase) pairs so that zero contours survive overflow; the
-zero contours of their real/imaginary parts come from per-cell rescaling,
-which leaves the crossings exactly where the unscaled values would put
-them.  Where the Re and Im zero contours cross (the flutter candidates)
-is found cell by cell from the same segments, without chaining.
+zero-contour segments of their real/imaginary parts come from per-cell
+rescaling, which leaves the crossings exactly where the unscaled values
+would put them.  Where the Re and Im segments cross (the flutter
+candidates) is found cell by cell, without chaining.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "compute_sigma_field",
     "compute_det_field",
     "extract_contours",
-    "det_zero_contours",
     "epsilon_pseudospectrum",
     "find_borderline_regions",
 ]
@@ -250,17 +249,6 @@ def _cell_segments(us: np.ndarray, ws: np.ndarray, ii: np.ndarray, jj: np.ndarra
     return ii[cell], jj[cell], keys, verts.reshape(-1, 2, 2)
 
 
-def _march(us: np.ndarray, ws: np.ndarray, case: np.ndarray, corners: Sequence[np.ndarray],
-           level: float, cells: np.ndarray) -> List[np.ndarray]:
-    """The segments of :func:`_cell_segments` for the ``cells`` of 2-D case and
-    corner arrays, chained into polylines."""
-    ii, jj = np.nonzero(cells)
-    _, _, keys, verts = _cell_segments(us, ws, ii, jj, case[ii, jj], [c[ii, jj] for c in corners],
-                                       level)
-    vertex_cache = dict(zip(keys.ravel().tolist(), map(tuple, verts.reshape(-1, 2).tolist())))
-    return _chain_segments(keys.tolist(), vertex_cache)
-
-
 def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:
     """Chain segments sharing edge keys: forward from the tail, then back from the head."""
     at_key: Dict[int, List[int]] = {}
@@ -291,16 +279,18 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
     """Iso-contours {value = level} of a sigma field as marching-squares polylines.
 
     Saddle cells are resolved by the cell-center value.  An empty result
-    is not an error.  Determinant fields go to :func:`det_zero_contours`.
+    is not an error.  Determinant fields raise TypeError.
     """
     if not isinstance(fld, ScalarField):
         raise TypeError(f"cannot contour {type(fld).__name__}")
     level = float(level)
     corners = _cell_corners(fld.values)
     case = _cell_cases(corners, level)
-    polylines = _march(fld.grid.u_values(), fld.grid.w_values(), case, corners, level,
-                       (case != 0) & (case != 15))
-    return ContourSet(level, polylines)
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    _, _, keys, verts = _cell_segments(fld.grid.u_values(), fld.grid.w_values(), ii, jj,
+                                       case[ii, jj], [c[ii, jj] for c in corners], level)
+    vertex_cache = dict(zip(keys.ravel().tolist(), map(tuple, verts.reshape(-1, 2).tolist())))
+    return ContourSet(level, _chain_segments(keys.tolist(), vertex_cache))
 
 
 def _det_components(fld: ComplexField) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
@@ -326,24 +316,11 @@ def _det_components(fld: ComplexField) -> Tuple[np.ndarray, List[np.ndarray], np
     return case, corners, (case != 0) & (case != 15) & ~skip
 
 
-def det_zero_contours(fld: ComplexField) -> Tuple[ContourSet, ContourSet]:
-    """The Re(det) = 0 and Im(det) = 0 contours of a determinant field.
-
-    Each cell is rescaled by its largest |det| corner, and rows where a
-    component vanishes identically are skipped (see :func:`_det_components`).
-    """
-    us, ws = fld.grid.u_values(), fld.grid.w_values()
-    case, corners, cells = _det_components(fld)
-    re_set, im_set = (ContourSet(0.0, _march(us, ws, case[k], [c[k] for c in corners], 0.0,
-                                             cells[k])) for k in (0, 1))
-    return re_set, im_set
-
-
 def _det_zero_crossings(fld: ComplexField) -> List[Tuple[float, float]]:
     """Crossings (U, chi_R) of the Re(det) = 0 and Im(det) = 0 contours, without chaining.
 
-    The segments are those of :func:`det_zero_contours`, with the same vertices.
-    Each Re segment is intersected with the Im segments of its own cell and of
+    The segments are the marching-squares segments of the two components that
+    :func:`_det_components` sets up.  Each Re segment is intersected with the Im segments of its own cell and of
     the eight around it, the only cells it can touch.  So the hits are those of
     all Re x Im segment pairs, while the pairing work grows with the cells the
     contours cross, and they come in row-major order of the Re segments' cells.

@@ -14,9 +14,10 @@ from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSp
                          NumericalError, Window, build_galerkin_wing, build_normal_operator,
                          build_trajectory_operator, build_typical_section, evaluate,
                          find_flutter_points, locate_candidates, polish_flutter_point,
-                         residual_norm, sigma_min, two_crossing_spec)
+                         reference_restabilization_spec, residual_norm, sigma_min,
+                         two_crossing_spec)
 from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
-from flutterspec.operator import Pencil
+from flutterspec.operator import ParametricOperator, Pencil
 from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
 from conftest import hopf_points
@@ -33,6 +34,24 @@ def wing_and_oracle(n):
     """The n-mode Galerkin wing and the Hopf oracle's flutter points in its window."""
     op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
     return op, hopf_points(op.func, op.window)
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_model(model):
+    """(operator, search window, oracle flutter points sorted by U) of a sweep model: the
+    Hopf oracle's points, or the closed form of a trajectory preset."""
+    if model.startswith("wing"):
+        op, expected = wing_and_oracle(int(model[len("wing_n"):]))
+        return op, op.window, expected
+    if model == "typical_section":
+        op = build_typical_section()
+        return op, op.window, hopf_points(op.func, op.window)
+    readme = model == "restabilization"
+    spec, crossings = ((reference_restabilization_spec(), [120.0]) if readme
+                       else (two_crossing_spec(), [120.0, 300.0]))
+    op = build_trajectory_operator(spec)
+    return (op, SEARCH if readme else op.window,  # SEARCH is the README run's window
+            [(u, float(spec.modes[0].omega(u))) for u in crossings])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -229,19 +248,21 @@ class TestFindFlutterPoints:
             s = np.linalg.svd(evaluate(op, complex(chi_r, 0.0), u), compute_uv=False)
             assert s[-1] / s[0] <= 1e-10
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a candidate whose polish lands on "
-                       "a point already found is not retried, so neighbouring crossings give "
-                       "one point")
-    @pytest.mark.parametrize("model, grid_count", [("wing", 8), ("two_crossing", 10)],
-                             ids=["wing_n4-grid8", "two_crossing-grid10"])
-    def test_coarse_grid_keeps_neighbouring_points(self, model, grid_count):
-        if model == "wing":
-            op, expected = wing_and_oracle(4)
-            expected = [u for u, _ in expected]
-        else:
-            op, expected = build_trajectory_operator(two_crossing_spec()), [120.0, 300.0]
-        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
-        assert [fp.point.U for fp in points] == pytest.approx(expected, rel=1e-9)
+    @pytest.mark.parametrize("grid_count", range(8, 33))
+    @pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8",
+                                       "restabilization", "two_crossing"])
+    def test_coarse_grids_find_exactly_the_oracle_points(self, model, grid_count):
+        # a candidate that lands on a point already found is retried, so neighbouring
+        # crossings (wing n=4 at grid 8, the two-crossing preset at grid 10) both come back
+        op, window, expected = sweep_model(model)
+        if model == "two_crossing" and grid_count < 10:
+            assert locate_candidates(op, window, grid_count) == []  # nothing to polish
+            return
+        points = find_flutter_points(op, window, FlutterSearchSettings(grid_count=grid_count))
+        assert len(points) == len(expected)
+        for fp, (u, chi_r) in zip(points, expected):
+            assert fp.point.U == pytest.approx(u, rel=1e-9)
+            assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
 
     @pytest.mark.parametrize("grid_count", [10, 12])
     def test_coarse_grid_retry_recovers_the_lowest_wing_point(self, grid_count):
@@ -319,9 +340,16 @@ class TestHopfOracle:
         pencil = Pencil(((2, 0), (1, 0), (1, 1), (0, 0)),
                         [mixed(-np.ones(n)), 1j * mixed(2 * a * omega * u_k),
                          1j * mixed(-2 * a * omega), mixed(omega ** 2)])
-        hits = hopf_points(pencil, Window(0.0, 100.0, 0.5, 60.0))
+        window = Window(0.0, 100.0, 0.5, 60.0)
+        hits = hopf_points(pencil, window)
         assert len(hits) == n
         assert np.array(hits) == pytest.approx(np.column_stack([u_k, omega]), rel=1e-9)
+        # the search on the same pencil finds exactly the closed-form points
+        points = find_flutter_points(ParametricOperator("oscillators", n, pencil, window,
+                                                        derivs=pencil.derivs))
+        assert len(points) == n
+        assert np.array([(fp.point.U, fp.point.chi_R) for fp in points]) == pytest.approx(
+            np.column_stack([u_k, omega]), rel=1e-9)
 
     def test_complex_coefficients_are_refused(self, traj_op):
         with pytest.raises(ValueError, match="Hopf oracle needs every"):
