@@ -82,7 +82,7 @@ class RunConfig:
     threshold: float  # of the borderline regions
     flutter: FlutterSearchSettings
     continuation: cont.ContinuationSettings
-    natural: Dict[str, Any]
+    natural: Dict[str, float]  # the present keys of the `natural` section, as finite floats
     output_dir: Path
     direction: int
 
@@ -134,6 +134,10 @@ class RunConfig:
             direction = overrides["direction"]
 
         flutter = _only(doc.get("flutter"), "flutter", _field_names(FlutterSearchSettings))
+        natural = _only(doc.get("natural"), "natural", _NATURAL_KEYS)
+        natural = {key: float(value) for key, value in natural.items()}
+        if not np.isfinite(list(natural.values())).all():
+            raise ValueError(f"natural values must be finite numbers, not {natural}")
         output = _only(doc.get("output"), "output", ("dir",))
         out_dir = Path(overrides.get("output_dir") or output.get("dir", "out"))
         return cls(model=model, op=op, window=window,
@@ -141,7 +145,7 @@ class RunConfig:
                    eps_list=eps_list, threshold=threshold,
                    flutter=FlutterSearchSettings(**flutter),
                    continuation=cont.ContinuationSettings(**continuation),
-                   natural=_only(doc.get("natural"), "natural", _NATURAL_KEYS), output_dir=out_dir,
+                   natural=natural, output_dir=out_dir,
                    direction=int(direction))
 
 
@@ -385,11 +389,10 @@ def cmd_damping_plot(cfg: RunConfig) -> int:
     for key in ("u_start", "u_end", "du", "seed_chi_r"):
         if key not in nat:
             raise ValueError(f"damping-plot requires config natural.{key}")
-    u0 = float(nat["u_start"])
-    chi = complex(float(nat["seed_chi_r"]), float(nat.get("seed_chi_i", 0.0)))
+    chi = complex(nat["seed_chi_r"], nat.get("seed_chi_i", 0.0))
     try:
-        seed = _solve_seed(cfg.op, u0, chi)
-        path = cont.natural_continuation(cfg.op, u0, float(nat["u_end"]), float(nat["du"]), seed)
+        seed = _solve_seed(cfg.op, nat["u_start"], chi)
+        path = cont.natural_continuation(cfg.op, nat["u_start"], nat["u_end"], nat["du"], seed)
     except ConvergenceError as exc:
         print(f"seed solve failed: {exc}", file=sys.stderr)
         return EXIT_FIRST_STEP

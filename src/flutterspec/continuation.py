@@ -30,9 +30,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
-                       ParametricOperator, RowFn, _converged, _damping_row, _sigma_min_of,
-                       _solve_bordered, _unit_phased, _zeta, complex_to_damping, evaluate,
-                       param_derivatives)
+                       ParametricOperator, RowFn, _check_counts, _converged, _damping_row,
+                       _sigma_min_of, _solve_bordered, _unit_phased, _zeta, complex_to_damping,
+                       evaluate, param_derivatives)
 
 __all__ = [
     "Tangent",
@@ -92,7 +92,8 @@ class ContinuationSettings:
 
     - ds (first step), min_ds, max_ds: arclengths in scaled, unitless coordinates.
     - max_steps, max_corrector_iters: counts; caps on accepted steps and corrector iterations.
-    - scale: (u_scale in m/s, chi_scale in rad/s); None takes (max(|U|, 1), max(|chi_R|, 1)).
+    - scale: (u_scale in m/s, chi_scale in rad/s); None takes (max(|U|, 1), max(|chi_R|, 1))
+      at the start point of :func:`trace_path`, or at ``base`` in a corrector called alone.
     - corrector: "slp" | "newton"; constraint_form: "eq2" (row with -ds) | "eq3" (increments).
     """
 
@@ -106,12 +107,9 @@ class ContinuationSettings:
     constraint_form: str = "eq2"
 
     def __post_init__(self):
+        _check_counts(self, {"max_steps": 0, "max_corrector_iters": 1})
         if not (0.0 < self.min_ds <= self.ds <= self.max_ds):
             raise ValueError("need 0 < min_ds <= ds <= max_ds")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.max_corrector_iters < 1:
-            raise ValueError("max_corrector_iters must be >= 1")
         if self.scale is not None:
             scale = tuple(self.scale) if isinstance(self.scale, (tuple, list, np.ndarray)) else ()
             if not (len(scale) == 2 and all(0.0 < v < math.inf for v in scale)):
@@ -121,9 +119,6 @@ class ContinuationSettings:
             raise ValueError("corrector must be 'slp' or 'newton'")
         if self.constraint_form not in ("eq2", "eq3"):
             raise ValueError("constraint_form must be 'eq2' or 'eq3'")
-
-    def resolved_scale(self, origin: EigenPoint) -> Scale:
-        return _resolve_scale(self.scale, origin)
 
 
 @dataclass
@@ -329,10 +324,9 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     return candidate, float(np.linalg.norm(candidate))
 
 
-def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
-                   ds: float, settings: ContinuationSettings,
-                   scale: Scale) -> Tuple[EigenPoint, int]:
-    """Successive linear problems on the three-parameter corrector.
+def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent, ds: float,
+                  settings: Optional[ContinuationSettings] = None) -> Tuple[EigenPoint, int]:
+    """Correct a predictor guess by successive linear problems; returns (point, iterations).
 
     Each iteration linearizes A in (chi_R, chi_I, U), pairs the linearized
     equation with its elementwise conjugate acting on the conjugate
@@ -348,12 +342,14 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
     With constraint_form "eq2" the scalar residual r is recomputed every
     iteration from absolute coordinates (the -ds form); "eq3" keeps the
     increment-only form r = 0, exact when the predictor already satisfies
-    the constraint.
+    the constraint.  The scale is taken as :class:`ContinuationSettings` says.
 
     Each iteration starts at the one gate, :func:`_converged` on sigma_min
     (the residual the point keeps) and the row; a rounding-level increment
     (<= 1e-2 RESIDUAL_TOL) gets one more check, even past the cap, or stalls.
     """
+    settings = settings or ContinuationSettings()
+    scale = _resolve_scale(settings.scale, base)
     u, wr, wi = float(guess[0]), float(guess[1]), float(guess[2])
     us, cs = scale
     constraint = _arclength_row(base, t, ds, scale)
@@ -389,28 +385,18 @@ def _corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: T
                            iterations=settings.max_corrector_iters)
 
 
-def _corrector_newton(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
-                      ds: float, settings: ContinuationSettings,
-                      scale: Scale) -> Tuple[EigenPoint, int]:
-    row = _arclength_row(base, t, ds, scale)
+def corrector_newton(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
+                     ds: float, settings: Optional[ContinuationSettings] = None
+                     ) -> Tuple[EigenPoint, int]:
+    """Correct a predictor guess by the bordered Newton solve with the arclength row;
+    returns (point, iterations).  The scale is as in :func:`corrector_slp`."""
+    settings = settings or ContinuationSettings()
+    row = _arclength_row(base, t, ds, _resolve_scale(settings.scale, base))
     return _solve_bordered(op, guess, base.x, row, max_iters=settings.max_corrector_iters)
 
 
-def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
-                  ds: float, settings: Optional[ContinuationSettings] = None) -> EigenPoint:
-    """Correct a predictor guess via the SLP multiparameter route."""
-    settings = settings or ContinuationSettings()
-    return _corrector_slp(op, guess, base, t, ds, settings, settings.resolved_scale(base))[0]
-
-
-def corrector_newton(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent,
-                     ds: float, settings: Optional[ContinuationSettings] = None) -> EigenPoint:
-    """Correct a predictor guess via the bordered-system Newton oracle."""
-    settings = settings or ContinuationSettings()
-    return _corrector_newton(op, guess, base, t, ds, settings, settings.resolved_scale(base))[0]
-
-
-_CORRECTORS = {"slp": _corrector_slp, "newton": _corrector_newton}
+# Bound at import: wrappers later set on the names (bench/tracing.py) leave these calls alone.
+_CORRECTORS = {"slp": corrector_slp, "newton": corrector_newton}
 
 
 def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
@@ -421,17 +407,19 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
     Repeats tangent -> predictor -> corrector with step adaptation: a
     corrector failure shrinks ds (permanent failure below min_ds), fast
     convergence grows it up to max_ds.  Terminates on max_steps, window
-    exit or min_ds exhaustion, recording the reason.
+    exit or min_ds exhaustion, recording the reason.  ``direction`` is -1 or +1.
     """
     settings = settings or ContinuationSettings()
     point = start.point if isinstance(start, FlutterPoint) else start
     if not _converged(point.residual):
         raise ValueError(f"start point residual {point.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    scale = settings.resolved_scale(point)
+    if direction not in (-1, 1):
+        raise ValueError(f"direction must be -1 or 1, not {direction!r}")
+    scale = _resolve_scale(settings.scale, point)
+    settings = replace(settings, scale=scale)  # the correctors step on the start point's scale
     correct = _CORRECTORS[settings.corrector]
 
-    path = ModePath(points=[point], s=[0.0], origin=start,
-                    direction=+1 if direction >= 0 else -1, scale=scale)
+    path = ModePath(points=[point], s=[0.0], origin=start, direction=int(direction), scale=scale)
     if settings.max_steps == 0:
         path.termination_reason = "max-steps"
         return path
@@ -447,7 +435,7 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
         while accepted is None and ds >= settings.min_ds:
             guess = predictor(base, tangent, ds, scale)
             try:
-                accepted, iters = correct(op, guess, base, tangent, ds, settings, scale)
+                accepted, iters = correct(op, guess, base, tangent, ds, settings)
             except (ConvergenceError, NumericalError):
                 ds *= STEP_SHRINK
         if accepted is None:
@@ -481,8 +469,9 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
     pseudo-arclength tracer.  No step adaptation: a failed step terminates
     the path with the reason recorded.
     """
-    if dU <= 0.0:
-        raise ValueError("dU must be positive")
+    if not (math.isfinite(U_start) and math.isfinite(U_end) and 0.0 < dU < math.inf):
+        raise ValueError(f"U_start and U_end must be finite and dU must be positive and finite, "
+                         f"not {U_start}, {U_end}, {dU}")
     if abs(seed.U - U_start) > 1e-9 * max(1.0, abs(U_start)):
         raise ValueError(f"seed is converged at U={seed.U}, not at U_start={U_start}")
     scale = _resolve_scale(None, seed)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
-                       Window, _damping_row, _solve_bordered, sigma_min)
+                       Window, _check_counts, _damping_row, _solve_bordered, sigma_min)
 from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
 
 __all__ = [
@@ -47,12 +47,9 @@ class FlutterSearchSettings:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.grid_count < 8:
-            raise ValueError("grid_count must be >= 8")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be >= 1")
         if self.tol <= 0.0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters >= 1")
+        _check_counts(self, {"grid_count": 8, "refine_iters": 1, "max_iters": 1})
 
 
 @dataclass(frozen=True)

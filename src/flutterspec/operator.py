@@ -15,7 +15,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,10 +199,10 @@ class EigenPoint:
     @classmethod
     def from_vector(cls, op: ParametricOperator, chi_R: float, chi_I: float, U: float,
                     x: np.ndarray) -> "EigenPoint":
-        """Normalize x and record ||A x||, evaluated here (seeds, the polish's chi_I = 0 point)."""
-        a = evaluate(op, complex(chi_R, chi_I), U)
+        """Normalize x and record :func:`residual_norm` (seeds, the polish's chi_I = 0 point)."""
         x = _unit_phased(np.asarray(x, dtype=complex).reshape(op.dim))
-        return cls(float(chi_R), float(chi_I), float(U), x, float(np.linalg.norm(a @ x)))
+        return cls(float(chi_R), float(chi_I), float(U), x,
+                   residual_norm(op, complex(chi_R, chi_I), U, x))
 
 
 def _unit_phased(x: np.ndarray) -> np.ndarray:
@@ -212,6 +212,17 @@ def _unit_phased(x: np.ndarray) -> np.ndarray:
         raise ValueError("eigenvector must be nonzero")
     x = x / nrm
     return x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
+
+
+def _check_counts(settings, least: Dict[str, int]):
+    """ValueError naming the first field of ``least`` on settings that is not an integer
+    (a bool is not one) or is below its least value."""
+    for name, low in least.items():
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 def _check_finite_args(chi: complex, U: float):

@@ -186,7 +186,7 @@ def test_criterion_08_order_of_accuracy(traj_op, traj_flutter):
         disps = []
         for _ in range(10):
             guess = predictor(base, tangent, ds, scale)
-            corrected = corrector_slp(traj_op, guess, base, tangent, ds, settings)
+            corrected, _ = corrector_slp(traj_op, guess, base, tangent, ds, settings)
             disps.append(np.linalg.norm([(corrected.U - guess[0]) / scale[0],
                                          (corrected.chi_R - guess[1]) / scale[1],
                                          (corrected.chi_I - guess[2]) / scale[1]]))

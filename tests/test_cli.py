@@ -554,10 +554,14 @@ class TestUsageErrors:
         ("damping-plot", {"window": {"u_min": 400.0, "u_max": 10.0},
                           "natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
                                       "seed_chi_r": 55.0}}, [], "degenerate window"),
+        ("flutter", {"flutter": {"refine_iters": 1.5}}, [], "refine_iters must be an integer"),
+        ("flutter", {"natural": {"du": "abc"}}, [], "could not convert string to float"),
+        ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
     ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
             "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
-            "inverted_window"])
+            "inverted_window", "flutter_refine_iters_float", "natural_not_a_number",
+            "natural_infinite"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,
                                                message):
         # the config is checked once, when it is read: no subcommand starts on a bad one

@@ -20,7 +20,7 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          sigma_min, solve_at_airspeed, trace_path)
-from flutterspec.continuation import (ModePath, _corrector_slp, _mode_jumped,
+from flutterspec.continuation import (_CORRECTORS, ModePath, _mode_jumped,
                                       _operator_determinants, _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 from flutterspec.operator import _converged, _sigma_min_of
@@ -178,8 +178,8 @@ class TestCorrectors:
         ds = scaled_gap(target, base, traj_scale)
         settings = ContinuationSettings(ds=0.05, scale=traj_scale)
         for correct in (corrector_slp, corrector_newton):
-            out = correct(traj_op, (target.U, target.chi_R, target.chi_I), base, t, ds,
-                          settings)
+            out, _ = correct(traj_op, (target.U, target.chi_R, target.chi_I), base, t, ds,
+                             settings)
             assert scaled_gap(out, target, traj_scale) <= 1e-10
 
     def test_large_step_lands_on_trajectory(self, traj_op, traj_flutter, traj_oracle,
@@ -188,7 +188,7 @@ class TestCorrectors:
         t = initial_tangent(traj_op, traj_flutter).negated()
         base = traj_flutter.point
         guess = predictor(base, t, 0.5, traj_scale)
-        pt = corrector_slp(traj_op, guess, base, t, 0.5, settings)
+        pt, _ = corrector_slp(traj_op, guess, base, t, 0.5, settings)
         assert abs(pt.chi_R - traj_oracle.omega(pt.U)) <= 1e-8
         assert abs(pt.chi_I - traj_oracle.g(pt.U)) <= 1e-8
         constraint = (t.array() @ np.array([(pt.U - base.U) / traj_scale[0],
@@ -200,10 +200,10 @@ class TestCorrectors:
         base = traj_flutter.point
         t = initial_tangent(traj_op, traj_flutter).negated()
         guess = predictor(base, t, 0.2, traj_scale)
-        eq2 = corrector_slp(traj_op, guess, base, t, 0.2,
-                            ContinuationSettings(constraint_form="eq2"))
-        eq3 = corrector_slp(traj_op, guess, base, t, 0.2,
-                            ContinuationSettings(constraint_form="eq3"))
+        eq2, _ = corrector_slp(traj_op, guess, base, t, 0.2,
+                               ContinuationSettings(constraint_form="eq2"))
+        eq3, _ = corrector_slp(traj_op, guess, base, t, 0.2,
+                               ContinuationSettings(constraint_form="eq3"))
         assert scaled_gap(eq2, eq3, traj_scale) <= 1e-8
 
     def test_slp_newton_agree_on_step(self, ts_op, ts_flutter):
@@ -212,8 +212,8 @@ class TestCorrectors:
         base = ts_flutter.point
         guess = predictor(base, t, 0.1, scale)
         settings = ContinuationSettings(scale=scale)
-        a = corrector_slp(ts_op, guess, base, t, 0.1, settings)
-        b = corrector_newton(ts_op, guess, base, t, 0.1, settings)
+        a, _ = corrector_slp(ts_op, guess, base, t, 0.1, settings)
+        b, _ = corrector_newton(ts_op, guess, base, t, 0.1, settings)
         assert scaled_gap(a, b, scale) <= 1e-8
         assert a.residual <= 1e-10 and b.residual <= 1e-10
 
@@ -221,8 +221,8 @@ class TestCorrectors:
         scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
         t = initial_tangent(ts_op, ts_flutter)
         base = ts_flutter.point
-        p = corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
-                          ContinuationSettings(scale=scale))
+        p, _ = corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
+                             ContinuationSettings(scale=scale))
         assert p.residual == sigma_min(ts_op, p.chi, p.U)[0]
 
     def test_slp_accepted_point_is_not_evaluated_again(self, ts_op, ts_flutter):
@@ -237,8 +237,8 @@ class TestCorrectors:
         t = initial_tangent(ts_op, ts_flutter)
         base = ts_flutter.point
         settings = ContinuationSettings(scale=scale)
-        _, iterations = _corrector_slp(op, predictor(base, t, 0.1, scale), base, t, 0.1,
-                                       settings, scale)
+        _, iterations = corrector_slp(op, predictor(base, t, 0.1, scale), base, t, 0.1,
+                                      settings)
         assert iterations >= 2
         assert len(calls) == iterations + 1
         assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
@@ -250,7 +250,7 @@ class TestCorrectors:
             derivs=lambda chi, u: tuple(1e9 * d for d in ts_op.derivs(chi, u)))
         base = ts_flutter.point
         t = initial_tangent(ts_op, ts_flutter)
-        guess = predictor(base, t, 0.05, ContinuationSettings().resolved_scale(base))
+        guess = predictor(base, t, 0.05, (max(abs(base.U), 1.0), max(abs(base.chi_R), 1.0)))
         with pytest.raises(ConvergenceError, match="SLP stalled") as info:
             corrector_slp(op, guess, base, t, 0.05)
         assert info.value.iterations == 2
@@ -281,6 +281,33 @@ class TestCorrectors:
         with pytest.raises(ConvergenceError, match="no real increment triple"):
             corrector_slp(ts_op, (base.U, base.chi_R, base.chi_I), base, Tangent(0.0, 0.0, 0.0),
                           0.1)
+
+    def test_trace_path_dispatches_to_the_public_correctors(self):
+        assert _CORRECTORS == {"slp": corrector_slp, "newton": corrector_newton}
+
+    @pytest.mark.parametrize("corrector", ["slp", "newton"])
+    def test_first_trace_step_is_the_corrector_point(self, ts_op, ts_flutter, corrector):
+        # a corrector called alone takes its default scale at base, here the start point
+        settings = ContinuationSettings(corrector=corrector, max_steps=1)
+        path = trace_path(ts_op, ts_flutter, settings=settings)
+        base = ts_flutter.point
+        t = initial_tangent(ts_op, base)
+        guess = predictor(base, t, settings.ds, path.scale)
+        point, _ = _CORRECTORS[corrector](ts_op, guess, base, t, settings.ds, settings)
+        first = path.points[1]
+        assert path.s == [0.0, settings.ds]
+        assert (first.chi_R, first.chi_I, first.U, first.residual) == (
+            point.chi_R, point.chi_I, point.U, point.residual)
+        assert np.array_equal(first.x, point.x)
+
+    @pytest.mark.parametrize("correct", [corrector_slp, corrector_newton], ids=["slp", "newton"])
+    def test_corrector_counts_its_iterations(self, ts_op, ts_flutter, correct):
+        base = ts_flutter.point
+        t = initial_tangent(ts_op, base)
+        scale = (max(abs(base.U), 1.0), max(abs(base.chi_R), 1.0))
+        point, iterations = correct(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1)
+        assert type(iterations) is int and iterations >= 1
+        assert _converged(point.residual)
 
 
 def random_blocks(seed, n):
@@ -457,8 +484,13 @@ class TestContinuationSettings:
         ({"max_corrector_iters": 0}, "max_corrector_iters"),
         ({"corrector": "broyden"}, "corrector"),
         ({"constraint_form": "eq4"}, "constraint_form"),
+        ({"max_steps": 2.5}, "max_steps must be an integer"),
+        ({"max_steps": True}, "max_steps must be an integer"),
+        ({"max_corrector_iters": 2.5}, "max_corrector_iters must be an integer"),
+        ({"max_corrector_iters": True}, "max_corrector_iters must be an integer"),
     ], ids=["zero_min_ds", "ds_below_min_ds", "ds_above_max_ds", "max_corrector_iters",
-            "corrector", "constraint_form"])
+            "corrector", "constraint_form", "float_max_steps", "bool_max_steps",
+            "float_max_corrector_iters", "bool_max_corrector_iters"])
     def test_invalid_field_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ContinuationSettings(**kwargs)
@@ -530,6 +562,12 @@ class TestTracePath:
                               settings=ContinuationSettings(corrector="newton"))
             assert path.termination_reason == "window-exit" and len(path.points) > 5
             assert path.notes == []
+
+    @pytest.mark.parametrize("direction", [0, 7, -2, 0.5])
+    def test_direction_other_than_plus_or_minus_one_rejected(self, ts_op, ts_flutter,
+                                                             direction):
+        with pytest.raises(ValueError, match="direction must be -1 or 1"):
+            trace_path(ts_op, ts_flutter, direction=direction)
 
     def test_direction_sign(self, traj_op, traj_flutter):
         settings = ContinuationSettings(ds=0.05, max_ds=0.05, max_steps=3)
@@ -751,6 +789,9 @@ class TestExtremumDamping:
 
 @pytest.mark.parametrize("call, message", [
     (lambda op, pt: natural_continuation(op, 250.0, 300.0, 0.0, pt), "dU must be positive"),
+    (lambda op, pt: natural_continuation(op, 250.0, math.inf, 5.0, pt), "must be finite"),
+    (lambda op, pt: natural_continuation(op, math.nan, 300.0, 5.0, pt), "must be finite"),
+    (lambda op, pt: natural_continuation(op, 250.0, 300.0, math.inf, pt), "positive and finite"),
     (lambda op, pt: damping_continuation(op, [pt.chi_I / abs(pt.chi), 1.0],
                                          DampingParameterization.ZETA, pt),
      r"zeta value 1.0 outside \(-1, 1\)"),
@@ -758,7 +799,8 @@ class TestExtremumDamping:
      "d_values must be nonempty"),
     (lambda op, pt: damping_continuation(op, [pt.chi_I + 0.5], DampingParameterization.CHI_I, pt),
      "does not match d_values"),
-], ids=["natural_dU", "zeta_out_of_range", "empty_d_values", "seed_damping"])
+], ids=["natural_dU", "natural_U_end_inf", "natural_U_start_nan", "natural_dU_inf",
+        "zeta_out_of_range", "empty_d_values", "seed_damping"])
 def test_invalid_arguments_rejected(traj_op, traj_point, call, message):
     with pytest.raises(ValueError, match=message):
         call(traj_op, traj_point(250.0))

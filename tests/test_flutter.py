@@ -59,7 +59,13 @@ def sweep_model(model):
     ({"refine_iters": 0}, "refine_iters"),
     ({"tol": 0.0}, "tol must be positive"),
     ({"max_iters": 0}, "max_iters"),
-], ids=["grid_count", "refine_iters", "tol", "max_iters"])
+    ({"grid_count": 64.0}, "grid_count must be an integer"),
+    ({"refine_iters": 1.5}, "refine_iters must be an integer"),
+    ({"refine_iters": True}, "refine_iters must be an integer"),
+    ({"max_iters": 2.5}, "max_iters must be an integer"),
+    ({"max_iters": True}, "max_iters must be an integer"),
+], ids=["grid_count", "refine_iters", "tol", "max_iters", "float_grid_count",
+        "float_refine_iters", "bool_refine_iters", "float_max_iters", "bool_max_iters"])
 def test_invalid_search_settings_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
         FlutterSearchSettings(**kwargs)

@@ -383,8 +383,7 @@ class TestEigenPoint:
         pt = EigenPoint.from_vector(traj_op, traj_oracle.omega(u), traj_oracle.g(u), u,
                                     np.array([2.0, 0.0]))
         assert abs(np.linalg.norm(pt.x) - 1.0) <= 1e-12
-        recomputed = residual_norm(traj_op, pt.chi, pt.U, pt.x)
-        assert abs(recomputed - pt.residual) <= 1e-12
+        assert pt.residual == residual_norm(traj_op, pt.chi, pt.U, pt.x)
         assert all(math.isfinite(v) for v in (pt.chi_R, pt.chi_I, pt.U))
 
     def test_zero_vector_rejected(self, traj_op):
