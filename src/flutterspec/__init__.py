@@ -9,8 +9,7 @@ pseudo-arclength continuation with a multiparameter-eigenvalue corrector.
 from .errors import (ConvergenceError, DegenerateTangentError, FlutterSpecError,
                      NumericalError)
 from .operator import (DampingParameterization, EigenPoint, ParametricOperator, Window,
-                       complex_to_damping, damping_to_complex, evaluate, param_derivatives,
-                       residual_norm, sigma_min)
+                       evaluate, param_derivatives, residual_norm, sigma_min)
 from .pseudospectrum import (BorderlineRegion, ComplexField, ContourSet, Grid2D, ScalarField,
                              compute_det_field, compute_sigma_field, epsilon_pseudospectrum,
                              extract_contours, find_borderline_regions)

@@ -30,9 +30,8 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
-                       ParametricOperator, RowFn, _check_counts, _converged, _damping_row,
-                       _sigma_min_of, _solve_bordered, _unit_phased, _zeta, complex_to_damping,
-                       evaluate, param_derivatives)
+                       ParametricOperator, RowFn, _check_counts, _converged, _sigma_min_of,
+                       _solve_bordered, _unit_phased, _zeta, evaluate, param_derivatives)
 
 __all__ = [
     "Tangent",
@@ -507,24 +506,25 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
     Fixing the damping parameter restricts each solve to the fixed-d slice;
     past a damping turning point no nearby solution exists, so the step
     either fails to converge or jumps branches, and the path terminates
-    with reason "turning-point suspected".
+    with reason "turning-point suspected".  Every level is checked (see
+    :class:`DampingParameterization`) before the first solve.
     """
     d_values = [float(d) for d in d_values]
     if not d_values:
         raise ValueError("d_values must be nonempty")
+    rows = [p.row(d) for d in d_values]
     diffs = np.diff(d_values)
     if diffs.size and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("d_values must be monotone")
-    _, d_seed = complex_to_damping(p, seed.chi)
+    d_seed = p.level(seed.chi)
     if abs(d_seed - d_values[0]) > 1e-6 * (1.0 + abs(d_seed)):
         raise ValueError(f"seed damping {d_seed} does not match d_values[0] = {d_values[0]}")
     scale = _resolve_scale(None, seed)
 
     path = ModePath(points=[seed], s=[0.0], origin="natural",
                     direction=+1 if (diffs.size == 0 or diffs[0] > 0) else -1, scale=scale)
-    for d in d_values[1:]:
+    for row in rows[1:]:
         prev = path.points[-1]
-        row = _damping_row(p, d)
         try:
             nxt, _ = _solve_bordered(op, (prev.U, prev.chi_R, prev.chi_I), prev.x, row)
         except ConvergenceError:
@@ -567,8 +567,10 @@ def flight_envelope(path: ModePath, zeta_max: float,
     where chi_R > 0, so a crossing whose interpolated guess has chi_R <= 0
     stays unrefined (point None).  Sides follow the local dzeta/dU sign:
     negative slope means damping is deteriorating with airspeed, the
-    subcritical approach to instability.
+    subcritical approach to instability.  A zeta_max that is not finite or
+    lies outside (-1, 1) raises ValueError.
     """
+    row = DampingParameterization.ZETA.row(zeta_max)
     zetas = path.zetas()
     crossings: List[EnvelopeCrossing] = []
     last = len(zetas) - 1
@@ -590,7 +592,6 @@ def flight_envelope(path: ModePath, zeta_max: float,
         point = None
         u_star = guess[0]
         if op is not None and guess[1] > 0.0:
-            row = _damping_row(DampingParameterization.ZETA, zeta_max)
             point, _ = _solve_bordered(op, guess, path.points[k].x, row)
             u_star = point.U
         crossings.append(EnvelopeCrossing(float(zeta_max), float(u_star), (k, k + 1),

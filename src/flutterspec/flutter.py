@@ -14,6 +14,7 @@ around it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
-                       Window, _check_counts, _damping_row, _solve_bordered, sigma_min)
+                       Window, _check_counts, _solve_bordered, sigma_min)
 from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
 
 __all__ = [
@@ -47,8 +48,8 @@ class FlutterSearchSettings:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
         _check_counts(self, {"grid_count": 8, "refine_iters": 1, "max_iters": 1})
 
 
@@ -103,7 +104,7 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
     if not op.window.contains(u, w):
         raise ValueError(f"candidate {candidate} outside operator window {op.window}")
     _, x0 = sigma_min(op, complex(w, 0.0), u)
-    real_chi = _damping_row(DampingParameterization.CHI_I, 0.0)
+    real_chi = DampingParameterization.CHI_I.row(0.0)
     try:
         pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, real_chi, tol, max_iters)
     except ConvergenceError as exc:

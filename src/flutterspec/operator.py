@@ -33,8 +33,6 @@ __all__ = [
     "residual_norm",
     "sigma_min",
     "param_derivatives",
-    "damping_to_complex",
-    "complex_to_damping",
 ]
 
 UNIT_NORM_TOL = 1e-12
@@ -75,16 +73,59 @@ class Window:
 
 
 class DampingParameterization(enum.Enum):
-    """How a scalar damping parameter d maps to a complex frequency.
+    """How a scalar damping level d maps to a complex frequency, and back.
 
     CHI_I: chi = chi_R + i*d (dimensional imaginary part).
-    ZETA:  d is the modal damping ratio chi_I/|chi|.
+    ZETA:  d is the modal damping ratio chi_I/|chi| in (-1, 1); the chi with
+           real part chi_R > 0 and that ratio is chi_R*(1 + i*d/sqrt(1 - d^2)).
     XI:    chi = chi_R*(1 + i*d) (dimensionless, linear in d).
+
+    A level must be finite, and inside (-1, 1) for ZETA; :meth:`chi` and
+    :meth:`row` raise ValueError on any other.
     """
 
     CHI_I = "chi_I"
     ZETA = "zeta"
     XI = "xi"
+
+    def _root(self, d: float) -> float:
+        """The one domain check of a level d; returns sqrt(1 - d^2) for ZETA and 1 otherwise,
+        so that chi_I/chi_R = d/root off CHI_I."""
+        if not math.isfinite(d):
+            raise ValueError(f"non-finite damping arguments: {self.value} level {d}")
+        if self is not DampingParameterization.ZETA:
+            return 1.0
+        if abs(d) >= 1.0:
+            raise ValueError(f"zeta value {d} outside (-1, 1)")
+        return math.sqrt(1.0 - d * d)
+
+    def chi(self, chi_R: float, d: float) -> complex:
+        """The complex frequency at real part chi_R and level d (ZETA needs chi_R > 0)."""
+        if not math.isfinite(chi_R):
+            raise ValueError(f"non-finite damping arguments: chi_R {chi_R}")
+        root = self._root(d)
+        if self is DampingParameterization.CHI_I:
+            return complex(chi_R, d)
+        if self is DampingParameterization.ZETA and chi_R <= 0.0:
+            raise ValueError(f"zeta parameterization requires chi_R > 0, got {chi_R}")
+        return complex(chi_R, chi_R * d / root)
+
+    def level(self, chi: complex) -> float:
+        """The inverse of :meth:`chi`: the level d of chi (Re(chi) > 0 off CHI_I)."""
+        if not cmath.isfinite(chi):
+            raise ValueError("non-finite chi")
+        if self is DampingParameterization.CHI_I:
+            return chi.imag
+        if chi.real <= 0.0:
+            raise ValueError(f"{self.value} inversion requires Re(chi) > 0, got {chi.real}")
+        return chi.imag / chi.real if self is DampingParameterization.XI else float(_zeta(chi))
+
+    def row(self, d: float) -> RowFn:
+        """The bordered solver's row that fixes the level d: it vanishes at chi(chi_R, d)."""
+        root = self._root(d)
+        if self is DampingParameterization.CHI_I:
+            return lambda wr, wi, u: (wi - d, (0.0, 1.0, 0.0))
+        return lambda wr, wi, u: (wi * root - d * wr, (-d, root, 0.0))
 
 
 Term = Tuple[int, int, np.ndarray]
@@ -393,72 +434,9 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
                            f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)
 
 
-def _zeta_root(d: float) -> float:
-    """sqrt(1 - d^2) of a damping ratio d, which must lie in (-1, 1)."""
-    if abs(d) >= 1.0:
-        raise ValueError(f"zeta value {d} outside (-1, 1)")
-    return math.sqrt(1.0 - d * d)
-
-
 def _zeta(chi):
     """The damping ratio chi_I/|chi| of one chi or of an array (nan at chi = 0): the one
-    formula behind ModePath.zetas, the ZETA inverse, the extremum and the CLI's zeta values."""
+    formula behind ModePath.zetas, the ZETA level, the extremum and the CLI's zeta values."""
     chi = np.asarray(chi, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
         return chi.imag / np.abs(chi)
-
-
-def damping_to_complex(p: DampingParameterization, chi_R: float, d: float) -> complex:
-    """Map (chi_R, d) to the complex frequency under parameterization p.
-
-    ZETA follows the ratio definition zeta = chi_I/|chi| (the unique chi
-    with Re(chi) = chi_R > 0 and that ratio equal to d), which requires
-    |d| < 1.
-    """
-    if not (math.isfinite(chi_R) and math.isfinite(d)):
-        raise ValueError("non-finite damping arguments")
-    if p is DampingParameterization.CHI_I:
-        return complex(chi_R, d)
-    if p is DampingParameterization.XI:
-        return complex(chi_R, chi_R * d)
-    if p is DampingParameterization.ZETA:
-        root = _zeta_root(d)
-        if chi_R <= 0.0:
-            raise ValueError(f"zeta parameterization requires chi_R > 0, got {chi_R}")
-        return complex(chi_R, chi_R * d / root)
-    raise ValueError(f"unknown parameterization {p}")
-
-
-def complex_to_damping(p: DampingParameterization, chi: complex) -> Tuple[float, float]:
-    """Inverse of :func:`damping_to_complex`: (chi_R, d) from chi."""
-    if not cmath.isfinite(chi):
-        raise ValueError("non-finite chi")
-    chi_R, chi_I = chi.real, chi.imag
-    if p is DampingParameterization.CHI_I:
-        return chi_R, chi_I
-    if chi_R <= 0.0:
-        raise ValueError(f"{p.value} inversion requires Re(chi) > 0, got {chi_R}")
-    if p is DampingParameterization.XI:
-        return chi_R, chi_I / chi_R
-    if p is DampingParameterization.ZETA:
-        return chi_R, float(_zeta(chi))
-    raise ValueError(f"unknown parameterization {p}")
-
-
-def _damping_row(p: DampingParameterization, d: float) -> RowFn:
-    """The row that fixes the damping level d under p; it vanishes at
-    chi = damping_to_complex(p, chi_R, d)."""
-    if p is DampingParameterization.CHI_I:
-        def row(wr, wi, u):
-            return wi - d, (0.0, 1.0, 0.0)
-    elif p is DampingParameterization.XI:
-        def row(wr, wi, u):
-            return wi - d * wr, (-d, 1.0, 0.0)
-    elif p is DampingParameterization.ZETA:
-        root = _zeta_root(d)
-
-        def row(wr, wi, u):
-            return wi * root - d * wr, (-d, root, 0.0)
-    else:
-        raise ValueError(f"unknown parameterization {p}")
-    return row

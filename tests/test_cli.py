@@ -347,6 +347,15 @@ class TestEnvelopeCommand:
         doc = json.loads((tmp_path / "env" / "envelope.json").read_text())
         assert doc["crossings"] == []
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "1", "-1.5"])
+    def test_level_outside_the_zeta_domain_exits_1(self, tmp_path, capsys, level):
+        path_file = self._subcritical_path(tmp_path)
+        code = main(["envelope", str(path_file), "--zeta-max", level,
+                     "--output-dir", str(tmp_path / "env")])
+        assert code == 1
+        assert "zeta" in capsys.readouterr().err
+        assert not (tmp_path / "env").exists()
+
     def test_level_crossing_matches_closed_form(self, tmp_path, traj_oracle):
         path_file = self._subcritical_path(tmp_path)
         code = main(["envelope", str(path_file), "--zeta-max", "0.05",
@@ -555,13 +564,14 @@ class TestUsageErrors:
                           "natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
                                       "seed_chi_r": 55.0}}, [], "degenerate window"),
         ("flutter", {"flutter": {"refine_iters": 1.5}}, [], "refine_iters must be an integer"),
+        ("flutter", {"flutter": {"tol": math.inf}}, [], "tol must be positive and finite"),
         ("flutter", {"natural": {"du": "abc"}}, [], "could not convert string to float"),
         ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
     ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
             "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
-            "inverted_window", "flutter_refine_iters_float", "natural_not_a_number",
-            "natural_infinite"])
+            "inverted_window", "flutter_refine_iters_float", "flutter_infinite_tol",
+            "natural_not_a_number", "natural_infinite"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,
                                                message):
         # the config is checked once, when it is read: no subcommand starts on a bad one

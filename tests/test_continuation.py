@@ -666,6 +666,23 @@ class TestDampingContinuation:
         assert path.termination_reason == "turning-point suspected"
         assert [p.U for p in path.points] == pytest.approx([10.0, 11.0], abs=1e-9)
 
+    @pytest.mark.parametrize("p, levels", [
+        (DampingParameterization.CHI_I, [math.nan]),
+        (DampingParameterization.XI, [0.0, math.inf]),
+        (DampingParameterization.ZETA, [0.0, 0.001, 1.5]),
+    ], ids=["nan_seed_level", "infinite_level", "zeta_past_one"])
+    def test_every_level_is_checked_before_the_first_solve(self, p, levels):
+        op, seed = linear_damping_mode(10.0)  # chi_I = 0 at the seed: level 0 in each p
+        calls = []
+
+        def func(chi, u):
+            calls.append(u)
+            return op.func(chi, u)
+
+        with pytest.raises(ValueError):
+            damping_continuation(dataclasses.replace(op, func=func), levels, p, seed)
+        assert calls == []
+
     def test_monotonicity_validated(self, traj_op, traj_point, traj_oracle):
         seed = traj_point(500.0)
         g0 = traj_oracle.g(500.0)
@@ -676,9 +693,17 @@ class TestDampingContinuation:
 
 class TestFlightEnvelope:
     def test_out_of_range_level_empty(self, super_path, traj_op):
+        # levels inside (-1, 1) that the path never reaches
         zetas = super_path.zetas()
-        assert flight_envelope(super_path, zetas.min() - 1.0, op=traj_op) == []
-        assert flight_envelope(super_path, zetas.max() + 1.0, op=traj_op) == []
+        assert flight_envelope(super_path, (zetas.min() - 1.0) / 2.0, op=traj_op) == []
+        assert flight_envelope(super_path, (zetas.max() + 1.0) / 2.0, op=traj_op) == []
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 1.0, -1.5])
+    @pytest.mark.parametrize("refined", [True, False])
+    def test_level_outside_the_zeta_domain_rejected(self, super_path, traj_op, level, refined):
+        # a damping ratio lies in (-1, 1): a level outside it is an error, not an empty result
+        with pytest.raises(ValueError, match="zeta"):
+            flight_envelope(super_path, level, op=traj_op if refined else None)
 
     def test_level_crossing_matches_closed_form(self, traj_op, traj_flutter, traj_oracle):
         settings = ContinuationSettings(ds=0.05, max_ds=0.05, max_steps=40)

@@ -3,6 +3,7 @@ against the grid-free Hopf oracle, which is itself checked here against closed f
 
 import functools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -58,14 +59,17 @@ def sweep_model(model):
     ({"grid_count": 7}, "grid_count"),
     ({"refine_iters": 0}, "refine_iters"),
     ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": math.inf}, "tol must be positive and finite"),
+    ({"tol": math.nan}, "tol must be positive and finite"),
     ({"max_iters": 0}, "max_iters"),
     ({"grid_count": 64.0}, "grid_count must be an integer"),
     ({"refine_iters": 1.5}, "refine_iters must be an integer"),
     ({"refine_iters": True}, "refine_iters must be an integer"),
     ({"max_iters": 2.5}, "max_iters must be an integer"),
     ({"max_iters": True}, "max_iters must be an integer"),
-], ids=["grid_count", "refine_iters", "tol", "max_iters", "float_grid_count",
-        "float_refine_iters", "bool_refine_iters", "float_max_iters", "bool_max_iters"])
+], ids=["grid_count", "refine_iters", "tol", "infinite_tol", "nan_tol", "max_iters",
+        "float_grid_count", "float_refine_iters", "bool_refine_iters", "float_max_iters",
+        "bool_max_iters"])
 def test_invalid_search_settings_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
         FlutterSearchSettings(**kwargs)
@@ -112,10 +116,13 @@ class TestLocateCandidates:
 
 
 class TestPolish:
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iters": 0}],
-                             ids=["zero_tol", "negative_tol", "no_iterations"])
-    def test_settings_out_of_range_rejected(self, traj_op, kwargs):
-        with pytest.raises(ValueError, match="tol must be positive and max_iters >= 1"):
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": 0.0}, "tol must be positive and finite"),
+        ({"tol": -1.0}, "tol must be positive and finite"),
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+    ], ids=["zero_tol", "negative_tol", "no_iterations"])
+    def test_settings_out_of_range_rejected(self, traj_op, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             polish_flutter_point(traj_op, (119.7, 54.0), **kwargs)
 
     def test_restabilization_from_nearby_candidate(self, traj_op, traj_oracle):

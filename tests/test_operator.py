@@ -9,11 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalError,
-                         ParametricOperator, Window, build_normal_operator,
-                         complex_to_damping, compute_sigma_field, damping_to_complex, evaluate,
-                         param_derivatives, residual_norm, sigma_min)
-from flutterspec.operator import (Pencil, _damping_row, _solve_bordered, evaluate_batch,
-                                  polynomial_pencil)
+                         ParametricOperator, Window, build_normal_operator, compute_sigma_field,
+                         evaluate, param_derivatives, residual_norm, sigma_min)
+from flutterspec.operator import Pencil, _solve_bordered, evaluate_batch, polynomial_pencil
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -309,52 +307,52 @@ class TestParamDerivatives:
                     assert np.linalg.norm(a - n) / scale <= 1e-5
 
 
+ZETA, XI, CHI_I = (DampingParameterization.ZETA, DampingParameterization.XI,
+                   DampingParameterization.CHI_I)
+
+
+def member_and_level():
+    """A parameterization and a level in its domain: |d| up to 1 - 1e-6 for ZETA, 5 otherwise."""
+    return st.sampled_from(list(DampingParameterization)).flatmap(
+        lambda p: st.tuples(st.just(p), st.floats(-(1.0 - 1e-6), 1.0 - 1e-6) if p is ZETA
+                            else st.floats(-5.0, 5.0)))
+
+
 class TestDampingMaps:
     def test_chi_i_forward(self):
-        assert damping_to_complex(DampingParameterization.CHI_I, 2.0, 0.5) == 2.0 + 0.5j
+        assert CHI_I.chi(2.0, 0.5) == 2.0 + 0.5j
 
     def test_xi_forward(self):
-        chi = damping_to_complex(DampingParameterization.XI, 2.0, 0.1)
-        assert chi == pytest.approx(2.0 + 0.2j, abs=1e-15)
+        assert XI.chi(2.0, 0.1) == pytest.approx(2.0 + 0.2j, abs=1e-15)
 
     def test_zeta_zero_damping(self):
         for omega in (0.5, 2.0, 731.0):
-            assert damping_to_complex(DampingParameterization.ZETA, omega, 0.0) == omega
+            assert ZETA.chi(omega, 0.0) == omega
 
     def test_zeta_ratio_definition(self):
         # forward map realizes zeta = chi_I/|chi| exactly
-        chi = damping_to_complex(DampingParameterization.ZETA, 3.0, 0.6)
+        chi = ZETA.chi(3.0, 0.6)
         assert chi.imag / abs(chi) == pytest.approx(0.6, abs=1e-15)
         assert chi.real == 3.0
 
     def test_chi_i_inverse(self):
-        assert complex_to_damping(DampingParameterization.CHI_I, 2.0 + 0.5j) == (2.0, 0.5)
+        assert CHI_I.level(2.0 + 0.5j) == 0.5
 
     def test_zeta_inverse_pythagorean(self):
-        chi_r, d = complex_to_damping(DampingParameterization.ZETA, 3.0 + 4.0j)
-        assert chi_r == 3.0
-        assert d == pytest.approx(0.8, abs=1e-15)
+        assert ZETA.level(3.0 + 4.0j) == pytest.approx(0.8, abs=1e-15)
 
-    @pytest.mark.parametrize("kind", list(DampingParameterization))
-    def test_round_trip(self, kind):
-        rng = np.random.default_rng(hash(kind.value) % 2 ** 32)
-        for _ in range(100):
-            chi_r = rng.uniform(0.1, 500.0)
-            d = rng.uniform(-0.95, 0.95) if kind is DampingParameterization.ZETA \
-                else rng.uniform(-5.0, 5.0)
-            chi = damping_to_complex(kind, chi_r, d)
-            back_r, back_d = complex_to_damping(kind, chi)
-            assert back_r == pytest.approx(chi_r, rel=1e-12, abs=1e-12)
-            assert back_d == pytest.approx(d, rel=1e-12, abs=1e-12)
-
-    @settings(max_examples=60)
-    @given(kind=st.sampled_from(list(DampingParameterization)),
-           chi_r=st.floats(0.1, 500.0), d=st.floats(-0.95, 0.95), u=st.floats(0.0, 100.0))
-    def test_damping_row_vanishes_on_the_map(self, kind, chi_r, d, u):
-        # the bordered solver's damping row is zero (to rounding) where damping_to_complex
-        # puts chi, and its gradient is the row's derivative in (chi_R, chi_I, U)
-        row = _damping_row(kind, d)
-        chi = damping_to_complex(kind, chi_r, d)
+    @settings(max_examples=200)
+    @given(member=member_and_level(), chi_r=st.floats(0.1, 500.0), u=st.floats(0.0, 100.0))
+    @example(member=(ZETA, 1.0 - 1e-6), chi_r=500.0, u=0.0)
+    @example(member=(ZETA, -(1.0 - 1e-6)), chi_r=0.1, u=100.0)
+    def test_level_inverts_chi_and_row_vanishes_there(self, member, chi_r, u):
+        # level(chi(chi_R, d)) is d, and the bordered solver's row for d is zero (to rounding)
+        # at that chi, with its gradient the row's derivative in (chi_R, chi_I, U)
+        p, d = member
+        chi = p.chi(chi_r, d)
+        assert chi.real == chi_r
+        assert p.level(chi) == pytest.approx(d, rel=1e-12, abs=1e-300)
+        row = p.row(d)
         value, grad = row(chi.real, chi.imag, u)
         assert abs(value) <= 1e-12 * (1.0 + abs(chi))
         h = 1e-3
@@ -366,15 +364,23 @@ class TestDampingMaps:
 
     def test_zeta_domain_errors(self):
         with pytest.raises(ValueError, match=r"zeta value 1.0 outside \(-1, 1\)"):
-            _damping_row(DampingParameterization.ZETA, 1.0)
+            ZETA.row(1.0)
         with pytest.raises(ValueError):
-            damping_to_complex(DampingParameterization.ZETA, 2.0, 1.0)
+            ZETA.chi(2.0, 1.0)
         with pytest.raises(ValueError):
-            damping_to_complex(DampingParameterization.ZETA, -2.0, 0.5)
+            ZETA.chi(-2.0, 0.5)
         with pytest.raises(ValueError):
-            complex_to_damping(DampingParameterization.ZETA, -1.0 + 1.0j)
+            ZETA.level(-1.0 + 1.0j)
         with pytest.raises(ValueError):
-            complex_to_damping(DampingParameterization.XI, -1.0 + 1.0j)
+            XI.level(-1.0 + 1.0j)
+
+    @pytest.mark.parametrize("p", list(DampingParameterization))
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, p, d):
+        with pytest.raises(ValueError, match="non-finite damping arguments"):
+            p.row(d)
+        with pytest.raises(ValueError, match="non-finite damping arguments"):
+            p.chi(2.0, d)
 
 
 class TestEigenPoint:
@@ -438,10 +444,8 @@ class TestWindow:
     (lambda: Window(0.0, math.inf, 0.0, 1.0), "window bounds must be finite"),
     (lambda: ParametricOperator("empty", 0, lambda chi, u: np.zeros((0, 0)), WIDE),
      "operator dimension must be >= 1"),
-    (lambda: damping_to_complex(DampingParameterization.CHI_I, math.nan, 0.1),
-     "non-finite damping arguments"),
-    (lambda: complex_to_damping(DampingParameterization.CHI_I, complex(math.inf, 0.0)),
-     "non-finite chi"),
+    (lambda: CHI_I.chi(math.nan, 0.1), "non-finite damping arguments"),
+    (lambda: CHI_I.level(complex(math.inf, 0.0)), "non-finite chi"),
 ], ids=["infinite_window", "zero_dimension", "nan_chi_R", "infinite_chi"])
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
