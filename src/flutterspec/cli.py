@@ -30,7 +30,7 @@ from . import models
 from .errors import ConvergenceError, FlutterSpecError
 from .flutter import FlutterPoint, FlutterSearchSettings, find_flutter_points
 from .operator import EigenPoint, ParametricOperator, Window, _zeta, sigma_min
-from .pseudospectrum import (Grid2D, _borderline_threshold, _eps_levels, compute_sigma_field,
+from .pseudospectrum import (Grid2D, _eps_levels, _positive_finite, compute_sigma_field,
                              extract_contours, find_borderline_regions)
 
 __all__ = ["RunConfig", "main", "cmd_flutter", "cmd_pseudo", "cmd_trace",
@@ -121,7 +121,7 @@ class RunConfig:
                                else doc.get("eps_list") or [0.04, 0.08])
 
         borderline = _only(doc.get("borderline"), "borderline", ("threshold",))
-        threshold = _borderline_threshold(borderline.get("threshold", min(eps_list)))
+        threshold = _positive_finite("threshold", borderline.get("threshold", min(eps_list)))
 
         continuation = _only(doc.get("continuation"), "continuation",
                              _field_names(cont.ContinuationSettings) + ("direction",))

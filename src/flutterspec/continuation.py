@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
-                       ParametricOperator, RowFn, _check_counts, _converged, _sigma_min_of,
+                       ParametricOperator, RowFn, _check_count, _converged, _sigma_min_of,
                        _solve_bordered, _unit_phased, _zeta, evaluate, param_derivatives)
 
 __all__ = [
@@ -106,7 +106,8 @@ class ContinuationSettings:
     constraint_form: str = "eq2"
 
     def __post_init__(self):
-        _check_counts(self, {"max_steps": 0, "max_corrector_iters": 1})
+        for name, least in {"max_steps": 0, "max_corrector_iters": 1}.items():
+            _check_count(name, getattr(self, name), least)
         if not (0.0 < self.min_ds <= self.ds <= self.max_ds):
             raise ValueError("need 0 < min_ds <= ds <= max_ds")
         if self.scale is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
-                       Window, _check_counts, _solve_bordered, sigma_min)
+                       Window, _check_count, _solve_bordered, sigma_min)
 from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
 
 __all__ = [
@@ -50,7 +50,8 @@ class FlutterSearchSettings:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
-        _check_counts(self, {"grid_count": 8, "refine_iters": 1, "max_iters": 1})
+        for name, least in {"grid_count": 8, "refine_iters": 1, "max_iters": 1}.items():
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,15 +255,13 @@ def _unit_phased(x: np.ndarray) -> np.ndarray:
     return x * (np.conj(x[np.argmax(np.abs(x))]) / np.abs(x).max())
 
 
-def _check_counts(settings, least: Dict[str, int]):
-    """ValueError naming the first field of ``least`` on settings that is not an integer
-    (a bool is not one) or is below its least value."""
-    for name, low in least.items():
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}")
+def _check_count(name: str, value, least: int):
+    """ValueError naming ``name`` if ``value`` is not an integer (a bool is not one) or is
+    below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_finite_args(chi: complex, U: float):

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError
-from .operator import ParametricOperator, Pencil, Window, evaluate_batch
+from .operator import ParametricOperator, Pencil, Window, _check_count, evaluate_batch
 
 __all__ = [
     "Grid2D",
@@ -58,11 +58,10 @@ class Grid2D:
     chi_I_fixed: float = 0.0
 
     def __post_init__(self):
-        for lo, hi, count in (self.u_axis, self.w_axis):
+        for name, (lo, hi, count) in (("u_axis", self.u_axis), ("w_axis", self.w_axis)):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"axis bounds ({lo}, {hi}) must be finite with min < max")
-            if count < 2:
-                raise ValueError("axis count must be >= 2")
+            _check_count(f"{name} count", count, 2)
         if not math.isfinite(self.chi_I_fixed):
             raise ValueError("chi_I_fixed must be finite")
         axes = (np.linspace(*self.u_axis), np.linspace(*self.w_axis))
@@ -279,11 +278,12 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
     """Iso-contours {value = level} of a sigma field as marching-squares polylines.
 
     Saddle cells are resolved by the cell-center value.  An empty result
-    is not an error.  Determinant fields raise TypeError.
+    is not an error.  Determinant fields raise TypeError, and a ``level`` that is
+    not finite and positive (the rule of ``eps_list``) raises ValueError.
     """
     if not isinstance(fld, ScalarField):
         raise TypeError(f"cannot contour {type(fld).__name__}")
-    level = float(level)
+    level = _positive_finite("level", level)
     corners = _cell_corners(fld.values)
     case = _cell_cases(corners, level)
     ii, jj = np.nonzero((case != 0) & (case != 15))
@@ -319,23 +319,18 @@ def _det_components(fld: ComplexField) -> Tuple[np.ndarray, List[np.ndarray], np
 def _det_zero_crossings(fld: ComplexField) -> List[Tuple[float, float]]:
     """Crossings (U, chi_R) of the Re(det) = 0 and Im(det) = 0 contours, without chaining.
 
-    The segments are the marching-squares segments of the two components that
-    :func:`_det_components` sets up.  Each Re segment is intersected with the Im segments of its own cell and of
-    the eight around it, the only cells it can touch.  So the hits are those of
-    all Re x Im segment pairs, while the pairing work grows with the cells the
-    contours cross, and they come in row-major order of the Re segments' cells.
+    Each component's marching-squares segments (:func:`_det_components`) come from one
+    call.  Each Re segment is intersected with the Im segments of its own cell and of the
+    eight around it: segments of two cells meet only on an edge or node they share, where
+    det vanishes exactly (a zero on a grid node, say).  So the hits are those of all
+    Re x Im segment pairs, in row-major order of the Re segments' cells, while the pairing
+    work grows with the cells the contours cross.
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     case, corners, cells = _det_components(fld)
-    kk, ii, jj = np.nonzero(cells)
-    # both components in one pass: Im on a second copy of the grid after Re along U
-    # (no cell spans the two), so their edges get distinct ids
-    seg_i, seg_j, _, verts = _cell_segments(np.tile(us, 2), ws, kk * us.size + ii, jj,
-                                            case[kk, ii, jj], [c[kk, ii, jj] for c in corners],
-                                            0.0)
-    n_re = np.searchsorted(seg_i, us.size)
-    re_i, re_j, re_v = seg_i[:n_re], seg_j[:n_re], verts[:n_re]
-    im_i, im_j, im_v = seg_i[n_re:] - us.size, seg_j[n_re:], verts[n_re:]
+    (re_i, re_j, _, re_v), (im_i, im_j, _, im_v) = [
+        _cell_segments(us, ws, ii, jj, case[k, ii, jj], [c[k, ii, jj] for c in corners], 0.0)
+        for k, (ii, jj) in enumerate(map(np.nonzero, cells))]
 
     # Im segment ids per cell (-1 for none), padded by one cell on each side
     im_at = np.full((us.size + 1, ws.size + 1, 2), -1)
@@ -379,12 +374,12 @@ def _eps_levels(eps_list: Sequence[float]) -> List[float]:
     return eps
 
 
-def _borderline_threshold(threshold: float) -> float:
-    """A borderline-region ``threshold`` as a float, which must be finite and positive."""
-    t = float(threshold)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"threshold must be positive and finite, not {t}")
-    return t
+def _positive_finite(name: str, value: float) -> float:
+    """``value`` as a float, which must be finite and positive; a ValueError names it."""
+    v = float(value)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {v}")
+    return v
 
 
 def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -417,7 +412,7 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     flutter point (``FlutterPoint``s, read at ``fp.point.U`` and
     ``fp.point.chi_R``) with semi-axes ``NEAR_FLUTTER_SPAN`` of each grid span.
     """
-    threshold = _borderline_threshold(threshold)
+    threshold = _positive_finite("threshold", threshold)
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     radius = (NEAR_FLUTTER_SPAN * (us[-1] - us[0]), NEAR_FLUTTER_SPAN * (ws[-1] - ws[0]))
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]

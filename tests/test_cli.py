@@ -567,15 +567,16 @@ class TestUsageErrors:
         ("flutter", {"flutter": {"tol": math.inf}}, [], "tol must be positive and finite"),
         ("flutter", {"natural": {"du": "abc"}}, [], "could not convert string to float"),
         ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
+        ("pseudo", {"grid": {"u_count": 101.0}}, [], "u_axis count must be an integer"),
     ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
             "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
             "inverted_window", "flutter_refine_iters_float", "flutter_infinite_tol",
-            "natural_not_a_number", "natural_infinite"])
+            "natural_not_a_number", "natural_infinite", "grid_float_count"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,
                                                message):
         # the config is checked once, when it is read: no subcommand starts on a bad one
-        cfg = write_config(tmp_path, grid={"u_count": 11, "w_count": 11}, **fields)
+        cfg = write_config(tmp_path, **{"grid": {"u_count": 11, "w_count": 11}, **fields})
         assert main([command, "--config", str(cfg)] + flags) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

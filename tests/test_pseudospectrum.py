@@ -77,6 +77,22 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             Grid2D((0.0, 1.0, 5), (0.0, 1.0, 5), chi_I_fixed=np.inf)
 
+    @pytest.mark.parametrize("u_count, w_count, message", [
+        (3.0, 3, "u_axis count must be an integer, not 3.0"),
+        (3, 4.0, "w_axis count must be an integer, not 4.0"),
+        (True, 3, "u_axis count must be an integer, not True"),
+        (3, np.float64(3.0), "w_axis count must be an integer"),
+        (np.int64(1), 3, "u_axis count must be >= 2"),
+    ], ids=["float_u", "float_w", "bool_u", "numpy_float_w", "numpy_int_below_2"])
+    def test_counts_must_be_integers(self, u_count, w_count, message):
+        with pytest.raises(ValueError, match=message):
+            Grid2D((0.0, 1.0, u_count), (0.0, 1.0, w_count))
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = Grid2D((0.0, 1.0, np.int64(3)), (0.0, 1.0, np.int32(4)))
+        assert grid.u_values().tolist() == [0.0, 0.5, 1.0]
+        assert grid.w_values().size == 4
+
     def test_outside_window_rejected(self, normal_op):
         grid = Grid2D((-50.0, 50.0, 4), (0.0, 1.0, 4))
         with pytest.raises(ValueError):
@@ -355,6 +371,13 @@ def test_small_det_field_is_one_batch(monkeypatch):
 
 
 class TestContours:
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_level_must_be_finite_and_positive(self, level):
+        # the rule of eps_list: a sigma field has no contour at such a level
+        fld = ScalarField(Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4)), np.ones((4, 4)))
+        with pytest.raises(ValueError, match="level must be positive and finite"):
+            extract_contours(fld, level)
+
     def test_constant_field_empty(self):
         grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
         fld = ScalarField(grid, np.ones((4, 4)))
@@ -427,11 +450,11 @@ class TestArrayMarch:
 
     @settings(max_examples=60)
     @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
-           level=st.floats(-1.0, 1.0))
+           level=st.floats(1.0, 5.0))
     def test_random_scalar_field(self, nu, nw, seed, level):
         rng = np.random.default_rng(seed)
         grid = Grid2D((0.0, 1.0, nu), (-2.0, 3.0, nw))
-        values = rng.standard_normal((nu, nw))
+        values = rng.uniform(1.0, 5.0, (nu, nw))  # a level must be positive
         cs = extract_contours(ScalarField(grid, values), level)
         expected = edge_crossings(grid.u_values(), grid.w_values(), _scalar_pairs(values), level)
         assert_vertices_match(polyline_vertices(cs), expected, grid, tol=0.0)
@@ -455,12 +478,12 @@ class TestArrayMarch:
     def test_saddle_cells(self, case, center_inside):
         # one cell; the diagonal pair c00, c11 (case 5) or c10, c01 (case 10) is inside
         grid = Grid2D((0.0, 1.0, 2), (0.0, 1.0, 2))
-        high, low = (1.5, -1.0) if center_inside else (1.0, -3.0)
+        high, low = (2.5, 0.0) if center_inside else (2.0, -2.0)  # about the level 1
         values = np.full((2, 2), low)
         for node in ([(0, 0), (1, 1)] if case == 5 else [(1, 0), (0, 1)]):
             values[node] = high
-        assert bool(values.mean() >= 0.0) is center_inside
-        cs = extract_contours(ScalarField(grid, values), 0.0)
+        assert bool(values.mean() >= 1.0) is center_inside
+        cs = extract_contours(ScalarField(grid, values), 1.0)
 
         def side(u, w):
             return {0.0: "left", 1.0: "right"}.get(u) or {0.0: "bottom", 1.0: "top"}[w]
@@ -583,13 +606,14 @@ class TestMarchMatchesReference:
 
     @settings(max_examples=60)
     @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
-           level=st.floats(-1.0, 1.0), on_node=st.booleans(), integer=st.booleans())
+           level=st.floats(1.0, 5.0), on_node=st.booleans(), integer=st.booleans())
     def test_random_scalar_field(self, nu, nw, seed, level, on_node, integer):
         rng = np.random.default_rng(seed)
         grid = Grid2D((0.0, 1.0, nu), (-2.0, 3.0, nw))
-        # integer values make many nodes sit exactly on a level taken from a node
-        values = (rng.integers(-2, 3, (nu, nw)).astype(float) if integer
-                  else rng.standard_normal((nu, nw)))
+        # integer values make many nodes sit exactly on a level taken from a node; every
+        # value is positive, as a level must be
+        values = (rng.integers(1, 6, (nu, nw)).astype(float) if integer
+                  else rng.uniform(1.0, 5.0, (nu, nw)))
         if on_node:
             level = float(values.flat[rng.integers(values.size)])
         cs = extract_contours(ScalarField(grid, values), level)
