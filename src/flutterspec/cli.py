@@ -117,8 +117,9 @@ class RunConfig:
         if overrides.get("grid") is not None:
             grid = {"u_count": overrides["grid"], "w_count": overrides["grid"]}
 
-        eps_list = _eps_levels(overrides["eps"].split(",") if overrides.get("eps")
-                               else doc.get("eps_list") or [0.04, 0.08])
+        flag = overrides.get("eps")
+        eps = doc.get("eps_list") if flag is None else flag.split(",") if flag else []
+        eps_list = _eps_levels([0.04, 0.08] if eps is None else eps)
 
         borderline = _only(doc.get("borderline"), "borderline", ("threshold",))
         threshold = _positive_finite("threshold", borderline.get("threshold", min(eps_list)))

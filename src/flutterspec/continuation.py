@@ -108,8 +108,9 @@ class ContinuationSettings:
     def __post_init__(self):
         for name, least in {"max_steps": 0, "max_corrector_iters": 1}.items():
             _check_count(name, getattr(self, name), least)
-        if not (0.0 < self.min_ds <= self.ds <= self.max_ds):
-            raise ValueError("need 0 < min_ds <= ds <= max_ds")
+        if not (0.0 < self.min_ds <= self.ds <= self.max_ds < math.inf):
+            raise ValueError(f"need 0 < min_ds <= ds <= max_ds < inf, not min_ds={self.min_ds!r}, "
+                             f"ds={self.ds!r}, max_ds={self.max_ds!r}")
         if self.scale is not None:
             scale = tuple(self.scale) if isinstance(self.scale, (tuple, list, np.ndarray)) else ()
             if not (len(scale) == 2 and all(0.0 < v < math.inf for v in scale)):

@@ -127,10 +127,11 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
     fails, lands outside the window or lands on a point already kept is
     retried from the crossings of a det grid in a quarter-span window around
     it, at most ``refine_iters`` windows deep; ``window_history`` holds the
-    windows a point's candidate came from.  A failing candidate that runs out
-    of retries is logged (not silently dropped); if no candidate polishes,
-    the errors of every attempt are aggregated into one exception.  Points
-    with |chi_R| below 1e-6 of the window span are flagged static (divergence).
+    windows a point's candidate came from.  Only a polish that raises is a
+    failure, not a landing outside the window: a failure that runs out of
+    retries is logged (not silently dropped), and failures with no point
+    kept are aggregated into one ConvergenceError.  Points with |chi_R|
+    below 1e-6 of the window span are flagged static (divergence).
     """
     window = window or op.window
     settings = settings or FlutterSearchSettings()
@@ -148,10 +149,9 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
             error = str(exc)
         else:
             pu, pw = fp.point.U, fp.point.chi_R
-            if not window.contains(pu, pw):
-                error = f"polished to (U={pu:.6g}, chi_R={pw:.6g}) outside the search window"
-            elif not any(abs(pu - q.point.U) <= cell_u and abs(pw - q.point.chi_R) <= cell_w
-                         for q in points):
+            if window.contains(pu, pw) and not any(
+                    abs(pu - q.point.U) <= cell_u and abs(pw - q.point.chi_R) <= cell_w
+                    for q in points):
                 static = abs(pw) < STATIC_CHI_R_FRACTION * window.chi_r_span
                 points.append(replace(fp, window_history=hist, static=static))
                 continue
@@ -161,7 +161,7 @@ def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
             retries = [(cu, cw, hist + (sub,))
                        for cu, cw in locate_candidates(op, sub, settings.grid_count)]
         pending.extend(retries)
-        if error is not None:  # a duplicate landing is not a failure
+        if error is not None:  # an outside or duplicate landing is not a failure
             failures.append(f"candidate (U={u:.6g}, chi_R={w:.6g}): {error}")
             if not retries:
                 logger.warning("flutter polish failed for %s", failures[-1])

@@ -382,27 +382,6 @@ def _positive_finite(name: str, value: float) -> float:
     return v
 
 
-def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
-    """4-connected components of a boolean grid, numbered from 1 in row-major order."""
-    padded = np.pad(mask, 1)  # a False border keeps every neighbour lookup on the grid
-    inside = padded.tolist()
-    labels = np.zeros(padded.shape, dtype=int).tolist()
-    count = 0
-    for i0, j0 in np.argwhere(padded).tolist():
-        if labels[i0][j0]:
-            continue
-        count += 1
-        labels[i0][j0] = count
-        stack = [(i0, j0)]
-        while stack:
-            i, j = stack.pop()
-            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if inside[a][b] and not labels[a][b]:
-                    labels[a][b] = count
-                    stack.append((a, b))
-    return np.array(labels, dtype=int)[1:-1, 1:-1], count
-
-
 def find_borderline_regions(fld: ScalarField, threshold: float,
                             flutter_points: Sequence = ()) -> List[BorderlineRegion]:
     """Connected components (4-connectivity) of {sigma_min < threshold}.
@@ -417,16 +396,28 @@ def find_borderline_regions(fld: ScalarField, threshold: float,
     radius = (NEAR_FLUTTER_SPAN * (us[-1] - us[0]), NEAR_FLUTTER_SPAN * (ws[-1] - ws[0]))
     centers = [(float(fp.point.U), float(fp.point.chi_R)) for fp in flutter_points]
 
-    mask = fld.values < threshold
-    labels, n_regions = _label_components(mask)
+    mask = np.pad(fld.values < threshold, 1)  # a False border keeps every neighbour on the grid
+    width = mask.shape[1]
+    inside = mask.ravel().tolist()
     regions = []
-    for lbl in range(1, n_regions + 1):
-        ii, jj = np.nonzero(labels == lbl)
+    for start in np.flatnonzero(mask).tolist():
+        if not inside[start]:
+            continue
+        inside[start] = False
+        stack, nodes = [start], []
+        while stack:
+            p = stack.pop()
+            nodes.append(p)
+            for q in (p - width, p + width, p - 1, p + 1):
+                if inside[q]:
+                    inside[q] = False
+                    stack.append(q)
+        # padded node (i+1)*width + j+1 -> grid (i, j), row-major: argmin keeps the first minimum
+        ii, jj = np.divmod(np.sort(nodes) - width - 1, width)
         vals = fld.values[ii, jj]
         k = int(np.argmin(vals))
         center = (float(us[ii[k]]), float(ws[jj[k]]))
-        extent = (float(us[ii.min()]), float(us[ii.max()]),
-                  float(ws[jj.min()]), float(ws[jj.max()]))
+        extent = (float(us[ii[0]]), float(us[ii[-1]]), float(ws[jj.min()]), float(ws[jj.max()]))
         near = any(((center[0] - cu) / radius[0]) ** 2
                    + ((center[1] - cw) / radius[1]) ** 2 <= 1.0
                    for cu, cw in centers)

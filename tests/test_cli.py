@@ -554,6 +554,8 @@ class TestUsageErrors:
         ("pseudo", {"eps_list": [0.08, 0.04]}, [], EPS_ERROR),
         ("pseudo", {}, ["--eps", "0.08,0.04"], EPS_ERROR),
         ("pseudo", {}, ["--eps", "nan,0.04"], "eps_list levels must be finite"),
+        ("pseudo", {"eps_list": []}, [], "eps_list must be nonempty"),
+        ("pseudo", {"eps_list": [0.04]}, ["--eps", ""], "eps_list must be nonempty"),
         ("pseudo", {"borderline": {"threshold": 0.0}}, [], THRESHOLD_ERROR),
         ("pseudo", {"borderline": {"threshold": math.nan}}, [], THRESHOLD_ERROR),
         ("pseudo", {"flutter": {"grid_count": 4}}, [], "grid_count must be >= 8"),
@@ -568,11 +570,14 @@ class TestUsageErrors:
         ("flutter", {"natural": {"du": "abc"}}, [], "could not convert string to float"),
         ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
         ("pseudo", {"grid": {"u_count": 101.0}}, [], "u_axis count must be an integer"),
+        ("trace", {"continuation": {"max_steps": 2, "max_ds": math.inf}}, [], "max_ds < inf"),
     ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
             "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
+            "empty_eps", "empty_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
             "inverted_window", "flutter_refine_iters_float", "flutter_infinite_tol",
-            "natural_not_a_number", "natural_infinite", "grid_float_count"])
+            "natural_not_a_number", "natural_infinite", "grid_float_count",
+            "infinite_max_ds"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,
                                                message):
         # the config is checked once, when it is read: no subcommand starts on a bad one

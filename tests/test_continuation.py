@@ -481,6 +481,9 @@ class TestContinuationSettings:
         ({"ds": 0.0, "min_ds": 0.0}, "min_ds <= ds"),
         ({"ds": 1e-7}, "min_ds <= ds"),
         ({"ds": 0.6}, "ds <= max_ds"),
+        ({"ds": math.inf, "max_ds": math.inf}, "max_ds < inf"),
+        ({"max_ds": math.inf}, "max_ds < inf"),
+        ({"max_ds": math.nan}, "max_ds < inf"),
         ({"max_corrector_iters": 0}, "max_corrector_iters"),
         ({"corrector": "broyden"}, "corrector"),
         ({"constraint_form": "eq4"}, "constraint_form"),
@@ -488,7 +491,8 @@ class TestContinuationSettings:
         ({"max_steps": True}, "max_steps must be an integer"),
         ({"max_corrector_iters": 2.5}, "max_corrector_iters must be an integer"),
         ({"max_corrector_iters": True}, "max_corrector_iters must be an integer"),
-    ], ids=["zero_min_ds", "ds_below_min_ds", "ds_above_max_ds", "max_corrector_iters",
+    ], ids=["zero_min_ds", "ds_below_min_ds", "ds_above_max_ds", "infinite_ds_and_max_ds",
+            "infinite_max_ds", "nan_max_ds", "max_corrector_iters",
             "corrector", "constraint_form", "float_max_steps", "bool_max_steps",
             "float_max_corrector_iters", "bool_max_corrector_iters"])
     def test_invalid_field_rejected(self, kwargs, message):

@@ -19,7 +19,7 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
 from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
-from flutterspec.pseudospectrum import ComplexField, _det_zero_crossings, _label_components
+from flutterspec.pseudospectrum import ComplexField, _det_zero_crossings
 
 from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
                       edge_crossings, polyline_intersections, reference_det_zero_contours,
@@ -773,10 +773,11 @@ class TestBorderlineRegions:
 
 @st.composite
 def masks(draw):
-    """Boolean grids from 1x1 to 15x15: random, empty, full, checkerboard, one row or column."""
+    """Boolean grids from 2x2 to 15x15 (a grid has two nodes per axis at least): random,
+    empty, full, checkerboard, two rows or two columns."""
     kind = draw(st.sampled_from(["random", "empty", "full", "checkerboard", "row", "column"]))
-    rows = 1 if kind == "row" else draw(st.integers(1, 15))
-    cols = 1 if kind == "column" else draw(st.integers(1, 15))
+    rows = 2 if kind == "row" else draw(st.integers(2, 15))
+    cols = 2 if kind == "column" else draw(st.integers(2, 15))
     if kind == "empty":
         return np.zeros((rows, cols), dtype=bool)
     if kind == "full":
@@ -787,37 +788,49 @@ def masks(draw):
     return np.array(bits, dtype=bool).reshape(rows, cols)
 
 
+def field_on_mask(mask, seed):
+    """A sigma field on a unit grid that lies below 0.5 exactly on ``mask``: k/8 there, with
+    k = 0..3 drawn from ``seed`` (so regions have tied minima), and 0.5 or 1 elsewhere."""
+    rng = np.random.default_rng(seed)
+    values = np.where(mask, rng.integers(0, 4, mask.shape) / 8, rng.integers(1, 3, mask.shape) / 2)
+    return ScalarField(Grid2D((0.0, 1.0, mask.shape[0]), (0.0, 1.0, mask.shape[1])), values)
+
+
 def ndimage_regions(fld, threshold):
     """(center, min_sigma, extent) per 4-connected sublevel region, labelled by scipy.ndimage."""
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     labels, count = ndimage.label(fld.values < threshold)
     regions = []
-    for lbl in range(1, count + 1):
-        ii, jj = np.nonzero(labels == lbl)
+    for lbl, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        ii, jj = np.nonzero(labels[rows, cols] == lbl)  # row-major within the bounding box
+        ii, jj = ii + rows.start, jj + cols.start
         k = np.argmin(fld.values[ii, jj])
         regions.append(((us[ii[k]], ws[jj[k]]), fld.values[ii[k], jj[k]],
                         (us[ii.min()], us[ii.max()], ws[jj.min()], ws[jj.max()])))
     return sorted(regions)
 
 
+def region_tuples(fld, threshold):
+    return [(r.center, r.min_sigma, r.extent) for r in find_borderline_regions(fld, threshold)]
+
+
 class TestLabelComponents:
     @settings(max_examples=200)
-    @given(mask=masks())
-    def test_same_partition_as_ndimage(self, mask):
-        labels, count = _label_components(mask)
-        expected, expected_count = ndimage.label(mask)
-        assert labels.shape == mask.shape and count == expected_count
-        assert np.array_equal(labels == 0, ~mask)
-        pairs = set(zip(labels[mask].tolist(), expected[mask].tolist()))
-        # one label pair per region: the two labellings differ by a permutation
-        assert len(pairs) == count
-        assert {a for a, _ in pairs} == set(range(1, count + 1))
-        assert {b for _, b in pairs} == set(range(1, count + 1))
+    @given(mask=masks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_partition_as_ndimage(self, mask, seed):
+        # regions, their first minimum as center and their extents, as ndimage labels them
+        fld = field_on_mask(mask, seed)
+        assert region_tuples(fld, 0.5) == ndimage_regions(fld, 0.5)
+
+    def test_many_region_field(self):
+        fld = ScalarField(Grid2D((0.0, 1.0, 300), (0.0, 1.0, 300)),
+                          np.random.default_rng(1).uniform(size=(300, 300)))
+        got = region_tuples(fld, 0.5)
+        assert len(got) > 5000 and got == ndimage_regions(fld, 0.5)
 
     @pytest.mark.parametrize("threshold", [0.15, 1.0, 4.0])
     def test_readme_sigma_field_regions(self, threshold):
         op = build_trajectory_operator(reference_restabilization_spec())
         fld = compute_sigma_field(op, Grid2D((10.0, 400.0, 101), (20.0, 200.0, 101)))
-        got = [(r.center, r.min_sigma, r.extent)
-               for r in find_borderline_regions(fld, threshold)]
+        got = region_tuples(fld, threshold)
         assert got and got == ndimage_regions(fld, threshold)
