@@ -5,13 +5,13 @@ steps predict along the local tangent and correct back onto the solution
 curve subject to the arclength constraint t.(p - p0) = ds; the constraint
 is imposed either through a multiparameter eigenvalue corrector solved by
 successive linear problems (the real arclength row eliminates one
-increment, and the 2x2 operator determinants of the remaining two-parameter
-problem give one real eigenproblem of size n^2 per step, shift-inverted on
-the target 0) or through a damped Newton solve of the bordered real system,
-which serves as the cross-check oracle.  Natural continuation in airspeed
-and continuation on a damping-parameter grid are provided as the classical
-reference methods; the latter cannot pass damping turning points and says
-so when it stops.
+increment; the 2x2 operator determinants of the remaining two-parameter
+problem, each one Kronecker product made real in a Hermitian basis, give one
+real eigenproblem of size n^2 per step, shift-inverted on the target 0) or
+through a damped Newton solve of the bordered real system, which serves as
+the cross-check oracle.  Natural continuation in airspeed and continuation on
+a damping-parameter grid are provided as the classical reference methods; the
+latter cannot pass damping turning points and says so when it stops.
 
 All tangents and step lengths live in scaled coordinates
 (U/u_scale, chi_R/chi_scale, chi_I/chi_scale) so that ds is dimensionless.
@@ -232,50 +232,38 @@ def predictor(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Triple:
             base.chi_I + ds * t.dchi_i * scale[1])
 
 
-def _operator_determinants(tops: np.ndarray) -> np.ndarray:
-    """2x2 operator determinants Delta_0, Delta_a, Delta_b as a (3, n^2, n^2) stack.
+@functools.cache
+def _hermitian_index(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ii, ij, ji), shared and not to be written: the flat indices of e_ii and of
+    e_ij, e_ji for i < j in row-major order (e_ij = e_i (x) e_j)."""
+    i, j = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), i * n + j, j * n + i
 
-    For tops = (B_a, B_b, -B_0) of the two-parameter problem
-    (B_0 + eta_a B_a + eta_b B_b) x = 0 paired with its elementwise
-    conjugate, Delta(p, q) = p (x) conj(q) - q (x) conj(p) gives
-    Delta_0 = Delta(B_a, B_b) and, by Cramer's rule, Delta_a = Delta(-B_0, B_b)
-    and Delta_b = Delta(B_a, -B_0).  The six products p (x) conj(q) and
-    q (x) conj(p) for those pairs are formed as two broadcast stacks.
+
+def _real_forms(tops: np.ndarray) -> np.ndarray:
+    """The real (3, n^2, n^2) forms U^H (i Delta) U of the 2x2 operator determinants.
+
+    For tops = (B_a, B_b, -B_0) of (B_0 + eta_a B_a + eta_b B_b) x = 0 paired with
+    its elementwise conjugate, Delta(p, q) = p (x) conj(q) - q (x) conj(p) gives
+    Delta_0 = Delta(B_a, B_b) and, by Cramer's rule, Delta_a = Delta(-B_0, B_b) and
+    Delta_b = Delta(B_a, -B_0).  The Hermitian basis U (columns e_ii, then
+    (e_ij + e_ji)/sqrt2, then i(e_ij - e_ji)/sqrt2) has conj(U) = P U for the swap P
+    of the tensor factors, and q (x) conj(p) = P conj(G) P for G = p (x) conj(q), so
+    U^H (i Delta) U = -2 Im(U^H G U): one Kronecker product per determinant, its
+    columns and then its rows combined by indexing, in O(n^4).  The pencils keep
+    their eigenvalues.
     """
     n = tops.shape[1]
-    p, q = tops[[0, 2, 0]], tops[[1, 1, 2]]
-    deltas = (p[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
-    deltas -= (q[:, :, None, :, None] * p.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
-    return deltas
-
-
-@functools.cache
-def _swap_basis(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, q, w_p, w_q), shared and not to be written: column k of the unitary U in
-    :func:`_real_forms` is w_p[k] e_{p[k]} + w_q[k] e_{q[k]}."""
-    i, j = np.triu_indices(n, 1)
-    ii = np.arange(n) * (n + 1)
-    ij, ji = i * n + j, j * n + i
+    ii, ij, ji = _hermitian_index(n)
     h = math.sqrt(0.5)
-    return (np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji]),
-            np.concatenate([np.ones(n), np.full(ij.size, h), np.full(ij.size, 1j * h)]),
-            np.concatenate([np.zeros(n), np.full(ij.size, h), np.full(ij.size, -1j * h)]))
-
-
-def _real_forms(deltas: np.ndarray) -> np.ndarray:
-    """U^H (i Delta_k) U for each Delta_k: real matrices with the same pencils.
-
-    Each Delta_k is p (x) conj(q) - q (x) conj(p) summed over pairs, so
-    conj(P Delta_k P) = -Delta_k for the swap P of the two tensor factors.
-    The unitary U whose columns are all e_ii, then (e_ij + e_ji)/sqrt2, then
-    i(e_ij - e_ji)/sqrt2 (i < j in row-major order, e_ij = e_i (x) e_j) has
-    conj(U) = P U, which makes U^H (i Delta_k) U real.  Each column of U has
-    at most two nonzeros, so U is applied by indexing, in O(n^4).
-    """
-    p, q, w_p, w_q = _swap_basis(math.isqrt(deltas.shape[1]))
-    m = 1j * deltas
-    mu = m[:, :, p] * w_p + m[:, :, q] * w_q
-    return (w_p.conj()[:, None] * mu[:, p] + w_q.conj()[:, None] * mu[:, q]).real
+    p, q = tops[[0, 2, 0]], tops[[1, 1, 2]]
+    g = (p[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
+    a, b = g[:, :, ij], g[:, :, ji]
+    gu = np.concatenate([g[:, :, ii], h * (a + b), 1j * h * (a - b)], axis=2)
+    # -2 Im of the rows e_ii, (e_ij + e_ji)/sqrt2 and -i(e_ij - e_ji)/sqrt2 of U^H
+    a, b = gu[:, ij], gu[:, ji]
+    return np.concatenate([-2.0 * gu[:, ii].imag, -2.0 * h * (a + b).imag,
+                           2.0 * h * (a - b).real], axis=1)
 
 
 def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
@@ -288,10 +276,11 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     problem (B_0 + eta_a B_a + eta_b B_b) x = 0 with
     B_j = v_j - (t_j / t_k) v_k and B_0 = a0 + (r / t_k) v_k.  Its 2x2
     operator determinants turn it into the generalized eigenproblem
-    Delta_a z = eta_a Delta_0 z.  Its real form, shift-inverted on the
-    target 0, is the standard eigenproblem (R_a^-1 R_0) z = mu z of size n^2
-    with eta_a = 1/mu (mu = 0 is dropped as infinite; an exactly singular R_a
-    is a ConvergenceError).  eta_b is the Rayleigh quotient of Delta_b on
+    Delta_a z = eta_a Delta_0 z.  Its real form (one Kronecker product per
+    determinant in the Hermitian basis, :func:`_real_forms`), shift-inverted on
+    the target 0, is the standard eigenproblem (R_a^-1 R_0) z = mu z of size n^2
+    with eta_a = 1/mu (mu = 0 is dropped as infinite; an exactly singular R_a is
+    a ConvergenceError).  eta_b is the Rayleigh quotient of Delta_b on
     every eigenvector in one product, and eta_k follows from the row.
     Returns (eta, |eta|).
     """
@@ -301,9 +290,9 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     if ts[k] == 0.0:
         raise ConvergenceError("no real increment triple found (zero tangent)")
     a, b = (j for j in range(3) if j != k)
-    r0, ra, rb = _real_forms(_operator_determinants(np.stack([
+    r0, ra, rb = _real_forms(np.stack([
         vs[a] - (ts[a] / ts[k]) * vs[k], vs[b] - (ts[b] / ts[k]) * vs[k],
-        -(a0 + (r / ts[k]) * vs[k])])))
+        -(a0 + (r / ts[k]) * vs[k])]))
     try:
         mu, z = np.linalg.eig(np.linalg.solve(ra, r0))
     except np.linalg.LinAlgError as exc:
@@ -335,7 +324,8 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
     pseudo-arclength row (t.dp - r)y = 0.  The row eliminates one increment,
     and the 2x2 operator determinants of the remaining two-parameter
     problem give a generalized eigenproblem on n^2 x n^2 matrices, solved
-    shift-inverted on the target 0 in a basis where the determinants are real
+    shift-inverted on the target 0 in the Hermitian basis where each
+    determinant is real and comes from one Kronecker product
     (:func:`_slp_increment`); the real increment triple of smallest scaled
     norm is applied and the eigenvector is refreshed as the minimum
     singular vector of the updated operator.

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operator import ParametricOperator, Window, polynomial_pencil
+from .operator import ParametricOperator, Window, _check_count, polynomial_pencil
 
 __all__ = [
     "ModeTrajectory",
@@ -117,8 +117,8 @@ class GalerkinWingSpec:
         for name in ("EI", "GJ", "mass_per_span", "inertia_per_span", "span", "rho", "b", "C_La"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"galerkin-wing parameter {name} must be positive")
-        if self.n_bending < 1 or self.n_torsion < 1:
-            raise ValueError("mode counts must be >= 1")
+        for name in ("n_bending", "n_torsion"):
+            _check_count(name, getattr(self, name), 1)
 
 
 def reference_restabilization_spec() -> TrajectorySpec:

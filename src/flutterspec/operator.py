@@ -136,7 +136,10 @@ class Pencil:
     """A(chi, U) = sum over k of chi^a U^b coeffs[k], (a, b) = exps[k]; equal only to itself.
 
     ``exps`` holds one nonnegative integer pair per matrix of ``coeffs``, a read-only complex
-    (K, n, n) copy of the given stack; the value and :meth:`derivs` weight it by one powers table.
+    (K, n, n) copy of the given finite stack; the value and :meth:`derivs` weight it by one
+    powers table.  Every built-in model passes here, so a NaN or infinite model parameter is a
+    ValueError when it is built.  A plain callable is not checked: each evaluation is on the
+    correctors' hot path.
     """
 
     exps: Tuple[Tuple[int, int], ...]
@@ -149,6 +152,8 @@ class Pencil:
                 or coeffs.shape != (len(exps),) + coeffs.shape[-1:] * 2):  # (K, n, n)
             raise ValueError(f"a pencil takes nonnegative integer exponent pairs, one per square "
                              f"coefficient, not {self.exps} with a stack of shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("a pencil's coefficients must be finite, not NaN or infinite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "coeffs", coeffs)
@@ -380,6 +385,11 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         rowv, rowg = row_fn(wr_v, wi_v, u_v)
         return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a, rowg
 
+    jac = np.zeros((2 * n + 3, 2 * n + 3))
+    jac[2 * n, :n] = c.real
+    jac[2 * n, n:2 * n] = c.imag
+    jac[2 * n + 1, :n] = -c.imag
+    jac[2 * n + 1, n:2 * n] = c.real
     best = (math.inf, None)
     f, a, rowg = full_residual(x, wr, wi, u)
     for iteration in range(max_iters):
@@ -392,19 +402,13 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
             best = (fn, (u, wr, wi))
 
         d_r, d_i, d_u = param_derivatives(op, wr, wi, u)
-        jac = np.zeros((2 * n + 3, 2 * n + 3))
         jac[:n, :n] = a.real
         jac[:n, n:2 * n] = -a.imag
         jac[n:2 * n, :n] = a.imag
         jac[n:2 * n, n:2 * n] = a.real
-        for col, mat in ((2 * n, d_r), (2 * n + 1, d_i), (2 * n + 2, d_u)):
-            mv = mat @ x
-            jac[:n, col] = mv.real
-            jac[n:2 * n, col] = mv.imag
-        jac[2 * n, :n] = c.real
-        jac[2 * n, n:2 * n] = c.imag
-        jac[2 * n + 1, :n] = -c.imag
-        jac[2 * n + 1, n:2 * n] = c.real
+        mv = np.stack([d_r @ x, d_i @ x, d_u @ x], axis=1)
+        jac[:n, 2 * n:] = mv.real
+        jac[n:2 * n, 2 * n:] = mv.imag
         jac[2 * n + 2, 2 * n:] = rowg
 
         try:

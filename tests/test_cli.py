@@ -586,6 +586,25 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "typical_section", "m": math.nan}, "coefficients must be finite"),
+        ({"kind": "typical_section", "k_h": math.inf}, "coefficients must be finite"),
+        ({"kind": "galerkin_wing", "EI": math.nan}, "coefficients must be finite"),
+        pytest.param({"kind": "galerkin_wing", "span": math.inf}, "coefficients must be finite",
+                     marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+        ({"kind": "galerkin_wing", "cg_offset": math.nan}, "coefficients must be finite"),
+        ({"kind": "normal", "eigenvalues": [1.0, [math.inf, 0.0]]}, "coefficients must be finite"),
+        ({"kind": "galerkin_wing", "n_bending": True}, "n_bending must be an integer"),
+        ({"kind": "galerkin_wing", "n_torsion": 2.0}, "n_torsion must be an integer"),
+    ], ids=["section_m_nan", "section_k_h_inf", "wing_EI_nan", "wing_span_inf",
+            "wing_cg_offset_nan", "normal_inf", "wing_bool_count", "wing_float_count"])
+    def test_bad_model_parameter_exits_1_before_writing(self, tmp_path, capsys, model, message):
+        # a NaN pencil searched as "0 flutter point(s)" (exit 3); a bool count built one mode
+        cfg = write_config(tmp_path, model=model)
+        assert main(["flutter", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=lambda v: v.strip("-"))
     def test_removed_flag_exits_1(self, tmp_path, capsys, command, flag):
         cfg = write_config(tmp_path, continuation={"max_steps": 0}, natural={

@@ -194,6 +194,13 @@ class TestGalerkinWing:
         with pytest.raises(ValueError):
             GalerkinWingSpec(EI=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_bending", True), ("n_bending", 2.0), ("n_torsion", False), ("n_torsion", "2")])
+    def test_mode_counts_must_be_integers(self, name, value):
+        # a bool is not a mode count, and a float one is named, not failed on inside range()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GalerkinWingSpec(**{name: value})
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TrajectorySpec(modes=()), "at least one mode trajectory required"),
@@ -204,3 +211,21 @@ class TestGalerkinWing:
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_typical_section(TypicalSectionSpec(m=math.nan)),
+    lambda: build_typical_section(TypicalSectionSpec(k_h=math.inf)),
+    lambda: build_galerkin_wing(GalerkinWingSpec(EI=math.nan)),
+    pytest.param(lambda: build_galerkin_wing(GalerkinWingSpec(span=math.inf)),  # 0 * inf
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+    lambda: build_galerkin_wing(GalerkinWingSpec(cg_offset=math.nan)),
+    lambda: build_normal_operator([1.0, complex(math.inf, 0.0)]),
+    lambda: build_trajectory_operator(TrajectorySpec(
+        modes=(ModeTrajectory((50.0,), (math.nan,)),))),
+], ids=["section_m_nan", "section_k_h_inf", "wing_EI_nan", "wing_span_inf",
+        "wing_cg_offset_nan", "normal_inf", "trajectory_nan"])
+def test_non_finite_model_parameter_rejected(build):
+    # a NaN pencil would search as an empty flutter result instead of failing
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        build()

@@ -207,6 +207,13 @@ class TestPencil:
         with pytest.raises(ValueError):
             Pencil(exps, np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        coeffs = np.ones((2, 2, 2), dtype=complex)
+        coeffs[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Pencil(((0, 0), (1, 0)), coeffs)
+
     def test_stack_is_a_read_only_copy(self):
         coeffs = np.array([np.eye(2), np.diag([1.0, 2.0])])
         pencil = Pencil(((0, 0), (1, 0)), coeffs)
