@@ -63,6 +63,8 @@ DAMPING_JUMP_GUARD = 0.25
 # Eigenvector change (after phase alignment) flagged as a mode switch.
 MODE_SWITCH_NORM = 0.5
 
+DEGENERATE_TANGENT_TOL = 1e-14  # initial_tangent: |det| <= this ||dA/dchi_R||_F^2 is singular
+
 STEP_SHRINK = 0.5  # ds factor after a failed corrector solve
 STEP_GROW = 1.3  # ds factor after a solve of <= 3 iterations, up to max_ds
 
@@ -205,19 +207,22 @@ def fd_tangent(prev: EigenPoint, curr: EigenPoint, scale: Scale) -> Tangent:
 
 def initial_tangent(op: ParametricOperator, fp: Union[FlutterPoint, EigenPoint],
                     scale: Optional[Scale] = None) -> Tangent:
-    """First-step tangent from centered airspeed micro-steps.
-
-    Solves the eigenproblem at U +/- h, h = 1e-3 max(|U|, 1), seeded by the
-    start point, forms the centered difference of chi with respect to U,
-    scales and normalizes.  The sign makes dchi_i > 0 so the default march
-    heads into the stable side; callers negate for the supercritical one.
+    """First-step tangent dchi/dU from one SVD at the start point (Tisseur, LAA 309, 2000):
+    Re/Im (a_R dchi_R + a_I dchi_I) = -Re/Im b for a_R, a_I, b = y^H A' x, y and x the
+    singular vectors of sigma_min and A' = dA/dchi_R, dA/dchi_I, dA/dU (dchi/dU = -b / a_R
+    for A holomorphic in chi).  Singular to rounding relative to ||dA/dchi_R||^2 (a defective
+    or multiple eigenvalue), it is a DegenerateTangentError.  Scaled, normalized and signed
+    dchi_i > 0, it heads into the stable side; callers negate for the supercritical one.
     """
     point = fp.point if isinstance(fp, FlutterPoint) else fp
-    h = 1e-3 * max(abs(point.U), 1.0)
     scale = _resolve_scale(scale, point)
-    plus = solve_at_airspeed(op, point.U + h, point)
-    minus = solve_at_airspeed(op, point.U - h, point)
-    dchi = (plus.chi - minus.chi) / (2.0 * h)
+    _, x, y = _sigma_min_of(op, evaluate(op, point.chi, point.U), point.chi, point.U)
+    d_r, d_i, d_u = param_derivatives(op, point.chi_R, point.chi_I, point.U)
+    a_r, a_i, b = (np.vdot(y, d @ x) for d in (d_r, d_i, d_u))
+    det = (a_r.conjugate() * a_i).imag  # of [[Re a_R, Re a_I], [Im a_R, Im a_I]]; Cramer's rule
+    if not abs(det) > DEGENERATE_TANGENT_TOL * np.linalg.norm(d_r) ** 2:
+        raise DegenerateTangentError(f"non-simple eigenvalue at U={point.U}, chi={point.chi}")
+    dchi = complex(-(b.conjugate() * a_i).imag, -(a_r.conjugate() * b).imag) / det
     raw = np.array([1.0 / scale[0], dchi.real / scale[1], dchi.imag / scale[1]])
     raw /= np.linalg.norm(raw)
     if raw[2] < 0.0 or (raw[2] == 0.0 and raw[0] < 0.0):
@@ -347,7 +352,7 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
     x_prev, stalled, iteration = None, False, 0
     while iteration < settings.max_corrector_iters or stalled:
         a0 = evaluate(op, complex(wr, wi), u)
-        sig, x = _sigma_min_of(op, a0, complex(wr, wi), u)
+        sig, x, _ = _sigma_min_of(op, a0, complex(wr, wi), u)
         if x_prev is not None and _mode_jumped(x_prev, x):
             logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
         x_prev = x

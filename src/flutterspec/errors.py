@@ -23,4 +23,4 @@ class ConvergenceError(FlutterSpecError):
 
 
 class DegenerateTangentError(FlutterSpecError):
-    """Secant tangent requested between coincident points."""
+    """No tangent: a secant between coincident points, or a start at a non-simple eigenvalue."""

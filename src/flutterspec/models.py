@@ -68,6 +68,17 @@ class TrajectorySpec:
             raise ValueError("at least one mode trajectory required")
 
 
+def _check_fields(spec, kind: str, positive: Sequence[str], finite: Sequence[str]):
+    """ValueError naming the first field of ``spec`` in ``positive`` outside (0, inf), or in
+    ``finite`` that is NaN or infinite: checked where the spec is made, before any assembly."""
+    for name in (*positive, *finite):
+        value = getattr(spec, name)
+        if name in positive and not 0.0 < value < math.inf:
+            raise ValueError(f"{kind} parameter {name} must be positive and finite, not {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} parameter {name} must be finite, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TypicalSectionSpec:
     """Plunge/pitch section with quasi-steady strip aerodynamics.
@@ -89,9 +100,8 @@ class TypicalSectionSpec:
     C_La: float = 2.0 * math.pi
 
     def __post_init__(self):
-        for name in ("m", "I_a", "k_h", "k_a", "rho", "b", "C_La"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"typical-section parameter {name} must be positive")
+        _check_fields(self, "typical-section", ("m", "I_a", "k_h", "k_a", "rho", "b", "C_La"),
+                      ("S", "e"))
         if self.m * self.I_a - self.S ** 2 <= 0.0:
             raise ValueError("mass matrix must be positive definite (m*I_a > S^2)")
 
@@ -114,9 +124,9 @@ class GalerkinWingSpec:
     C_La: float = 2.0 * math.pi
 
     def __post_init__(self):
-        for name in ("EI", "GJ", "mass_per_span", "inertia_per_span", "span", "rho", "b", "C_La"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"galerkin-wing parameter {name} must be positive")
+        _check_fields(self, "galerkin-wing", ("EI", "GJ", "mass_per_span", "inertia_per_span",
+                                              "span", "rho", "b", "C_La"),
+                      ("cg_offset", "aero_offset"))
         for name in ("n_bending", "n_torsion"):
             _check_count(name, getattr(self, name), 1)
 

@@ -316,18 +316,19 @@ def residual_norm(op: ParametricOperator, chi: complex, U: float, x: np.ndarray)
 
 def sigma_min(op: ParametricOperator, chi: complex, U: float) -> Tuple[float, np.ndarray]:
     """Smallest singular value of A(chi, U) and its right singular vector."""
-    return _sigma_min_of(op, evaluate(op, chi, U), chi, U)
+    return _sigma_min_of(op, evaluate(op, chi, U), chi, U)[:2]
 
 
 def _sigma_min_of(op: ParametricOperator, a: np.ndarray, chi: complex,
-                  U: float) -> Tuple[float, np.ndarray]:
-    """:func:`sigma_min` of an already evaluated a = A(chi, U)."""
+                  U: float) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(sigma, x, y) of an already evaluated a = A(chi, U): its smallest singular value
+    and the right and left singular vectors, a x = sigma y."""
     try:
-        _, s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD failed for operator '{op.name}' at chi={chi}, U={U}: {exc}") from exc
-    return float(s[-1]), vh[-1].conj()
+    return float(s[-1]), vh[-1].conj(), u[:, -1]
 
 
 def param_derivatives(op: ParametricOperator, chi_R: float, chi_I: float,

@@ -24,6 +24,8 @@ from flutterspec import (ContinuationSettings, EigenPoint, Window,
                          build_typical_section, find_flutter_points,
                          reference_restabilization_spec, trace_path)
 from flutterspec import pseudospectrum
+from flutterspec.models import MAX_MIXING_CONDITION
+from flutterspec.operator import ParametricOperator, Pencil
 
 # Property tests run a fixed example sequence with no per-example deadline,
 # so a slow or loaded machine cannot make them flaky.
@@ -187,6 +189,40 @@ def ts_oracle(ts_op):
     hits = hopf_points(ts_op.func, Window(1.0, 80.0, 5.0, 75.0))
     assert len(hits) == 1, f"oracle expected a unique flutter point, got {hits}"
     return hits[0]
+
+
+# ---------------------------------------------------------------------------
+# generated damped oscillators, whose flutter points and tangents are closed forms
+
+
+def oscillator_operator(u_k, omega, a, q):
+    """Mixed damped oscillators on U in (0, 100), chi_R in (0.5, 60).  Mode k is
+    -chi^2 + i chi 2 a_k w_k (U_k - U) + w_k^2, singular at chi = +-w_k when U = U_k, and
+    the modes are mixed as q^T diag(.) q: the flutter points are (U_k, w_k) in closed form."""
+    n = len(u_k)
+
+    def mixed(diagonal):
+        return q.T @ np.diag(diagonal) @ q
+
+    pencil = Pencil(((2, 0), (1, 0), (1, 1), (0, 0)),
+                    [mixed(-np.ones(n)), 1j * mixed(2 * a * omega * u_k),
+                     1j * mixed(-2 * a * omega), mixed(omega ** 2)])
+    return ParametricOperator("oscillators", n, pencil, Window(0.0, 100.0, 0.5, 60.0),
+                              derivs=pencil.derivs)
+
+
+def draw_oscillators(rng, count):
+    """``count`` (U_k, omega_k, a_k, q) draws from a numpy generator: 1-4 modes, U_k sorted in
+    (5, 95) at least 1 apart, omega_k in (1, 50), a_k in (0.01, 0.2) and q = I + 0.5 R with R
+    uniform in (-1, 1), cond(q) <= 100; a draw that breaks a rule is drawn again."""
+    while count:
+        n = int(rng.integers(1, 5))
+        u_k = np.sort(rng.uniform(5.0, 95.0, n))
+        omega, a = rng.uniform(1.0, 50.0, n), rng.uniform(0.01, 0.2, n)
+        q = np.eye(n) + 0.5 * rng.uniform(-1.0, 1.0, (n, n))
+        if np.all(np.diff(u_k) >= 1.0) and np.linalg.cond(q) <= MAX_MIXING_CONDITION:
+            count -= 1
+            yield u_k, omega, a, q
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,19 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_wing_span_exits_1_naming_it_without_a_warning(self, tmp_path):
+        # the spec refuses the field before the quadrature can warn about 0 * inf
+        (tmp_path / "run.json").write_text(
+            '{"model": {"kind": "galerkin_wing", "span": Infinity}}', encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(flutterspec.__file__))
+        run = subprocess.run([sys.executable, "-m", "flutterspec.cli", "flutter",
+                              "--config", "run.json"], cwd=tmp_path, capture_output=True,
+                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 1
+        assert run.stderr == ("error: galerkin-wing parameter span must be positive and "
+                              "finite, not inf\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,fields,key", [
         ("trace", {"continuaton": {"max_steps": 3, "direction": -1}}, "continuaton"),
         ("damping-plot", {"natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
@@ -587,19 +600,19 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("model, message", [
-        ({"kind": "typical_section", "m": math.nan}, "coefficients must be finite"),
-        ({"kind": "typical_section", "k_h": math.inf}, "coefficients must be finite"),
-        ({"kind": "galerkin_wing", "EI": math.nan}, "coefficients must be finite"),
-        pytest.param({"kind": "galerkin_wing", "span": math.inf}, "coefficients must be finite",
-                     marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
-        ({"kind": "galerkin_wing", "cg_offset": math.nan}, "coefficients must be finite"),
+        ({"kind": "typical_section", "m": math.nan}, "parameter m must be positive and finite"),
+        ({"kind": "typical_section", "k_h": math.inf}, "parameter k_h must be positive and finite"),
+        ({"kind": "galerkin_wing", "EI": math.nan}, "parameter EI must be positive and finite"),
+        ({"kind": "galerkin_wing", "span": math.inf}, "parameter span must be positive and finite"),
+        ({"kind": "galerkin_wing", "cg_offset": math.nan}, "parameter cg_offset must be finite"),
         ({"kind": "normal", "eigenvalues": [1.0, [math.inf, 0.0]]}, "coefficients must be finite"),
         ({"kind": "galerkin_wing", "n_bending": True}, "n_bending must be an integer"),
         ({"kind": "galerkin_wing", "n_torsion": 2.0}, "n_torsion must be an integer"),
     ], ids=["section_m_nan", "section_k_h_inf", "wing_EI_nan", "wing_span_inf",
             "wing_cg_offset_nan", "normal_inf", "wing_bool_count", "wing_float_count"])
     def test_bad_model_parameter_exits_1_before_writing(self, tmp_path, capsys, model, message):
-        # a NaN pencil searched as "0 flutter point(s)" (exit 3); a bool count built one mode
+        # a NaN pencil searched as "0 flutter point(s)" (exit 3); a bool count built one mode.
+        # A spec field is named before any assembly, so no quadrature warning comes first.
         cfg = write_config(tmp_path, model=model)
         assert main(["flutter", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err

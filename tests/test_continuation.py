@@ -1,29 +1,32 @@
 """Pseudo-arclength machinery: tangents, correctors, tracing, envelopes."""
 
 import dataclasses
+import functools
 import logging
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import (kron_operator_determinants, reference_slp_increment,
-                      swap_symmetric_unitary)
+from conftest import (draw_oscillators, kron_operator_determinants, oscillator_operator,
+                      reference_slp_increment, swap_symmetric_unitary)
 from flutterspec import (ContinuationSettings, ConvergenceError, DampingParameterization,
                          DegenerateTangentError, EigenPoint, GalerkinWingSpec, Tangent, Window,
-                         build_galerkin_wing, build_trajectory_operator,
+                         build_galerkin_wing, build_trajectory_operator, build_typical_section,
                          corrector_newton, corrector_slp, damping_continuation,
                          extremum_damping, fd_tangent, find_flutter_points, flight_envelope,
                          initial_tangent, natural_continuation, predictor, residual_norm,
-                         sigma_min, solve_at_airspeed, trace_path)
+                         reference_restabilization_spec, sigma_min, solve_at_airspeed,
+                         trace_path, two_crossing_spec)
 from flutterspec.continuation import (_CORRECTORS, ModePath, _mode_jumped, _real_forms,
                                       _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
-from flutterspec.operator import _converged, _sigma_min_of
+from flutterspec.operator import ParametricOperator, Pencil, _converged, _sigma_min_of
 
 
 def scaled_gap(a, b, scale):
@@ -57,14 +60,59 @@ def traj_scale(traj_flutter):
     return (max(abs(p.U), 1.0), max(abs(p.chi_R), 1.0))
 
 
+def closed_form_tangent(u, chi_r, dchi):
+    """The unit tangent initial_tangent should give for the branch slope dchi = dchi/dU at
+    (u, chi_r): scaled by its default scale, normalized, dchi_i >= 0."""
+    us, cs = max(abs(u), 1.0), max(abs(chi_r), 1.0)
+    t = np.array([1.0 / us, dchi.real / cs, dchi.imag / cs])
+    t /= np.linalg.norm(t)
+    return -t if t[2] < 0.0 else t
+
+
+def crossing_pencil():
+    """[[l_1(U) - chi, 1], [0, l_2(U) - chi]] with l_k = 50 + k i (1 - 0.01 U): both
+    eigenvalues cross chi_I = 0 at chi = 50, U = 100, where A is a Jordan block."""
+    pencil = Pencil(((0, 0), (0, 1), (1, 0)), [np.array([[50.0 + 1j, 1.0], [0.0, 50.0 + 2j]]),
+                                               np.diag([-0.01j, -0.02j]), -np.eye(2)])
+    return ParametricOperator("crossing", 2, pencil, Window(0.0, 200.0, 10.0, 90.0),
+                              derivs=pencil.derivs)
+
+
+def scaled_operator(op, c):
+    """c A(chi, U), with its derivatives scaled alike."""
+    return dataclasses.replace(op, func=lambda chi, u: c * op.func(chi, u),
+                               derivs=lambda chi, u: tuple(c * d for d in op.derivs(chi, u)))
+
+
+@functools.lru_cache(maxsize=None)
+def scale_cases():
+    """(operator, start, tangent): the typical section's flutter point and the n=4 wing's three."""
+    ops = (build_typical_section(), build_galerkin_wing())
+    return [(op, fp, initial_tangent(op, fp)) for op in ops for fp in find_flutter_points(op)]
+
+
 class TestInitialTangent:
     def test_matches_closed_form_slope(self, traj_op, traj_flutter, traj_oracle, traj_scale):
         t = initial_tangent(traj_op, traj_flutter)
         slope = (t.dchi_i * traj_scale[1]) / (t.du * traj_scale[0])
-        g_prime = (traj_oracle.g(120.0 + 1e-7) - traj_oracle.g(120.0 - 1e-7)) / 2e-7
-        assert slope == pytest.approx(g_prime, rel=1e-4)
+        g_prime = P.polyval(120.0, P.polyder(traj_oracle.mode.g_coeffs))
+        assert slope == pytest.approx(g_prime, rel=1e-12)
         assert t.dchi_i > 0.0
         assert np.isclose(np.linalg.norm(t.array()), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("preset, u", [(reference_restabilization_spec, 120.0),
+                                           (two_crossing_spec, 120.0), (two_crossing_spec, 300.0)],
+                             ids=["restabilization@120", "two_crossing@120", "two_crossing@300"])
+    def test_trajectory_presets_match_their_closed_form(self, preset, u):
+        # dchi/dU = omega'(U) + i g'(U) of the crossing mode
+        mode = preset().modes[0]
+        op = build_trajectory_operator(preset())
+        p = next(fp.point for fp in find_flutter_points(op, Window(10.0, 500.0, 20.0, 200.0))
+                 if abs(fp.point.U - u) < 1e-6)
+        dchi = complex(P.polyval(p.U, P.polyder(mode.omega_coeffs)),
+                       P.polyval(p.U, P.polyder(mode.g_coeffs)))
+        expected = closed_form_tangent(p.U, p.chi_R, dchi)  # on the point's own scale
+        assert initial_tangent(op, p).array() == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric_trajectory_collinear(self):
         # g(U) = c (U_f - U): tangent collinear with (1, omega', -c) scaled
@@ -79,7 +127,50 @@ class TestInitialTangent:
         ref = np.array([1.0 / scale[0], -0.05 / scale[1], -c / scale[1]])
         ref /= np.linalg.norm(ref)
         cosine = abs(float(t.array() @ ref))
-        assert cosine == pytest.approx(1.0, abs=1e-6)
+        assert cosine == pytest.approx(1.0, abs=1e-12)
+
+    def test_generated_oscillators_match_their_closed_form(self):
+        # mode k of each draw has dchi/dU = -i a_k omega_k at its flutter point (U_k, omega_k)
+        count = 0
+        for k, (u_k, omega, a, q) in enumerate(draw_oscillators(np.random.default_rng(1), 300)):
+            op = oscillator_operator(u_k, omega, a, q)
+            for fp in find_flutter_points(op):
+                j = int(np.argmin(np.abs(u_k - fp.point.U)))
+                expected = closed_form_tangent(fp.point.U, fp.point.chi_R, -1j * a[j] * omega[j])
+                assert initial_tangent(op, fp).array() == pytest.approx(expected, abs=1e-10), k
+                count += 1
+        assert count >= 700  # each found point is checked; the search itself is test_flutter's
+
+    @settings(max_examples=60)
+    @given(case=st.integers(0, 3), exponent=st.floats(-6.0, 9.0))
+    def test_rescaled_operator_gives_the_same_tangent(self, case, exponent):
+        # c A has the same singular vectors and branch: c log-uniform in [1e-6, 1e9]
+        op, fp, t = scale_cases()[case]
+        scaled = initial_tangent(scaled_operator(op, 10.0 ** exponent), fp)
+        assert scaled.array() == pytest.approx(t.array(), abs=1e-12)
+
+    def test_non_holomorphic_callable(self):
+        # A = (chi_R - omega(U)) + 2i (chi_I - g(U)) vanishes on chi = omega + i g, but is not
+        # holomorphic in chi (dA/dchi_I = 2i, not i dA/dchi_R): -b / a_R would double g'
+        def func(chi, u):
+            return np.array([[chi.real - (50.0 - 0.05 * u) + 2j * (chi.imag - 0.01 * (u - 100.0))]])
+
+        def derivs(chi, u):
+            return np.array([[1.0 + 0j]]), np.array([[2j]]), np.array([[0.05 - 0.02j]])
+
+        op = ParametricOperator("non_holomorphic", 1, func, Window(0.0, 200.0, 10.0, 90.0),
+                                derivs=derivs)
+        start = EigenPoint.from_vector(op, 45.0, 0.0, 100.0, np.array([1.0]))
+        expected = closed_form_tangent(100.0, 45.0, complex(-0.05, 0.01))
+        assert initial_tangent(op, start).array() == pytest.approx(expected, abs=1e-15)
+
+    def test_defective_start_is_a_degenerate_tangent(self):
+        # at the double eigenvalue y^H dA/dchi x = 0: there is no one branch to follow
+        op = crossing_pencil()
+        start = EigenPoint.from_vector(op, 50.0, 0.0, 100.0, np.array([1.0, 0.0]))
+        assert _converged(start.residual)
+        with pytest.raises(DegenerateTangentError, match="non-simple eigenvalue at U=100.0"):
+            initial_tangent(op, start)
 
     def test_negation_is_exact(self):
         t = Tangent(0.6, -0.64, 0.48)
@@ -260,14 +351,14 @@ class TestCorrectors:
         vectors = []
 
         def swapped(op, a, chi, u):
-            sigma, x = _sigma_min_of(op, a, chi, u)
+            sigma, x, y = _sigma_min_of(op, a, chi, u)
             vectors.append(x)
-            return sigma, x if len(vectors) == 1 else np.array([-x[1].conj(), x[0].conj()])
+            return sigma, x if len(vectors) == 1 else np.array([-x[1].conj(), x[0].conj()]), y
 
-        monkeypatch.setattr("flutterspec.continuation._sigma_min_of", swapped)
         scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
-        t = initial_tangent(ts_op, ts_flutter)
+        t = initial_tangent(ts_op, ts_flutter)  # its SVD is not the corrector's
         base = ts_flutter.point
+        monkeypatch.setattr("flutterspec.continuation._sigma_min_of", swapped)
         with caplog.at_level(logging.WARNING, logger="flutterspec.continuation"):
             corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
                           ContinuationSettings(scale=scale))

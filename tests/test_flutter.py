@@ -4,6 +4,8 @@ against the grid-free Hopf oracle, which is itself checked here against closed f
 import functools
 import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectoryS
 from flutterspec.operator import ParametricOperator, Pencil
 from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
-from conftest import hopf_points
+from conftest import draw_oscillators, hopf_points, oscillator_operator
 
 SEARCH = Window(10.0, 400.0, 20.0, 200.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The wing's flutter points to display precision, by mode count (the oracle gives them exactly).
 WING_FLUTTER_U = {4: [9.2458, 53.4609, 64.5157], 8: [9.2458, 53.4733, 64.4316],
@@ -53,36 +56,6 @@ def sweep_model(model):
     op = build_trajectory_operator(spec)
     return (op, SEARCH if readme else op.window,  # SEARCH is the README run's window
             [(u, float(spec.modes[0].omega(u))) for u in crossings])
-
-
-def oscillator_operator(u_k, omega, a, q):
-    """Mixed damped oscillators on U in (0, 100), chi_R in (0.5, 60).  Mode k is
-    -chi^2 + i chi 2 a_k w_k (U_k - U) + w_k^2, singular at chi = +-w_k when U = U_k, and
-    the modes are mixed as q^T diag(.) q: the flutter points are (U_k, w_k) in closed form."""
-    n = len(u_k)
-
-    def mixed(diagonal):
-        return q.T @ np.diag(diagonal) @ q
-
-    pencil = Pencil(((2, 0), (1, 0), (1, 1), (0, 0)),
-                    [mixed(-np.ones(n)), 1j * mixed(2 * a * omega * u_k),
-                     1j * mixed(-2 * a * omega), mixed(omega ** 2)])
-    return ParametricOperator("oscillators", n, pencil, Window(0.0, 100.0, 0.5, 60.0),
-                              derivs=pencil.derivs)
-
-
-def draw_oscillators(rng, count):
-    """``count`` (U_k, omega_k, a_k, q) draws from a numpy generator: 1-4 modes, U_k sorted in
-    (5, 95) at least 1 apart, omega_k in (1, 50), a_k in (0.01, 0.2) and q = I + 0.5 R with R
-    uniform in (-1, 1), cond(q) <= 100; a draw that breaks a rule is drawn again."""
-    while count:
-        n = int(rng.integers(1, 5))
-        u_k = np.sort(rng.uniform(5.0, 95.0, n))
-        omega, a = rng.uniform(1.0, 50.0, n), rng.uniform(0.01, 0.2, n)
-        q = np.eye(n) + 0.5 * rng.uniform(-1.0, 1.0, (n, n))
-        if np.all(np.diff(u_k) >= 1.0) and np.linalg.cond(q) <= MAX_MIXING_CONDITION:
-            count -= 1
-            yield u_k, omega, a, q
 
 
 def draw_quasi_steady(rng, count):
@@ -423,6 +396,43 @@ class TestFindFlutterPoints:
         missed = [k for k, (hits, got) in enumerate(quasi_steady_family(1))
                   if not all(any(same_point(p, h) for p in got) for h in hits)]
         assert missed == []
+
+
+# The wing's Hopf points above chi_R = 60 in its default U range, (U, chi_R) by mode count: the
+# points its default window excludes, as the README's table lists them.
+WING_EXCLUDED_POINTS = {
+    4: [(27.7375, 108.83)],
+    8: [(27.7375, 108.83), (46.229, 181.38), (53.114, 259.02), (64.721, 253.93),
+        (114.054, 147.61)],
+    16: [(27.7375, 108.83), (46.229, 181.38), (47.322, 260.85), (64.721, 253.93),
+         (83.213, 326.48), (85.959, 575.24), (101.704, 399.04), (114.260, 148.13)]}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16], ids=["n4", "n8", "n16"])
+def test_points_the_default_wing_window_excludes(n):
+    # over chi_R in (-1e6, 1e6): the window's own points, the listed ones above chi_R = 60, and
+    # the -chi_R mirror of each, which the real pencil implies; nothing else
+    op, in_window = wing_and_oracle(n)
+    w = op.window
+    hits = hopf_points(op.func, Window(w.u_min, w.u_max, -1e6, 1e6))
+    above = [h for h in hits if h[1] > w.chi_r_max]
+    assert np.array(above) == pytest.approx(np.array(WING_EXCLUDED_POINTS[n]), rel=1e-4)
+    positive = [h for h in hits if h[1] > 0.0]
+    assert positive == sorted(in_window + above)
+    mirrors = sorted((u, -c) for u, c in hits if c < 0.0)
+    assert np.array(mirrors) == pytest.approx(np.array(positive), rel=1e-9)
+    row = re.search(rf"^\| {n} \| (.*) \|$", README.read_text(encoding="utf-8"), re.M).group(1)
+    listed = [tuple(map(float, m)) for m in re.findall(r"([\d.]+) \(([\d.]+)\)", row)]
+    assert listed == WING_EXCLUDED_POINTS[n]
+
+
+def test_the_typical_section_window_excludes_only_a_mirror():
+    op = build_typical_section()
+    w = op.window
+    hits = hopf_points(op.func, Window(w.u_min, w.u_max, -1e6, 1e6))
+    assert np.array(hits) == pytest.approx(np.array([(40.3343, -35.3861), (40.3343, 35.3861)]),
+                                           rel=1e-5)
+    assert hopf_points(op.func, w) == hits[1:]
 
 
 class TestHopfOracle:
