@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -339,9 +340,21 @@ def _solve_seed(op: ParametricOperator, u: float, chi: complex) -> EigenPoint:
     return cont.solve_at_airspeed(op, u, guess)
 
 
+def _start_point(text: str) -> Tuple[float, float, float]:
+    """``--start-point`` as three finite floats; any other input is a ValueError naming it."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise ValueError(f"--start-point must be three finite numbers 'U,chi_R,chi_I', "
+                         f"not {text!r}")
+    return tuple(values)
+
+
 def _resolve_trace_start(cfg: RunConfig, args) -> Optional[object]:
     if args.start_point is not None:
-        u, wr, wi = (float(v) for v in args.start_point.split(","))
+        u, wr, wi = _start_point(args.start_point)
         return _solve_seed(cfg.op, u, complex(wr, wi))
     points = find_flutter_points(cfg.op, cfg.window, cfg.flutter)
     if not points:

@@ -1,14 +1,13 @@
-"""Flutter point location from the crossings of one determinant grid.
+"""Flutter point location from the zeros of one determinant grid.
 
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
-singular.  Candidates are the crossings of the Re(det) = 0 and
-Im(det) = 0 contours of a determinant field over the search window,
-intersected cell by cell from their marching-squares segments without
-chaining them into polylines.  The bordered Newton the continuation
-correctors share polishes each candidate onto chi_I = 0.  One rule
-retries a candidate whose polish fails, leaves the window or lands on a
-point already found: from the crossings of a det grid in a shrunk window
-around it.
+singular.  Candidates are the zeros of det A over the search window: one
+per cell of a determinant field around which the phase of det winds (the
+argument principle), placed where the cell's linear interpolant vanishes.
+The bordered Newton the continuation correctors share polishes each
+candidate onto chi_I = 0.  One rule retries a candidate whose polish fails,
+leaves the window or lands on a point already found: from the zeros of a
+det grid in a shrunk window around it.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
                        Window, _check_count, _solve_bordered, sigma_min)
-from .pseudospectrum import Grid2D, _det_zero_crossings, compute_det_field
+from .pseudospectrum import Grid2D, _det_zeros, compute_det_field
 
 __all__ = [
     "FlutterSearchSettings",
@@ -75,16 +74,16 @@ def _shrunk_window(parent: Window, outer: Window, u: float, w: float) -> Window:
 def locate_candidates(op: ParametricOperator, window: Window,
                       grid_count: int = FlutterSearchSettings.grid_count
                       ) -> List[Tuple[float, float]]:
-    """Candidate (U, chi_R) pairs: the Re/Im det contour crossings of one det grid.
+    """Candidate (U, chi_R) pairs: the zeros of one det grid, one per winding cell.
 
     The grid has ``grid_count`` nodes per side over ``window``.  No
-    intersections is not an error.  A ``grid_count`` outside the range of
+    zeros is not an error.  A ``grid_count`` outside the range of
     :class:`FlutterSearchSettings`, or a window outside the operator window,
     raises ValueError before any evaluation.
     """
     FlutterSearchSettings(grid_count=grid_count)
     grid = Grid2D.over_window(window, grid_count, grid_count, 0.0)
-    return _det_zero_crossings(compute_det_field(op, grid))
+    return _det_zeros(compute_det_field(op, grid))
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
@@ -120,12 +119,12 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
 
 def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
                         settings: Optional[FlutterSearchSettings] = None) -> List[FlutterPoint]:
-    """Polish each det-grid crossing in the window and return the points sorted by U.
+    """Polish each det-grid zero in the window and return the points sorted by U.
 
     Polished points within one cell of a ``refine_iters``-deep grid are
     duplicates, and the first one kept stands.  A candidate whose polish
     fails, lands outside the window or lands on a point already kept is
-    retried from the crossings of a det grid in a quarter-span window around
+    retried from the zeros of a det grid in a quarter-span window around
     it, at most ``refine_iters`` windows deep; ``window_history`` holds the
     windows a point's candidate came from.  Only a polish that raises is a
     failure, not a landing outside the window: a failure that runs out of

@@ -4,11 +4,10 @@ The epsilon-pseudospectrum is the sublevel set of the minimum-singular-value
 field; its contours come from marching squares with linear edge
 interpolation, run as array code over the cells a contour crosses, whose
 segments are then chained into polylines.  Determinant fields are stored as
-(log-magnitude, phase) pairs so that zero contours survive overflow; the
-zero-contour segments of their real/imaginary parts come from per-cell
-rescaling, which leaves the crossings exactly where the unscaled values
-would put them.  Where the Re and Im segments cross (the flutter
-candidates) is found cell by cell, without chaining.
+(log-magnitude, phase) pairs so that they survive overflow.  Their zeros (the
+flutter candidates) come from the argument principle: a cell holds a zero
+when the phase winds around it, and the zero is placed where the linear part
+of the cell's interpolant, rescaled by its largest |det|, vanishes.
 """
 
 from __future__ import annotations
@@ -204,36 +203,32 @@ _EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 
 
 def _cell_corners(values: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(c00, c10, c11, c01) of every cell, each (..., u_count - 1, w_count - 1)."""
-    return values[..., :-1, :-1], values[..., 1:, :-1], values[..., 1:, 1:], values[..., :-1, 1:]
+    """(c00, c10, c11, c01) of every cell, each (u_count - 1, w_count - 1)."""
+    return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
 
 
-def _cell_cases(corners: Sequence[np.ndarray], level: float) -> np.ndarray:
-    """Case code of each cell from its corners (c00, c10, c11, c01), any array shape."""
-    c00, c10, c11, c01 = corners
+def _cell_segments(us: np.ndarray, ws: np.ndarray, values: np.ndarray, level: float
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Marching-squares segments of the cells the contour {values = level} crosses.
+
+    Returns per segment the global edge ids of its two ends (S, 2; u-directed
+    edges first) and their (U, chi_R) vertices (S, 2, 2), in row-major cell
+    order; a cell's segments follow ``_SEGMENT_TABLE`` in order and direction.
+    A grid edge gets its vertex once, from the first cell that crosses it, so
+    shared edges agree bit-exactly.
+    """
+    c00, c10, c11, c01 = corners = _cell_corners(values)
     case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
             | (c01 >= level) << 3).astype(int)
     saddle = (case == 5) | (case == 10)
-    return case + 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
-
-
-def _cell_segments(us: np.ndarray, ws: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-                   code: np.ndarray, corners: Sequence[np.ndarray], level: float
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Marching-squares segments of the cells (ii, jj), listed in row-major order.
-
-    ``code`` and ``corners`` hold the case code (:func:`_cell_cases`) and the
-    corners (c00, c10, c11, c01) of each listed cell.  Returns per segment its
-    cell (i, j), the global edge ids of its two ends (S, 2; u-directed edges
-    first) and their (U, chi_R) vertices (S, 2, 2); a cell's segments follow
-    ``_SEGMENT_TABLE`` in order and direction.  A grid edge gets its vertex
-    once, from the first listed cell that crosses it, so shared edges agree
-    bit-exactly.
-    """
+    case += 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    code = case[ii, jj]
     cell, seg = np.nonzero(np.arange(2) < _SEGMENT_COUNT[code][:, None])
     edge = _SEGMENT_EDGES[code[cell], seg]
     i, j = ii[cell][:, None], jj[cell][:, None]
-    ends = np.stack(corners, axis=-1)[cell[:, None, None], _EDGE_CORNERS[edge]]
+    ends = np.stack([c[ii, jj] for c in corners], axis=-1)[cell[:, None, None],
+                                                           _EDGE_CORNERS[edge]]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (level - ends[..., 0]) / (ends[..., 1] - ends[..., 0])
     u0, u1, w0, w1 = us[i], us[i + 1], ws[j], ws[j + 1]
@@ -245,7 +240,7 @@ def _cell_segments(us: np.ndarray, ws: np.ndarray, ii: np.ndarray, jj: np.ndarra
                     (us.size - 1) * n_w + (i + (edge == 1)) * (n_w - 1) + j)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     verts = np.stack([vert_u, vert_w], axis=-1).reshape(-1, 2)[first][inverse.reshape(-1)]
-    return ii[cell], jj[cell], keys, verts.reshape(-1, 2, 2)
+    return keys, verts.reshape(-1, 2, 2)
 
 
 def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:
@@ -284,74 +279,46 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
     if not isinstance(fld, ScalarField):
         raise TypeError(f"cannot contour {type(fld).__name__}")
     level = _positive_finite("level", level)
-    corners = _cell_corners(fld.values)
-    case = _cell_cases(corners, level)
-    ii, jj = np.nonzero((case != 0) & (case != 15))
-    _, _, keys, verts = _cell_segments(fld.grid.u_values(), fld.grid.w_values(), ii, jj,
-                                       case[ii, jj], [c[ii, jj] for c in corners], level)
+    keys, verts = _cell_segments(fld.grid.u_values(), fld.grid.w_values(), fld.values, level)
     vertex_cache = dict(zip(keys.ravel().tolist(), map(tuple, verts.reshape(-1, 2).tolist())))
     return ContourSet(level, _chain_segments(keys.tolist(), vertex_cache))
 
 
-def _det_components(fld: ComplexField) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-    """Re(det) and Im(det) of a determinant field, set up for their zero contours.
+def _det_zeros(fld: ComplexField) -> List[Tuple[float, float]]:
+    """Zeros (U, chi_R) of a determinant field: one per cell its phase winds around.
 
-    Returns (case, corners, cells): the case code and the corners (c00, c10,
-    c11, c01) of every cell for both components, each (2, u_count - 1,
-    w_count - 1), and the cells each component's zero contour crosses.  Each
-    cell is rescaled by its largest |det| corner, which leaves the zero
-    crossings where the unscaled values would put them; an all-singular cell
-    (every log|det| = -inf) reads as four zeros.  Rows where a component
-    vanishes identically are left out: a real pencil makes Im(det) zero along
-    whole airspeed slices, which would give spurious flutter candidates.
-    """
-    lm = _cell_corners(fld.log_magnitude)
-    top = np.maximum.reduce(lm)
-    top[top == -math.inf] = 0.0  # exp(-inf - 0) = 0: an all-singular cell is all zeros
-    unit = np.stack([np.cos(fld.phase), np.sin(fld.phase)])  # Re, Im at unit magnitude
-    corners = [np.exp(c - top) * u for c, u in zip(lm, _cell_corners(unit))]
-    case = _cell_cases(corners, 0.0)
-    degenerate = np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=-1)
-    skip = (degenerate[:, :-1] | degenerate[:, 1:])[..., None]
-    return case, corners, (case != 0) & (case != 15) & ~skip
-
-
-def _det_zero_crossings(fld: ComplexField) -> List[Tuple[float, float]]:
-    """Crossings (U, chi_R) of the Re(det) = 0 and Im(det) = 0 contours, without chaining.
-
-    Each component's marching-squares segments (:func:`_det_components`) come from one
-    call.  Each Re segment is intersected with the Im segments of its own cell and of the
-    eight around it: segments of two cells meet only on an edge or node they share, where
-    det vanishes exactly (a zero on a grid node, say).  So the hits are those of all
-    Re x Im segment pairs, in row-major order of the Re segments' cells, while the pairing
-    work grows with the cells the contours cross.
+    The four phase steps around a cell, c00 -> c10 -> c11 -> c01 -> c00, each
+    wrapped into [-pi, pi), sum to 2 pi times the number of zeros inside (the
+    argument principle); a cell holds a zero when the sum exceeds pi in size.
+    Cells on a row where Re(det) or Im(det) vanishes identically are left out:
+    a real pencil makes Im(det) zero along whole airspeed slices, whose phase
+    flips would give spurious zeros.  Each zero sits where the linear part of
+    the cell's bilinear interpolant vanishes, the corners rescaled by their
+    largest |det| (an all-singular cell reads as zeros); clamped into the
+    cell, and at its centre when that part is singular.  Cells in row-major order.
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
-    case, corners, cells = _det_components(fld)
-    (re_i, re_j, _, re_v), (im_i, im_j, _, im_v) = [
-        _cell_segments(us, ws, ii, jj, case[k, ii, jj], [c[k, ii, jj] for c in corners], 0.0)
-        for k, (ii, jj) in enumerate(map(np.nonzero, cells))]
+    phase = _cell_corners(fld.phase)
+    winding = sum((b - a + math.pi) % (2.0 * math.pi) - math.pi
+                  for a, b in zip(phase, phase[1:] + phase[:1]))
+    unit = np.stack([np.cos(fld.phase), np.sin(fld.phase)])
+    flat = np.any(np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=-1), axis=0)
+    ii, jj = np.nonzero((np.abs(winding) > math.pi) & ~(flat[:-1] | flat[1:])[:, None])
 
-    # Im segment ids per cell (-1 for none), padded by one cell on each side
-    im_at = np.full((us.size + 1, ws.size + 1, 2), -1)
-    second = np.r_[False, (im_i[1:] == im_i[:-1]) & (im_j[1:] == im_j[:-1])]
-    im_at[im_i + 1, im_j + 1, second.astype(int)] = np.arange(im_i.size)
-    di, dj = np.divmod(np.arange(9), 3)
-    near_im = im_at[re_i[:, None] + di, re_j[:, None] + dj].reshape(re_i.size, 18)
-    p, k = np.nonzero(near_im >= 0)
-    q = near_im[p, k]
-
-    a1, a2, b1, b2 = re_v[p, 0], re_v[p, 1], im_v[q, 0], im_v[q, 1]
-    d1, d2, rel = a2 - a1, b2 - b1, b1 - a1
-    denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    t_num = rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]
-    s_num = rel[:, 0] * d1[:, 1] - rel[:, 1] * d1[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num / denom
-        s = s_num / denom
-    hit = (np.abs(denom) > 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
-    pts = a1[hit] + t[hit, None] * d1[hit]
-    return [(float(u), float(w)) for u, w in pts]
+    lm = [c[ii, jj] for c in _cell_corners(fld.log_magnitude)]
+    top = np.maximum.reduce(lm)
+    top[top == -math.inf] = 0.0  # exp(-inf - 0) = 0: an all-singular cell is all zeros
+    z00, z10, z11, z01 = (np.exp(m - top + 1j * p[ii, jj]) for m, p in zip(lm, phase))
+    f_c = 0.25 * (z00 + z10 + z11 + z01)
+    f_s = 0.5 * (z10 + z11 - z00 - z01)
+    f_t = 0.5 * (z01 + z11 - z00 - z10)
+    with np.errstate(divide="ignore", invalid="ignore"):  # Cramer's rule, Re and Im rows
+        det = (f_s.conj() * f_t).imag
+        offsets = [(f_t.conj() * f_c).imag / det, (f_c.conj() * f_s).imag / det]
+    ds, dt = (np.clip(np.nan_to_num(d, nan=0.0), -0.5, 0.5) + 0.5 for d in offsets)
+    u = us[ii] + ds * (us[ii + 1] - us[ii])
+    w = ws[jj] + dt * (ws[jj + 1] - ws[jj])
+    return list(zip(u.tolist(), w.tolist()))
 
 
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,

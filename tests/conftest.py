@@ -5,12 +5,13 @@ computation that does not share code with the path it checks: closed-form
 polynomial trajectories, brute-force distance-to-spectrum, the bialternate
 Hopf test for the flutter and damping-level points of real pencils, and
 explicit Kronecker expansions for the SLP corrector's operator determinants
-with the three-parameter linear step built on them, and marching squares
-cell by cell with the all-pairs intersection of Re/Im det contours (the
-Python loop and the N x M pass that the array code replaced).
+with the three-parameter linear step built on them, marching squares cell
+by cell (the Python loop that the array code replaced), and the phase
+winding of a det field around each cell, counted one cell at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -191,6 +192,15 @@ def ts_oracle(ts_op):
     return hits[0]
 
 
+def crossing_pencil():
+    """[[l_1(U) - chi, 1], [0, l_2(U) - chi]] with l_k = 50 + k i (1 - 0.01 U): both
+    eigenvalues cross chi_I = 0 at chi = 50, U = 100, where A is a Jordan block."""
+    pencil = Pencil(((0, 0), (0, 1), (1, 0)), [np.array([[50.0 + 1j, 1.0], [0.0, 50.0 + 2j]]),
+                                               np.diag([-0.01j, -0.02j]), -np.eye(2)])
+    return ParametricOperator("crossing", 2, pencil, Window(0.0, 200.0, 10.0, 90.0),
+                              derivs=pencil.derivs)
+
+
 # ---------------------------------------------------------------------------
 # generated damped oscillators, whose flutter points and tangents are closed forms
 
@@ -268,23 +278,10 @@ def edge_crossings(us, ws, pair_values, level, edge_ok=lambda p, q: True):
     return points
 
 
-def det_pair_values(log_mag, unit):
-    """Endpoint values of a det component, both scaled by the larger |det|."""
-
-    def pair(p, q):
-        top = max(log_mag[p], log_mag[q])
-        if top == -np.inf:
-            return 0.0, 0.0
-        return (float(np.exp(log_mag[p] - top) * unit[p]),
-                float(np.exp(log_mag[q] - top) * unit[q]))
-
-    return pair
-
-
 # ---------------------------------------------------------------------------
 # marching squares cell by cell, as before the array marching: a Python loop
 # over the crossed cells and a vertex cache, chained by the package's
-# unchanged chainer; and the all-pairs intersection of two contour families
+# unchanged chainer
 
 _REFERENCE_SEGMENTS = {
     1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 5: ((0, 3), (1, 2)),
@@ -294,13 +291,12 @@ _REFERENCE_SEGMENTS = {
 }
 
 
-def reference_segments(us, ws, corners, level, skip_rows=None):
+def reference_segments(us, ws, corners, level):
     """Marching squares over per-cell corner arrays (c00, c10, c11, c01), unchained.
 
     Returns the segments as edge-key pairs, in row-major cell order and the
     segment table's direction, and the vertex of every key: each grid edge
     gets its vertex from the first crossing cell (``setdefault``).
-    ``skip_rows[i]`` drops the cells of row i.
     """
     c00, c10, c11, c01 = corners
     case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
@@ -308,8 +304,6 @@ def reference_segments(us, ws, corners, level, skip_rows=None):
     saddle = (case == 5) | (case == 10)
     case += 16 * (saddle & (0.25 * (c00 + c10 + c11 + c01) >= level))
     active = (case != 0) & (case != 15)
-    if skip_rows is not None:
-        active &= ~skip_rows[:, None]
     n_w, n_u_edges = ws.size, (us.size - 1) * ws.size
     segments, vertex_cache = [], {}
     for i, j in zip(*np.nonzero(active)):
@@ -330,59 +324,59 @@ def reference_segments(us, ws, corners, level, skip_rows=None):
     return segments, vertex_cache
 
 
-def reference_march(us, ws, corners, level, skip_rows=None):
+def reference_march(us, ws, corners, level):
     """The polylines of :func:`reference_segments`."""
-    return pseudospectrum._chain_segments(*reference_segments(us, ws, corners, level, skip_rows))
+    return pseudospectrum._chain_segments(*reference_segments(us, ws, corners, level))
 
 
-def reference_det_zero_segments(fld):
-    """(Re, Im) zero-contour segments of a det field as :func:`reference_segments`
-    gives them: every cell rescaled by its largest |det| corner (an all-singular
-    cell reads as zeros), identically vanishing rows skipped."""
-    us, ws = fld.grid.u_values(), fld.grid.w_values()
-    lm = fld.log_magnitude
-    lm_corners = (lm[:-1, :-1], lm[1:, :-1], lm[1:, 1:], lm[:-1, 1:])
-    top = np.maximum.reduce(lm_corners)
-    with np.errstate(invalid="ignore"):
-        scale = [np.exp(c - top) for c in lm_corners]
-    out = []
-    for unit in (np.cos(fld.phase), np.sin(fld.phase)):
-        unit_corners = (unit[:-1, :-1], unit[1:, :-1], unit[1:, 1:], unit[:-1, 1:])
-        corners = [np.where(top == -np.inf, 0.0, s * c) for s, c in zip(scale, unit_corners)]
-        flat = np.all(np.abs(unit) <= 1e-12, axis=1)
-        out.append(reference_segments(us, ws, corners, 0.0, skip_rows=flat[:-1] | flat[1:]))
-    return out
+# ---------------------------------------------------------------------------
+# argument principle: the phase of det turns once around each simple zero
 
 
-def reference_det_zero_contours(fld):
-    """(Re, Im) zero polylines of a det field from :func:`reference_det_zero_segments`."""
-    return [pseudospectrum._chain_segments(*component)
-            for component in reference_det_zero_segments(fld)]
+def sampled_field(grid, f):
+    """The ComplexField of ``f(u, w)`` (vectorized) on a grid, from numpy's log|f| and
+    angle(f): an exact zero gets log|det| = -inf and phase 0, as a det field stores it."""
+    us, ws = np.meshgrid(grid.u_values(), grid.w_values(), indexing="ij")
+    z = f(us, ws)
+    with np.errstate(divide="ignore"):
+        return pseudospectrum.ComplexField(grid, np.log(np.abs(z)), np.angle(z))
 
 
-def segment_arrays(polylines):
-    """(starts, ends) of all segments of some polylines, each (N, 2)."""
-    lines = [np.empty((0, 2)), *polylines]
-    return np.vstack([pl[:-1] for pl in lines]), np.vstack([pl[1:] for pl in lines])
+def _turn(a, b):
+    """The step from phase a to phase b, moved into [-pi, pi) by whole turns."""
+    d = b - a
+    while d >= math.pi:
+        d -= 2.0 * math.pi
+    while d < -math.pi:
+        d += 2.0 * math.pi
+    return d
 
 
-def polyline_intersections(re_polylines, im_polylines):
-    """Intersections of every Re segment with every Im segment (ends included)."""
-    a1, a2 = segment_arrays(re_polylines)
-    b1, b2 = segment_arrays(im_polylines)
-    d1 = a2 - a1                                   # (N, 2)
-    d2 = b2 - b1                                   # (M, 2)
-    denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-    rel = b1[None, :, :] - a1[:, None, :]          # (N, M, 2)
-    t_num = rel[:, :, 0] * d2[None, :, 1] - rel[:, :, 1] * d2[None, :, 0]
-    s_num = rel[:, :, 0] * d1[:, None, 1] - rel[:, :, 1] * d1[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num / denom
-        s = s_num / denom
-    hit = (np.abs(denom) > 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
-    ii, jj = np.nonzero(hit)
-    pts = a1[ii] + t[ii, jj, None] * d1[ii]
-    return [(float(u), float(w)) for u, w in pts]
+def winding_cells(fld, skip_flat_rows=True):
+    """Cells (i, j), row-major, around which a det field's phase winds: the four steps
+    c00 -> c10 -> c11 -> c01 -> c00, each taken the short way, sum to a nonzero number of
+    whole turns.  With ``skip_flat_rows`` a cell is left out when one of its rows has
+    |cos(phase)| <= 1e-12 at every node, or |sin(phase)| <= 1e-12 at every node."""
+    phase = fld.phase.tolist()
+    flat = [all(abs(math.cos(p)) <= 1e-12 for p in row)
+            or all(abs(math.sin(p)) <= 1e-12 for p in row) for row in phase]
+    cells = []
+    for i in range(len(phase) - 1):
+        if skip_flat_rows and (flat[i] or flat[i + 1]):
+            continue
+        for j in range(len(phase[0]) - 1):
+            loop = [phase[i][j], phase[i + 1][j], phase[i + 1][j + 1], phase[i][j + 1]]
+            turns = sum(_turn(a, b) for a, b in zip(loop, loop[1:] + loop[:1])) / (2.0 * math.pi)
+            if round(turns) != 0:
+                cells.append((i, j))
+    return cells
+
+
+def in_cell(grid, cell, point):
+    """Whether ``point`` (U, chi_R) lies in the closed cell (i, j) of the grid."""
+    (i, j), (u, w) = cell, point
+    us, ws = grid.u_values(), grid.w_values()
+    return us[i] <= u <= us[i + 1] and ws[j] <= w <= ws[j + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,15 @@ class TestTraceCommand:
         assert main(["trace", "--config", str(cfg)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", ["120,54", "120,54,0,1", "a,b,c", "120,nan,0"],
+                             ids=["two_values", "four_values", "not_numbers", "nan"])
+    def test_bad_start_point_errors(self, tmp_path, capsys, start):
+        cfg = write_config(tmp_path, continuation={"max_steps": 0})
+        assert main(["trace", "--config", str(cfg), "--start-point", start]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --start-point must be three finite numbers 'U,chi_R,chi_I', not {start!r}\n")
+        assert not (tmp_path / "out" / "path.csv").exists()
+
     def test_explicit_start_point(self, tmp_path, traj_oracle):
         u0 = 200.0
         start = f"{u0},{traj_oracle.omega(u0)},{traj_oracle.g(u0)}"

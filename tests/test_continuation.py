@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import (draw_oscillators, kron_operator_determinants, oscillator_operator,
-                      reference_slp_increment, swap_symmetric_unitary)
+from conftest import (crossing_pencil, draw_oscillators, kron_operator_determinants,
+                      oscillator_operator, reference_slp_increment, swap_symmetric_unitary)
 from flutterspec import (ContinuationSettings, ConvergenceError, DampingParameterization,
                          DegenerateTangentError, EigenPoint, GalerkinWingSpec, Tangent, Window,
                          build_galerkin_wing, build_trajectory_operator, build_typical_section,
@@ -26,7 +26,7 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
 from flutterspec.continuation import (_CORRECTORS, ModePath, _mode_jumped, _real_forms,
                                       _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
-from flutterspec.operator import ParametricOperator, Pencil, _converged, _sigma_min_of
+from flutterspec.operator import ParametricOperator, _converged, _sigma_min_of
 
 
 def scaled_gap(a, b, scale):
@@ -67,15 +67,6 @@ def closed_form_tangent(u, chi_r, dchi):
     t = np.array([1.0 / us, dchi.real / cs, dchi.imag / cs])
     t /= np.linalg.norm(t)
     return -t if t[2] < 0.0 else t
-
-
-def crossing_pencil():
-    """[[l_1(U) - chi, 1], [0, l_2(U) - chi]] with l_k = 50 + k i (1 - 0.01 U): both
-    eigenvalues cross chi_I = 0 at chi = 50, U = 100, where A is a Jordan block."""
-    pencil = Pencil(((0, 0), (0, 1), (1, 0)), [np.array([[50.0 + 1j, 1.0], [0.0, 50.0 + 2j]]),
-                                               np.diag([-0.01j, -0.02j]), -np.eye(2)])
-    return ParametricOperator("crossing", 2, pencil, Window(0.0, 200.0, 10.0, 90.0),
-                              derivs=pencil.derivs)
 
 
 def scaled_operator(op, c):

@@ -23,7 +23,7 @@ from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectoryS
 from flutterspec.operator import ParametricOperator, Pencil
 from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
-from conftest import draw_oscillators, hopf_points, oscillator_operator
+from conftest import crossing_pencil, draw_oscillators, hopf_points, oscillator_operator
 
 SEARCH = Window(10.0, 400.0, 20.0, 200.0)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -319,7 +319,7 @@ class TestFindFlutterPoints:
             assert fp.point.U == pytest.approx(u, rel=1e-9)
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
 
-    @pytest.mark.parametrize("grid_count", [10, 12])
+    @pytest.mark.parametrize("grid_count", [10, 11])
     def test_coarse_grid_retry_recovers_the_lowest_wing_point(self, grid_count):
         # on these grids the candidate near U = 9.25 polishes to the U = 0 singularity,
         # outside the window; its retry in a shrunk window finds the point
@@ -331,6 +331,16 @@ class TestFindFlutterPoints:
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
         assert points[0].point.U == pytest.approx(9.2458, abs=1e-4)
         assert len(points[0].window_history) >= 2
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute 1e-10 polish gate "
+                       "passes U = 99.99938743, 6e-6 off the Jordan point")
+    def test_jordan_crossing_point_to_solver_accuracy(self):
+        # both eigenvalues of the triangular crossing pencil reach chi_I = 0 at U = 100,
+        # chi = 50, where A is a Jordan block; the polish residual falls below 1e-10 while
+        # the two eigenvalues are still apart, and the polish stops there
+        points = find_flutter_points(crossing_pencil(), Window(50.0, 150.0, 30.0, 70.0))
+        assert len(points) == 1
+        assert points[0].point.U == pytest.approx(100.0, rel=1e-9)
 
     @pytest.mark.parametrize("grid_count", range(8, 17))
     def test_points_and_their_windows_lie_in_the_search_window(self, grid_count):

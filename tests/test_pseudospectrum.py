@@ -1,6 +1,7 @@
 """Fields, marching-squares contours, pseudospectra, borderline regions."""
 
 import dataclasses
+import itertools
 import math
 import threading
 import time
@@ -19,26 +20,10 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
 from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
-from flutterspec.pseudospectrum import ComplexField, _det_zero_crossings
+from flutterspec.pseudospectrum import ComplexField, _det_zeros
 
-from conftest import (NORMAL_EIGENVALUES, det_pair_values, distance_to_spectrum,
-                      edge_crossings, polyline_intersections, reference_det_zero_contours,
-                      reference_det_zero_segments, reference_march)
-
-
-def det_segment_vertices(fld):
-    """(Re, Im) vertices, one per crossed grid edge, of the segments that
-    ``_det_components`` and ``_cell_segments`` hand to ``_det_zero_crossings``."""
-    us, ws = fld.grid.u_values(), fld.grid.w_values()
-    case, corners, cells = pseudospectrum._det_components(fld)
-    vertices = []
-    for k in (0, 1):
-        ii, jj = np.nonzero(cells[k])
-        _, _, keys, verts = pseudospectrum._cell_segments(us, ws, ii, jj, case[k, ii, jj],
-                                                          [c[k, ii, jj] for c in corners], 0.0)
-        _, first = np.unique(keys.ravel(), return_index=True)
-        vertices.append(verts.reshape(-1, 2)[first])
-    return vertices
+from conftest import (NORMAL_EIGENVALUES, distance_to_spectrum, edge_crossings, hopf_points,
+                      in_cell, reference_march, sampled_field, winding_cells)
 
 
 def assert_contours_on_grid(contour, grid):
@@ -240,30 +225,37 @@ class TestDetField:
         values = np.exp(fld.log_magnitude[0]) * np.exp(1j * fld.phase[0])
         assert np.allclose(values.real, expected, atol=1e-12)
         assert np.allclose(values.imag, 0.0, atol=1e-12)
-        re_vertices, im_vertices = det_segment_vertices(fld)
-        # the Re(det) = 0 lines chi_R = 1 and 3 cross each of the three U nodes' edges
-        assert sorted(re_vertices[:, 1]) == pytest.approx([1.0] * 3 + [3.0] * 3, abs=1e-12)
-        # det always real: no isolated Im contour anywhere
-        assert im_vertices.size == 0
+        # det always real: Im(det) vanishes on every row, so the phase flips by pi at
+        # chi_R = 1 and 3 count as no zero, though the bare winding sees some
+        assert winding_cells(fld, skip_flat_rows=False)
+        assert _det_zeros(fld) == []
 
     def test_typical_section_real_slice_at_zero_airspeed(self, ts_op):
         grid = Grid2D((0.5, 20.0, 6), (10.0, 60.0, 31))
         fld = compute_det_field(ts_op, grid)
         assert not imag_degenerate_rows(fld).any()
-        grid0 = Grid2D((0.0, 20.0, 6), (10.0, 60.0, 31))
+        # U = 0 up to past the one flutter point
+        grid0 = Grid2D((0.0, 60.0, 13), (10.0, 60.0, 26))
         op0 = build_typical_window_op(ts_op)
         fld0 = compute_det_field(op0, grid0)
         degen = imag_degenerate_rows(fld0)
         assert degen[0] and not degen[1:].any()
-        # no Im-contour vertex may touch the degenerate U = 0 row
-        _, im_vertices = det_segment_vertices(fld0)
-        assert im_vertices.size
-        assert (im_vertices[:, 0] >= grid0.u_values()[1]).all()
+        # A is singular on the real U = 0 slice at the two natural frequencies, on the
+        # grid's edge, and the slice gives no zero; the one zero lies in the flutter
+        # point's cell
+        at_rest = hopf_points(op0.func, Window(0.0, 60.0, 10.0, 60.0))
+        assert len({round(w, 6) for u, w in at_rest if u < 1e-9}) == 2
+        cells = winding_cells(fld0)
+        assert len(cells) == 1 and cells[0][0] > 0
+        (u, w), = _det_zeros(fld0)
+        assert in_cell(grid0, cells[0], (u, w))
+        (flutter,) = hopf_points(op0.func, Window(1.0, 60.0, 10.0, 60.0))
+        assert in_cell(grid0, cells[0], flutter)
 
-    def test_restabilization_intersections_near_flutter(self, traj_op, traj_oracle):
+    def test_restabilization_zero_near_flutter(self, traj_op, traj_oracle):
         grid = Grid2D((100.0, 140.0, 33), (48.0, 60.0, 33))
         fld = compute_det_field(traj_op, grid)
-        pts = _det_zero_crossings(fld)
+        pts = _det_zeros(fld)
         assert len(pts) >= 1
         cell_u, cell_w = 40.0 / 32, 12.0 / 32
         hits = [(u, w) for u, w in pts
@@ -460,19 +452,6 @@ class TestArrayMarch:
         assert_vertices_match(polyline_vertices(cs), expected, grid, tol=0.0)
         assert_contours_on_grid(cs, grid)
 
-    @settings(max_examples=40)
-    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_det_component(self, nu, nw, seed):
-        rng = np.random.default_rng(seed)
-        grid = Grid2D((0.0, 1.0, nu), (0.0, 1.0, nw))
-        log_mag = rng.uniform(-5.0, 5.0, (nu, nw))
-        phase = rng.uniform(-np.pi, np.pi, (nu, nw))
-        vertices = det_segment_vertices(ComplexField(grid, log_mag, phase))
-        for got, unit in zip(vertices, (np.cos(phase), np.sin(phase))):
-            expected = edge_crossings(grid.u_values(), grid.w_values(),
-                                      det_pair_values(log_mag, unit), 0.0)
-            assert_vertices_match(got, expected, grid)
-
     @pytest.mark.parametrize("center_inside", [True, False])
     @pytest.mark.parametrize("case", [5, 10])
     def test_saddle_cells(self, case, center_inside):
@@ -498,29 +477,6 @@ class TestArrayMarch:
         assert pieces == {frozenset(corner_sides[c]) for c in cut}
         assert all(len(pl) == 2 for pl in cs.polylines)
 
-    def test_singular_node_det_field(self):
-        # det = (1 - chi)(3 - chi) is exactly 0 on the grid lines chi_R = 1 and 3
-        op = build_normal_operator([1.0, 3.0], Window(0.0, 1.0, 0.0, 4.0))
-        grid = Grid2D((0.0, 1.0, 4), (0.0, 4.0, 9))
-        fld = compute_det_field(op, grid)
-        assert np.isneginf(fld.log_magnitude).sum() == 2 * 4
-        got, _ = det_segment_vertices(fld)
-        expected = edge_crossings(grid.u_values(), grid.w_values(),
-                                  det_pair_values(fld.log_magnitude, np.cos(fld.phase)), 0.0)
-        assert_vertices_match(got, expected, grid)
-
-    def test_all_singular_cells_give_no_vertices(self):
-        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
-        log_mag = np.full((4, 4), -np.inf)
-        log_mag[3, 3] = 0.0
-        phase = np.zeros((4, 4))
-        phase[3, 3] = np.pi
-        got, _ = det_segment_vertices(ComplexField(grid, log_mag, phase))
-        expected = edge_crossings(grid.u_values(), grid.w_values(),
-                                  det_pair_values(log_mag, np.cos(phase)), 0.0)
-        assert len(expected) == 2
-        assert_vertices_match(got, expected, grid)
-
     def test_closed_loop_repeats_first_vertex(self):
         grid = Grid2D((0.0, 1.0, 13), (0.0, 2.0, 17))
         us, ws = grid.u_values(), grid.w_values()
@@ -532,29 +488,6 @@ class TestArrayMarch:
         assert len(np.unique(loop[:-1], axis=0)) == len(loop) - 1
         assert_vertices_match(polyline_vertices(cs),
                               edge_crossings(us, ws, _scalar_pairs(values), 0.07), grid, tol=0.0)
-
-    def test_degenerate_rows_skipped(self):
-        grid = Grid2D((0.0, 1.0, 7), (0.0, 1.0, 9))
-        us, ws = grid.u_values(), grid.w_values()
-        phase = np.sin(7.0 * us[:, None] + 5.0 * ws[None, :]) * 2.5
-        phase[[0, 3]] = 0.0            # Im(det) identically zero on rows 0 and 3
-        log_mag = np.zeros_like(phase)
-        fld = ComplexField(grid, log_mag, phase)
-        unit = np.sin(phase)
-        flat = np.all(np.abs(unit) <= 1e-12, axis=1)
-        assert flat.tolist() == [True, False, False, True, False, False, False]
-
-        def in_live_cell(p, q):
-            # a cell is live when neither of its rows is flat
-            rows = {p[0], q[0]}
-            cells = [(r, r + 1) for r in range(len(us) - 1) if rows <= {r, r + 1}]
-            return any(not flat[a] and not flat[b] for a, b in cells)
-
-        _, got = det_segment_vertices(fld)
-        expected = edge_crossings(us, ws, det_pair_values(log_mag, unit), 0.0, in_live_cell)
-        assert expected
-        assert_vertices_match(got, expected, grid)
-        assert all(u not in (us[0], us[3]) for u in got[:, 0])
 
 
 def assert_same_polylines(got, expected):
@@ -633,50 +566,126 @@ class TestMarchMatchesReference:
             fld.grid.u_values(), fld.grid.w_values(), cell_corners(fld.values), level))
 
 
-class TestDetZeroCrossings:
-    """Per-cell crossings against all Re x Im segment pairs."""
+def node_offset(draw, count):
+    """A position on a grid axis of ``count`` nodes, in cells from its first node: up to two
+    cells beyond either end, and at least 1e-3 cell from every node."""
+    return draw(st.integers(-2, count)) + draw(st.floats(1e-3, 1.0 - 1e-3))
+
+
+class TestDetZeros:
+    """Zero cells by the argument principle, against fields whose zeros are known."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), nu=st.integers(2, 12), nw=st.integers(2, 12),
+           decade=st.floats(-100.0, 100.0), turn=st.floats(-np.pi, np.pi),
+           b_size=st.floats(-2.0, 2.0), b_angle=st.floats(-np.pi, np.pi),
+           c_size=st.floats(-2.0, 2.0), spread=st.floats(0.1, np.pi - 0.1),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_affine_field_has_its_one_zero(self, data, nu, nw, decade, turn, b_size, b_angle,
+                                           c_size, spread, sign):
+        # det = a (b (u - u0) + c (w - w0)) with Im(conj(b) c) of either sign: one zero,
+        # found at (u0, w0) exactly when it lies inside the grid
+        grid = Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw))
+        du, dw = 40.0 / (nu - 1), 12.0 / (nw - 1)
+        cu, cw = node_offset(data.draw, nu), node_offset(data.draw, nw)
+        u0, w0 = 100.0 + cu * du, 48.0 + cw * dw
+        a = 10.0 ** decade * np.exp(1j * turn)
+        b = 10.0 ** b_size / du * np.exp(1j * b_angle)
+        c = 10.0 ** c_size / dw * np.exp(1j * (b_angle + sign * spread))
+        fld = sampled_field(grid, lambda u, w: a * (b * (u - u0) + c * (w - w0)))
+        zeros = _det_zeros(fld)
+        if 0.0 < cu < nu - 1 and 0.0 < cw < nw - 1:
+            assert len(zeros) == 1
+            assert zeros[0][0] == pytest.approx(u0, abs=1e-12 * 40.0)
+            assert zeros[0][1] == pytest.approx(w0, abs=1e-12 * 12.0)
+        else:
+            assert zeros == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ccw", "cw"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polynomial_zeros_one_per_cell(self, seed, sign):
+        # a cubic in z = u + sign i w is a product of three affine factors; numpy's roots
+        # give its zeros, drawn at least 6 cells apart and 0.1 cell off every grid line,
+        # so no cell edge turns the phase by pi or more
+        grid = Grid2D((-3.0, 3.0, 61), (-3.0, 3.0, 61))
+        rng = np.random.default_rng(seed)
+        while True:
+            coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            roots = np.roots(coeffs)
+            zeros = np.column_stack([roots.real, sign * roots.imag])
+            frac = (zeros + 3.0) / 0.1 % 1.0
+            apart = min(abs(p - q) for p, q in itertools.combinations(roots, 2))
+            if apart >= 0.6 and np.all((frac >= 0.1) & (frac <= 0.9)):
+                break
+        fld = sampled_field(grid, lambda u, w: np.polyval(coeffs, u + sign * 1j * w))
+        inside = [z for z in zeros if np.all(np.abs(z) < 3.0)]
+        cells = [tuple(int(k) for k in np.floor((z + 3.0) / 0.1)) for z in inside]
+        got = _det_zeros(fld)
+        assert cells and len(got) == len(cells)
+        assert sorted(winding_cells(fld)) == sorted(cells)
+        for cell, zero in zip(cells, inside):
+            (p,) = [p for p in got if in_cell(grid, cell, p)]
+            # the linear placement's error is second order: within 0.05 cell here
+            assert np.abs(np.array(p) - zero).max() <= 0.05 * 0.1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ccw", "cw"])
+    def test_flat_row_field_gives_no_zero(self, sign):
+        # det = (w - 1)(w - 3) + i u (1 + 0.3 w) is real on the row u = 0, where its zeros
+        # w = 1 and 3 lie on the grid's edge; without the flat-row rule a cell of that
+        # row would wind
+        grid = Grid2D((0.0, 1.0, 11), (0.0, 4.0, 17))
+        fld = sampled_field(grid, lambda u, w: (w - 1.0) * (w - 3.0)
+                            + sign * 1j * u * (1.0 + 0.3 * w))
+        assert [i for i, _ in winding_cells(fld, skip_flat_rows=False)] == [0]
+        assert winding_cells(fld) == []
+        assert _det_zeros(fld) == []
+
+    def test_degenerate_rows_skipped(self):
+        # zeros at the centres of cells (0, 2), (2, 6), (4, 1) and (5, 5); then Im(det)
+        # made identically zero on rows 0 and 3, which leaves out the cells of rows 0, 2, 3
+        grid = Grid2D((0.0, 1.0, 7), (0.0, 1.0, 9))
+        roots = [((i + 0.5) / 6.0) + 1j * ((j + 0.5) / 8.0) for i, j in
+                 [(0, 2), (2, 6), (4, 1), (5, 5)]]
+        fld = sampled_field(grid, lambda u, w: np.prod([u + 1j * w - r for r in roots], axis=0))
+        fld.phase[[0, 3]] = 0.0
+        assert {i for i, _ in winding_cells(fld, skip_flat_rows=False)} & {0, 2, 3}
+        cells = winding_cells(fld)
+        assert cells == [(4, 1), (5, 5)]
+        got = _det_zeros(fld)
+        assert len(got) == 2 and all(in_cell(grid, c, p) for c, p in zip(cells, got))
+
+    @pytest.mark.parametrize("b, c", [(1.0 + 0.1j, 0.3 + 1j), (2.0 - 1j, 0.5 + 3j),
+                                      (-1.0 + 0.2j, -0.3 - 1j)])
+    def test_zero_on_a_grid_node(self, b, c):
+        # an exact zero on a node (log|det| = -inf, phase 0 there) winds one of the four
+        # cells around it, and sits at its corner; b and c are generic, so no neighbour's
+        # phase is exactly pi, a step that would wrap to -pi both ways
+        grid = Grid2D((0.0, 1.0, 9), (0.0, 2.0, 9))
+        u0, w0 = grid.u_values()[3], grid.w_values()[5]
+        fld = sampled_field(grid, lambda u, w: b * (u - u0) + c * (w - w0))
+        assert fld.log_magnitude[3, 5] == -np.inf
+        cells = winding_cells(fld)
+        assert len(cells) == 1 and cells[0][0] in (2, 3) and cells[0][1] in (4, 5)
+        (u, w), = _det_zeros(fld)
+        assert (u, w) == pytest.approx((u0, w0), abs=1e-12)
+
+    def test_all_singular_cells_give_none(self):
+        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
+        log_mag = np.full((4, 4), -np.inf)
+        log_mag[3, 3] = 0.0
+        phase = np.zeros((4, 4))
+        phase[3, 3] = np.pi
+        assert _det_zeros(ComplexField(grid, log_mag, phase)) == []
 
     @settings(max_examples=300)
     @given(fld=det_fields())
-    def test_same_crossings_as_all_pairs(self, fld):
-        # every segment run in the segment table's direction, as the per-cell
-        # pass runs it: the same arithmetic, so the same crossings bit for bit
-        re, im = ([np.array([cache[a], cache[b]]) for a, b in segments]
-                  for segments, cache in reference_det_zero_segments(fld))
-        assert sorted(_det_zero_crossings(fld)) == sorted(polyline_intersections(re, im))
-
-    @settings(max_examples=100)
-    @given(nu=st.integers(2, 9), nw=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
-    def test_chained_contours_give_the_same_crossings(self, nu, nw, seed):
-        # A chained polyline may run a segment either way.  That moves an
-        # intersection by rounding (up to 2e-14 relative in 3000 random fields),
-        # and at a segment end it can decide a touching pair either way, so this
-        # takes generic fields only: uniform phases and finite log|det|.
-        rng = np.random.default_rng(seed)
-        fld = ComplexField(Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw)),
-                           rng.uniform(-5.0, 5.0, (nu, nw)), rng.uniform(-np.pi, np.pi, (nu, nw)))
-        got = _det_zero_crossings(fld)
-        expected = polyline_intersections(*reference_det_zero_contours(fld))
-        assert len(got) == len(expected)
-        unmatched = list(got)
-        for u, w in expected:
-            unmatched.remove(next(p for p in unmatched if p == pytest.approx((u, w), rel=1e-12)))
-        # generic crossings lie inside their cell, and the cells come in row-major order
-        cells = [(np.searchsorted(fld.grid.u_values(), u), np.searchsorted(fld.grid.w_values(), w))
-                 for u, w in got]
-        assert cells == sorted(cells)
-
-    def test_saddle_fields_have_both_saddle_cases(self):
-        rng = np.random.default_rng(0)
-        phase = saddle_phase(rng, 9, 9)
-        log_mag = rng.uniform(-5.0, 5.0, (9, 9))
-        re = np.exp(log_mag - log_mag.max()) * np.cos(phase)
-        c00, c10, c11, c01 = cell_corners(re >= 0.0)
-        assert np.all((c00 == c11) & (c10 == c01) & (c00 != c10))  # every cell a saddle
-        center = sum(cell_corners(re))  # rescaling a cell keeps the sign of its center
-        assert (center >= 0.0).any() and (center < 0.0).any()
-        fld = ComplexField(Grid2D((100.0, 140.0, 9), (48.0, 60.0, 9)), log_mag, phase)
-        assert _det_zero_crossings(fld)
+    def test_random_fields_match_the_winding_loop(self, fld):
+        # -inf nodes, underflowing corners, exact phases and flat rows: the same cells as
+        # the loop, in row-major order, each zero inside its cell
+        cells = winding_cells(fld)
+        got = _det_zeros(fld)
+        assert len(got) == len(cells)
+        assert all(in_cell(fld.grid, c, p) for c, p in zip(cells, got))
 
 
 class TestEpsilonPseudospectrum:
