@@ -1,10 +1,11 @@
 """Pseudospectral stability analysis for parametric flutter eigenproblems.
 
 Compute minimum-singular-value fields and epsilon-pseudospectra over
-(airspeed, frequency) windows, locate flutter points in the grid cells the
-determinant's phase winds around (the argument principle), and trace modal
-damping paths outward from them by pseudo-arclength continuation with a
-multiparameter-eigenvalue corrector.
+(airspeed, frequency) windows, locate flutter points where a tracked
+eigenvalue branch crosses the real axis (or, for operators without a
+companion, in the grid cells the determinant's phase winds around), and
+trace modal damping paths outward from them by pseudo-arclength
+continuation with a multiparameter-eigenvalue corrector.
 """
 
 from .errors import (ConvergenceError, DegenerateTangentError, FlutterSpecError,

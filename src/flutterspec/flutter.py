@@ -1,13 +1,17 @@
-"""Flutter point location from the zeros of one determinant grid.
+"""Flutter point location from tracked eigenvalue rows, or from the zeros of a det grid.
 
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
-singular.  Candidates are the zeros of det A over the search window: one
-per cell of a determinant field around which the phase of det winds (the
-argument principle), placed where the cell's linear interpolant vanishes.
-The bordered Newton the continuation correctors share polishes each
-candidate onto chi_I = 0.  One rule retries a candidate whose polish fails,
-leaves the window or lands on a point already found: from the zeros of a
-det grid in a shrunk window around it.
+singular.  The operator selects one of two candidate stages.  A pencil with
+a U-free, well-conditioned leading chi coefficient gets eigenvalue rows: the
+eigenvalues of its companion at evenly spaced airspeeds, matched from row to
+row, and a candidate where a branch's chi_I changes sign (the p-k view).
+Any other operator gets the zeros of one determinant grid: one per cell
+around which the phase of det winds (the argument principle), and one per
+isolated node where det is exactly zero.  The bordered Newton the
+continuation correctors share polishes each candidate onto chi_I = 0.  One
+rule retries a candidate whose polish fails, leaves the window or lands on a
+point already found: from the same stage's candidates in a shrunk window
+around it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
-                       Window, _check_count, _solve_bordered, sigma_min)
+                       Pencil, Window, _check_count, _solve_bordered, sigma_min)
 from .pseudospectrum import Grid2D, _det_zeros, compute_det_field
 
 __all__ = [
@@ -38,9 +42,34 @@ logger = logging.getLogger(__name__)
 # (divergence) instability rather than flutter.
 STATIC_CHI_R_FRACTION = 1e-6
 
+# A pencil whose leading chi coefficient depends on U or has a larger condition number has
+# no companion: its candidates come from the det grid.
+LEAD_COND_MAX = 1e12
+
+# A branch that moves between two rows by more than this share of its distance to the
+# nearest other eigenvalue of the next row, and by at least its distance to the real axis,
+# has an ambiguous match near the axis: the row interval is halved, at most BISECT_DEPTH
+# times.
+MATCH_FRACTION = 0.5
+BISECT_DEPTH = 6
+
+# A row whose every |chi_I| is within this share of its largest |chi| is real, as U = 0 is
+# for a real pencil, and is left out: the signs of its chi_I are rounding (the det grid's
+# flat-row rule).
+REAL_ROW_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FlutterSearchSettings:
+    """Flutter search settings.
+
+    ``grid_count`` (>= 8) is the number of airspeed rows of the eigenvalue-row stage, or the
+    nodes per side of the det grid, whichever stage the operator selects (see
+    :func:`locate_candidates`).  ``refine_iters`` (>= 1) bounds how deep the retry windows
+    go and sets the size of the cell within which two points are one; ``tol`` and
+    ``max_iters`` are the polish's (see :func:`polish_flutter_point`).
+    """
+
     grid_count: int = 64
     refine_iters: int = 3
     tol: float = RESIDUAL_TOL
@@ -71,19 +100,138 @@ def _shrunk_window(parent: Window, outer: Window, u: float, w: float) -> Window:
     return Window(u_min, u_min + su, w_min, w_min + sw)
 
 
+def _monic_terms(pencil: Pencil) -> Optional[np.ndarray]:
+    """The pencil in lambda = i chi, made monic: t[a, b] = L^-1 (-i)^a C_ab for a < m, where
+    L = (-i)^m C_m0 is the leading chi coefficient, so A(chi, U) is singular exactly when
+    lambda^m I + sum over a < m and b of lambda^a U^b t[a, b] is.  Real when every
+    (-i)^a C_ab is real.  None when no term has a power of chi, or L depends on U or has a
+    condition number above LEAD_COND_MAX."""
+    exps = np.array(pencil.exps)
+    m, k = exps.max(axis=0)
+    c = np.zeros((m + 1, k + 1) + pencil.coeffs.shape[1:], dtype=complex)
+    np.add.at(c, (exps[:, 0], exps[:, 1]),
+              np.array([1, -1j, -1, 1j])[exps[:, 0] % 4, None, None] * pencil.coeffs)
+    c = c if c.imag.any() else c.real
+    if m == 0 or c[m, 1:].any() or not np.linalg.cond(c[m, 0]) <= LEAD_COND_MAX:
+        return None
+    return np.linalg.solve(c[m, 0], c[:m])
+
+
+def _row_chis(terms: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The eigenvalues chi of A(., U) at each airspeed of ``us``, (len(us), m n): one batched
+    eigvals of the block companions of the monic ``terms`` (real when they are)."""
+    m, n = terms.shape[0], terms.shape[-1]
+    top = np.tensordot(us[:, None] ** np.arange(terms.shape[1]), terms, axes=(1, 1))
+    comp = np.zeros((us.size, m * n, m * n), dtype=terms.dtype)
+    comp[:, :-n, n:] = np.eye((m - 1) * n)
+    comp[:, -n:] = -top.swapaxes(1, 2).reshape(us.size, n, m * n)
+    return -1j * np.linalg.eigvals(comp)
+
+
+def _match(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy nearest matching of the two rows of each interval, all intervals at once.
+
+    Returns ``right`` reordered to follow the branches of ``left``, and per interval whether
+    its match is ambiguous: some branch moved by more than MATCH_FRACTION of its distance to
+    the nearest other eigenvalue of the next row, and by at least its distance to the real
+    axis at one end.
+    """
+    size = left.shape[1]
+    dist = np.abs(left[:, :, None] - right[:, None, :])
+    perm = dist.argmin(axis=2)  # the greedy match wherever no two branches share a nearest
+    ordered = np.sort(perm, axis=1)
+    shared = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if shared.size:
+        work, rows = dist[shared], np.arange(shared.size)
+        for _ in range(size):  # the closest pair left, in every such interval at once
+            i, j = np.divmod(work.reshape(shared.size, size * size).argmin(axis=1), size)
+            perm[shared, i] = j
+            work[rows, i] = np.inf
+            work[rows, :, j] = np.inf
+    matched = np.take_along_axis(right, perm, axis=1)
+    move = np.take_along_axis(dist, perm[..., None], axis=2)[..., 0]
+    np.put_along_axis(dist, perm[..., None], np.inf, axis=2)
+    near = np.minimum(np.abs(left.imag), np.abs(matched.imag)) <= move
+    return matched, np.any(near & (move > MATCH_FRACTION * dist.min(axis=2)), axis=1)
+
+
+def _real_rows(chis: np.ndarray) -> np.ndarray:
+    """Rows whose every eigenvalue is real to within REAL_ROW_TOL of the row's largest."""
+    return np.all(np.abs(chis.imag) <= REAL_ROW_TOL * np.abs(chis).max(axis=1, keepdims=True),
+                  axis=1)
+
+
+def _eigenvalue_row_zeros(pencil: Pencil, window: Window, count: int
+                          ) -> Optional[List[Tuple[float, float]]]:
+    """Where a tracked eigenvalue branch crosses chi_I = 0 with chi_R in ``window``, sorted by U.
+
+    ``count`` airspeed rows span the window, and a row whose every eigenvalue is real is
+    left out, so its neighbours bound one interval.  The rows of each interval are matched
+    greedily, and an interval with an ambiguous match is halved, at most BISECT_DEPTH
+    times, unless its midpoint is such a real row.  A branch crosses where chi_I > 0 holds
+    at one end of an interval and not at the other (so a branch real at a row crosses
+    once), at the linear interpolant's zero.  None when the pencil has no companion.
+    """
+    terms = _monic_terms(pencil)
+    if terms is None:
+        return None
+    us = np.linspace(window.u_min, window.u_max, count)
+    chis = _row_chis(terms, us)
+    complex_rows = ~_real_rows(chis)
+    us, chis = us[complex_rows], chis[complex_rows]
+    u0, u1, c0, c1 = us[:-1], us[1:], chis[:-1], chis[1:]
+    found_u, found_w = [], []
+    for depth in range(BISECT_DEPTH + 1):
+        c1, split = _match(c0, c1)
+        split &= depth < BISECT_DEPTH
+        if split.any():
+            um = 0.5 * (u0[split] + u1[split])
+            mid = _row_chis(terms, um)
+            complex_rows = ~_real_rows(mid)  # a real midpoint leaves its interval whole
+            split[split] = complex_rows
+            um, mid = um[complex_rows], mid[complex_rows]
+        y0, y1 = c0.imag, c1.imag
+        k, i = np.nonzero(((y0 > 0.0) != (y1 > 0.0)) & ~split[:, None])
+        t = y0[k, i] / (y0[k, i] - y1[k, i])
+        w = c0.real[k, i] + t * (c1.real[k, i] - c0.real[k, i])
+        inside = (window.chi_r_min <= w) & (w <= window.chi_r_max)
+        found_u.append((u0[k] + t * (u1[k] - u0[k]))[inside])
+        found_w.append(w[inside])
+        if not split.any():
+            break
+        u0, u1 = np.concatenate([u0[split], um]), np.concatenate([um, u1[split]])
+        c0, c1 = np.concatenate([c0[split], mid]), np.concatenate([mid, c1[split]])
+    u, w = np.concatenate(found_u), np.concatenate(found_w)
+    order = np.lexsort((w, u))
+    return list(zip(u[order].tolist(), w[order].tolist()))
+
+
 def locate_candidates(op: ParametricOperator, window: Window,
                       grid_count: int = FlutterSearchSettings.grid_count
                       ) -> List[Tuple[float, float]]:
-    """Candidate (U, chi_R) pairs: the zeros of one det grid, one per winding cell.
+    """Candidate (U, chi_R) pairs in ``window``, from one of two stages the operator selects.
 
-    The grid has ``grid_count`` nodes per side over ``window``.  No
+    A :class:`Pencil` whose leading chi coefficient is U-free and well conditioned (see
+    ``LEAD_COND_MAX``) gets the eigenvalue rows: the chi-companion's eigenvalues at
+    ``grid_count`` airspeeds, tracked from row to row, and a candidate where a branch's
+    chi_I changes sign (bisecting a row interval whose match is ambiguous near the real
+    axis).  Any other operator gets the zeros of one det grid of ``grid_count`` nodes per
+    side: one per cell the phase winds around, and one per isolated node where det is
+    exactly zero.  No
     zeros is not an error.  A ``grid_count`` outside the range of
-    :class:`FlutterSearchSettings`, or a window outside the operator window,
-    raises ValueError before any evaluation.
+    :class:`FlutterSearchSettings`, or a window outside the operator window, raises
+    ValueError before any evaluation.
     """
     FlutterSearchSettings(grid_count=grid_count)
-    grid = Grid2D.over_window(window, grid_count, grid_count, 0.0)
-    return _det_zeros(compute_det_field(op, grid))
+    if not (op.window.contains(window.u_min, window.chi_r_min)
+            and op.window.contains(window.u_max, window.chi_r_max)):
+        raise ValueError(f"search window {window} exceeds the operator window {op.window}")
+    zeros = (_eigenvalue_row_zeros(op.func, window, grid_count)
+             if isinstance(op.func, Pencil) else None)
+    if zeros is None:
+        zeros = _det_zeros(compute_det_field(op, Grid2D.over_window(window, grid_count,
+                                                                   grid_count, 0.0)))
+    return zeros
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
@@ -119,18 +267,19 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
 
 def find_flutter_points(op: ParametricOperator, window: Optional[Window] = None,
                         settings: Optional[FlutterSearchSettings] = None) -> List[FlutterPoint]:
-    """Polish each det-grid zero in the window and return the points sorted by U.
+    """Polish each candidate in the window and return the points sorted by U.
 
-    Polished points within one cell of a ``refine_iters``-deep grid are
-    duplicates, and the first one kept stands.  A candidate whose polish
-    fails, lands outside the window or lands on a point already kept is
-    retried from the zeros of a det grid in a quarter-span window around
-    it, at most ``refine_iters`` windows deep; ``window_history`` holds the
-    windows a point's candidate came from.  Only a polish that raises is a
-    failure, not a landing outside the window: a failure that runs out of
-    retries is logged (not silently dropped), and failures with no point
-    kept are aggregated into one ConvergenceError.  Points with |chi_R|
-    below 1e-6 of the window span are flagged static (divergence).
+    The candidates come from :func:`locate_candidates`.  Polished points
+    within one cell of a ``refine_iters``-deep grid are duplicates, and the
+    first one kept stands.  A candidate whose polish fails, lands outside the
+    window or lands on a point already kept is retried from the candidates in
+    a quarter-span window around it, at most ``refine_iters`` windows deep;
+    ``window_history`` holds the windows a point's candidate came from.  Only
+    a polish that raises is a failure, not a landing outside the window: a
+    failure that runs out of retries is logged (not silently dropped), and
+    failures with no point kept are aggregated into one ConvergenceError.
+    Points with |chi_R| below 1e-6 of the window span are flagged static
+    (divergence).
     """
     window = window or op.window
     settings = settings or FlutterSearchSettings()

@@ -5,9 +5,10 @@ field; its contours come from marching squares with linear edge
 interpolation, run as array code over the cells a contour crosses, whose
 segments are then chained into polylines.  Determinant fields are stored as
 (log-magnitude, phase) pairs so that they survive overflow.  Their zeros (the
-flutter candidates) come from the argument principle: a cell holds a zero
-when the phase winds around it, and the zero is placed where the linear part
-of the cell's interpolant, rescaled by its largest |det|, vanishes.
+flutter candidates of operators without a companion) come from the argument
+principle: a cell holds a zero when the phase winds around it, and the zero
+is placed where the linear part of the cell's interpolant, rescaled by its
+largest |det|, vanishes; an isolated node where det is exactly zero is one.
 """
 
 from __future__ import annotations
@@ -285,17 +286,20 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
 
 
 def _det_zeros(fld: ComplexField) -> List[Tuple[float, float]]:
-    """Zeros (U, chi_R) of a determinant field: one per cell its phase winds around.
+    """Zeros (U, chi_R) of a determinant field: one per cell its phase winds around, then
+    one per isolated singular node.
 
     The four phase steps around a cell, c00 -> c10 -> c11 -> c01 -> c00, each
     wrapped into [-pi, pi), sum to 2 pi times the number of zeros inside (the
     argument principle); a cell holds a zero when the sum exceeds pi in size.
-    Cells on a row where Re(det) or Im(det) vanishes identically are left out:
-    a real pencil makes Im(det) zero along whole airspeed slices, whose phase
-    flips would give spurious zeros.  Each zero sits where the linear part of
-    the cell's bilinear interpolant vanishes, the corners rescaled by their
-    largest |det| (an all-singular cell reads as zeros); clamped into the
-    cell, and at its centre when that part is singular.  Cells in row-major order.
+    A node with log|det| = -inf and no such neighbour along the axes is a zero itself,
+    and its cells are left out: a neighbour's phase at pi from the node's stored phase 0
+    wraps to -pi both ways and would miscount them.  Nodes and cells on a row where
+    Re(det) or Im(det) vanishes identically are left out: a real pencil makes Im(det)
+    zero along whole airspeed slices, whose phase flips would give spurious zeros.  Each
+    cell's zero sits where the linear part of the cell's bilinear interpolant vanishes,
+    the corners rescaled by their largest |det|; clamped into the cell, and at its centre
+    when that part is singular.  Cells, then nodes, in row-major order.
     """
     us, ws = fld.grid.u_values(), fld.grid.w_values()
     phase = _cell_corners(fld.phase)
@@ -303,11 +307,15 @@ def _det_zeros(fld: ComplexField) -> List[Tuple[float, float]]:
                   for a, b in zip(phase, phase[1:] + phase[:1]))
     unit = np.stack([np.cos(fld.phase), np.sin(fld.phase)])
     flat = np.any(np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=-1), axis=0)
-    ii, jj = np.nonzero((np.abs(winding) > math.pi) & ~(flat[:-1] | flat[1:])[:, None])
+    singular = fld.log_magnitude == -math.inf
+    ii, jj = np.nonzero((np.abs(winding) > math.pi) & ~(flat[:-1] | flat[1:])[:, None]
+                        & ~np.logical_or.reduce(_cell_corners(singular)))
+    pad = np.pad(singular, 1)
+    ni, nj = np.nonzero(singular & ~flat[:, None] & ~(pad[:-2, 1:-1] | pad[2:, 1:-1]
+                                                       | pad[1:-1, :-2] | pad[1:-1, 2:]))
 
     lm = [c[ii, jj] for c in _cell_corners(fld.log_magnitude)]
     top = np.maximum.reduce(lm)
-    top[top == -math.inf] = 0.0  # exp(-inf - 0) = 0: an all-singular cell is all zeros
     z00, z10, z11, z01 = (np.exp(m - top + 1j * p[ii, jj]) for m, p in zip(lm, phase))
     f_c = 0.25 * (z00 + z10 + z11 + z01)
     f_s = 0.5 * (z10 + z11 - z00 - z01)
@@ -316,8 +324,8 @@ def _det_zeros(fld: ComplexField) -> List[Tuple[float, float]]:
         det = (f_s.conj() * f_t).imag
         offsets = [(f_t.conj() * f_c).imag / det, (f_c.conj() * f_s).imag / det]
     ds, dt = (np.clip(np.nan_to_num(d, nan=0.0), -0.5, 0.5) + 0.5 for d in offsets)
-    u = us[ii] + ds * (us[ii + 1] - us[ii])
-    w = ws[jj] + dt * (ws[jj + 1] - ws[jj])
+    u = np.concatenate([us[ii] + ds * (us[ii + 1] - us[ii]), us[ni]])
+    w = np.concatenate([ws[jj] + dt * (ws[jj + 1] - ws[jj]), ws[nj]])
     return list(zip(u.tolist(), w.tolist()))
 
 

@@ -7,7 +7,8 @@ Hopf test for the flutter and damping-level points of real pencils, and
 explicit Kronecker expansions for the SLP corrector's operator determinants
 with the three-parameter linear step built on them, marching squares cell
 by cell (the Python loop that the array code replaced), and the phase
-winding of a det field around each cell, counted one cell at a time.
+winding of a det field around each cell, counted one cell at a time, with
+its isolated singular nodes found one node at a time.
 """
 
 import itertools
@@ -352,24 +353,48 @@ def _turn(a, b):
     return d
 
 
-def winding_cells(fld, skip_flat_rows=True):
+def _flat_rows(phase):
+    """Per row: |cos(phase)| <= 1e-12 at every node, or |sin(phase)| <= 1e-12 at every node."""
+    return [all(abs(math.cos(p)) <= 1e-12 for p in row)
+            or all(abs(math.sin(p)) <= 1e-12 for p in row) for row in phase]
+
+
+def winding_cells(fld, skip_flat_rows=True, skip_singular=False):
     """Cells (i, j), row-major, around which a det field's phase winds: the four steps
     c00 -> c10 -> c11 -> c01 -> c00, each taken the short way, sum to a nonzero number of
-    whole turns.  With ``skip_flat_rows`` a cell is left out when one of its rows has
-    |cos(phase)| <= 1e-12 at every node, or |sin(phase)| <= 1e-12 at every node."""
-    phase = fld.phase.tolist()
-    flat = [all(abs(math.cos(p)) <= 1e-12 for p in row)
-            or all(abs(math.sin(p)) <= 1e-12 for p in row) for row in phase]
+    whole turns.  With ``skip_flat_rows`` a cell is left out when one of its rows is flat
+    (see ``_flat_rows``); with ``skip_singular``, when one of its corners has log|det| = -inf."""
+    phase, log_mag = fld.phase.tolist(), fld.log_magnitude.tolist()
+    flat = _flat_rows(phase)
     cells = []
     for i in range(len(phase) - 1):
         if skip_flat_rows and (flat[i] or flat[i + 1]):
             continue
         for j in range(len(phase[0]) - 1):
-            loop = [phase[i][j], phase[i + 1][j], phase[i + 1][j + 1], phase[i][j + 1]]
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            if skip_singular and any(log_mag[p][q] == -math.inf for p, q in corners):
+                continue
+            loop = [phase[p][q] for p, q in corners]
             turns = sum(_turn(a, b) for a, b in zip(loop, loop[1:] + loop[:1])) / (2.0 * math.pi)
             if round(turns) != 0:
                 cells.append((i, j))
     return cells
+
+
+def singular_nodes(fld):
+    """Nodes (i, j), row-major, off the flat rows, with log|det| = -inf and no node next to
+    them along an axis with log|det| = -inf."""
+    log_mag = fld.log_magnitude.tolist()
+    flat = _flat_rows(fld.phase.tolist())
+    rows, cols = len(log_mag), len(log_mag[0])
+
+    def singular(i, j):
+        return 0 <= i < rows and 0 <= j < cols and log_mag[i][j] == -math.inf
+
+    return [(i, j) for i in range(rows) for j in range(cols)
+            if not flat[i] and singular(i, j)
+            and not any(singular(i + di, j + dj)
+                        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)))]
 
 
 def in_cell(grid, cell, point):

@@ -1,6 +1,8 @@
-"""Flutter location: det-grid contour candidates, Newton polish and retries, checked
-against the grid-free Hopf oracle, which is itself checked here against closed forms."""
+"""Flutter location: eigenvalue-row candidates for pencils, det-grid candidates for plain
+callables, Newton polish and retries, checked against the grid-free Hopf oracle, which is
+itself checked here against closed forms."""
 
+import dataclasses
 import functools
 import logging
 import math
@@ -21,7 +23,7 @@ from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSp
                          two_crossing_spec)
 from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
 from flutterspec.operator import ParametricOperator, Pencil
-from flutterspec.pseudospectrum import Grid2D, compute_det_field
+from flutterspec.pseudospectrum import Grid2D, _det_zeros, compute_det_field
 
 from conftest import crossing_pencil, draw_oscillators, hopf_points, oscillator_operator
 
@@ -38,6 +40,12 @@ def wing_and_oracle(n):
     """The n-mode Galerkin wing and the Hopf oracle's flutter points in its window."""
     op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
     return op, hopf_points(op.func, op.window)
+
+
+def plain_twin(op):
+    """``op`` with its Pencil behind a plain callable: the same values and ``derivs``, but
+    the search takes the det grid, the one candidate stage a plain callable has."""
+    return dataclasses.replace(op, func=lambda chi, u: op.func(chi, u))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,6 +149,32 @@ class TestLocateCandidates:
             disp = np.hypot(cands[0][0] - polished[0], cands[0][1] - polished[1])
             assert disp <= prev + 1e-12
             prev = disp
+
+    @pytest.mark.parametrize("b, c", [(1.0, 1j), (2.0, 1.0 + 1j)], ids=["unit", "skew"])
+    def test_det_zero_on_a_grid_node_of_a_plain_callable(self, b, c):
+        # det = b (U - 31) + c (chi - 31) is zero on the det grid's node (31, 31), and the
+        # phase at its U-neighbours is exactly 0 and pi, so no cell around it winds
+        op = ParametricOperator(
+            "node", 1, lambda chi, u: np.array([[b * (u - 31.0) + c * (chi - 31.0)]]),
+            Window(0.0, 63.0, 0.0, 63.0))
+        assert locate_candidates(op, op.window) == [(31.0, 31.0)]
+        (fp,) = find_flutter_points(op)
+        assert (fp.point.U, fp.point.chi_R) == (31.0, 31.0)
+
+    @pytest.mark.parametrize("a, b, scale", [(2, 0, 0.0), (1, 1, 1e-4)],
+                             ids=["singular_lead", "airspeed_lead"])
+    def test_pencil_without_a_companion_takes_the_det_grid(self, a, b, scale):
+        # a zero chi^2 term makes the leading chi coefficient singular, a chi U term makes
+        # it depend on U: neither pencil has a monic companion, so the det grid gives the
+        # candidates; the chi_I = 0 crossings stay at U = 120 and 300
+        base = build_trajectory_operator(two_crossing_spec())
+        pencil = Pencil(base.func.exps + ((a, b),), [*base.func.coeffs, scale * np.eye(2)])
+        op = ParametricOperator("no_companion", 2, pencil, base.window, derivs=pencil.derivs)
+        window = Window(10.0, 500.0, 20.0, 200.0)
+        grid = Grid2D.over_window(window, 64, 64)
+        assert locate_candidates(op, window) == _det_zeros(compute_det_field(op, grid))
+        points = find_flutter_points(op, window)
+        assert [fp.point.U for fp in points] == pytest.approx([120.0, 300.0], rel=1e-9)
 
     def test_argument_validation(self, traj_op):
         with pytest.raises(ValueError):
@@ -264,12 +298,15 @@ class TestFindFlutterPoints:
             assert f"candidate (U={u:.6g}, chi_R={w:.6g}): no polish at U={u}" in str(info.value)
 
     def test_outside_landings_alone_give_an_empty_result(self):
-        # no in-window point: the candidates polish to the U = 0 singularity, below
-        # u_min = 1, and their retries find no point; such landings are no failure
+        # no in-window point: the pencil's eigenvalue rows give no candidate, and on the det
+        # grid of its plain-callable twin the candidates polish to the U = 0 singularity,
+        # below u_min = 1, and their retries find no point; such landings are no failure
         op = list(draw_quasi_steady(np.random.default_rng(1), 275))[-1]
         assert hopf_points(op.func, op.window) == []
-        assert locate_candidates(op, op.window)
-        assert find_flutter_points(op) == []
+        assert locate_candidates(op, op.window) == []
+        twin = plain_twin(op)
+        assert locate_candidates(twin, op.window)
+        assert find_flutter_points(twin) == []
 
     def test_divergence_flagged_static(self):
         # singular along chi_R = 0 at U = 150: a static (divergence) point
@@ -307,12 +344,9 @@ class TestFindFlutterPoints:
     @pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8",
                                        "restabilization", "two_crossing"])
     def test_coarse_grids_find_exactly_the_oracle_points(self, model, grid_count):
-        # a candidate that lands on a point already found is retried, so neighbouring
-        # crossings (wing n=4 at grid 8, the two-crossing preset at grid 10) both come back
+        # neighbouring crossings (wing n=4 at grid 8, the two-crossing preset at grids 8-10)
+        # both come back; on the wings at grid 8 a row interval is bisected
         op, window, expected = sweep_model(model)
-        if model == "two_crossing" and grid_count < 10:
-            assert locate_candidates(op, window, grid_count) == []  # nothing to polish
-            return
         points = find_flutter_points(op, window, FlutterSearchSettings(grid_count=grid_count))
         assert len(points) == len(expected)
         for fp, (u, chi_r) in zip(points, expected):
@@ -321,10 +355,12 @@ class TestFindFlutterPoints:
 
     @pytest.mark.parametrize("grid_count", [10, 11])
     def test_coarse_grid_retry_recovers_the_lowest_wing_point(self, grid_count):
-        # on these grids the candidate near U = 9.25 polishes to the U = 0 singularity,
-        # outside the window; its retry in a shrunk window finds the point
+        # on the det grids of the plain-callable twin the candidate near U = 9.25 polishes
+        # to the U = 0 singularity, outside the window; its retry in a shrunk window finds
+        # the point
         op, expected = wing_and_oracle(4)
-        points = find_flutter_points(op, settings=FlutterSearchSettings(grid_count=grid_count))
+        points = find_flutter_points(plain_twin(op),
+                                     settings=FlutterSearchSettings(grid_count=grid_count))
         assert len(points) == len(expected) == 3
         for fp, (u, chi_r) in zip(points, expected):
             assert fp.point.U == pytest.approx(u, rel=1e-9)
@@ -332,15 +368,25 @@ class TestFindFlutterPoints:
         assert points[0].point.U == pytest.approx(9.2458, abs=1e-4)
         assert len(points[0].window_history) >= 2
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute 1e-10 polish gate "
-                       "passes U = 99.99938743, 6e-6 off the Jordan point")
     def test_jordan_crossing_point_to_solver_accuracy(self):
         # both eigenvalues of the triangular crossing pencil reach chi_I = 0 at U = 100,
-        # chi = 50, where A is a Jordan block; the polish residual falls below 1e-10 while
-        # the two eigenvalues are still apart, and the polish stops there
+        # chi = 50, where A is a Jordan block; the ambiguous row interval around it is
+        # halved until its midpoint U = 100, a row whose every eigenvalue is real, and
+        # both branches cross at U = 100 in the interval that spans it
         points = find_flutter_points(crossing_pencil(), Window(50.0, 150.0, 30.0, 70.0))
         assert len(points) == 1
         assert points[0].point.U == pytest.approx(100.0, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute 1e-10 polish gate "
+                       "passes U = 99.99938743, 6e-6 off the Jordan point")
+    def test_jordan_polish_from_the_det_grid_candidate(self):
+        # the det grid's first zero on the crossing pencil is U ~ 77.57, chi_R = 50; from
+        # there the polish residual falls below 1e-10 while the two eigenvalues are still
+        # apart, and the polish stops there
+        op, window = crossing_pencil(), Window(50.0, 150.0, 30.0, 70.0)
+        candidate = _det_zeros(compute_det_field(op, Grid2D.over_window(window, 64, 64)))[0]
+        assert candidate == pytest.approx((77.57, 50.0), abs=0.01)
+        assert polish_flutter_point(op, candidate).point.U == pytest.approx(100.0, rel=1e-9)
 
     @pytest.mark.parametrize("grid_count", range(8, 17))
     def test_points_and_their_windows_lie_in_the_search_window(self, grid_count):
@@ -357,7 +403,8 @@ class TestFindFlutterPoints:
 
     def test_det_zero_on_a_grid_node_gives_one_point(self):
         # dyadic coefficients: flutter exactly at U = 120, chi_R = 52.5, and the
-        # 64-node axes below put a node on it, where det is exactly zero
+        # 64-node axes below put a det-grid node on it, where det is exactly zero, and an
+        # airspeed row, where one eigenvalue is real: that branch crosses once
         spec = TrajectorySpec(modes=(
             ModeTrajectory(omega_coeffs=(60.0, -0.0625), g_coeffs=(-15.0, 0.125)),
             ModeTrajectory(omega_coeffs=(150.0,), g_coeffs=(5.0,))))
@@ -365,6 +412,8 @@ class TestFindFlutterPoints:
         window = Window(120.0 - 31 * 2.0, 120.0 + 32 * 2.0, 52.5 - 31 * 0.5, 52.5 + 32 * 0.5)
         field = compute_det_field(op, Grid2D.over_window(window, 64, 64))
         assert field.log_magnitude[31, 31] == -np.inf
+        assert locate_candidates(op, window) == [(120.0, 52.5)]
+        assert _det_zeros(field) == [(120.0, 52.5)]
         points = find_flutter_points(op, window)
         assert len(points) == 1
         assert points[0].point.U == pytest.approx(120.0, rel=1e-9)
@@ -393,17 +442,17 @@ class TestFindFlutterPoints:
             assert len(got) == len(u_k), (k, got, u_k, omega)
             assert np.array(got) == pytest.approx(np.column_stack([u_k, omega]), rel=1e-9), k
 
-    def test_quasi_steady_family_points_are_hopf_points(self):
-        # 300 generated quasi-steady operators (ROADMAP item 13): no search raises, and every
-        # point returned is one of the oracle's in-window points
-        for k, (hits, got) in enumerate(quasi_steady_family(1)):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quasi_steady_family_points_are_hopf_points(self, seed):
+        # 300 generated quasi-steady operators per seed (ROADMAP item 13): no search raises,
+        # and every point returned is one of the oracle's in-window points
+        for k, (hits, got) in enumerate(quasi_steady_family(seed)):
             for p in got:
                 assert any(same_point(p, h) for h in hits), (k, p, hits)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the default grid misses one "
-                       "in-window point on each of draws 46, 149, 231 and 258")
-    def test_quasi_steady_family_points_are_all_found(self):
-        missed = [k for k, (hits, got) in enumerate(quasi_steady_family(1))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quasi_steady_family_points_are_all_found(self, seed):
+        missed = [k for k, (hits, got) in enumerate(quasi_steady_family(seed))
                   if not all(any(same_point(p, h) for p in got) for h in hits)]
         assert missed == []
 
@@ -443,6 +492,21 @@ def test_the_typical_section_window_excludes_only_a_mirror():
     assert np.array(hits) == pytest.approx(np.array([(40.3343, -35.3861), (40.3343, 35.3861)]),
                                            rel=1e-5)
     assert hopf_points(op.func, w) == hits[1:]
+
+
+@pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8"])
+def test_plain_callable_twin_finds_the_pencils_points(model):
+    # one oracle for both candidate stages: the twin's det grid and the pencil's eigenvalue
+    # rows return the same points, and they are the Hopf oracle's
+    op, window, expected = sweep_model(model)
+    twin = plain_twin(op)
+    grid = Grid2D.over_window(window, 64, 64)
+    assert locate_candidates(twin, window) == _det_zeros(compute_det_field(op, grid))
+    twin_points, points = find_flutter_points(twin, window), find_flutter_points(op, window)
+    assert len(twin_points) == len(points) == len(expected)
+    for tp, fp, h in zip(twin_points, points, expected):
+        assert same_point((tp.point.U, tp.point.chi_R), (fp.point.U, fp.point.chi_R))
+        assert same_point((tp.point.U, tp.point.chi_R), h)
 
 
 class TestHopfOracle:

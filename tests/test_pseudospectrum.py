@@ -23,7 +23,8 @@ from flutterspec import pseudospectrum
 from flutterspec.pseudospectrum import ComplexField, _det_zeros
 
 from conftest import (NORMAL_EIGENVALUES, distance_to_spectrum, edge_crossings, hopf_points,
-                      in_cell, reference_march, sampled_field, winding_cells)
+                      in_cell, reference_march, sampled_field, singular_nodes,
+                      winding_cells)
 
 
 def assert_contours_on_grid(contour, grid):
@@ -655,19 +656,23 @@ class TestDetZeros:
         assert len(got) == 2 and all(in_cell(grid, c, p) for c, p in zip(cells, got))
 
     @pytest.mark.parametrize("b, c", [(1.0 + 0.1j, 0.3 + 1j), (2.0 - 1j, 0.5 + 3j),
-                                      (-1.0 + 0.2j, -0.3 - 1j)])
+                                      (-1.0 + 0.2j, -0.3 - 1j), (1.0, 1j), (2.0, 1.0 + 1j)])
     def test_zero_on_a_grid_node(self, b, c):
-        # an exact zero on a node (log|det| = -inf, phase 0 there) winds one of the four
-        # cells around it, and sits at its corner; b and c are generic, so no neighbour's
-        # phase is exactly pi, a step that would wrap to -pi both ways
+        # an exact zero on a node (log|det| = -inf, phase 0 there) is a zero itself, and its
+        # four cells are left out.  With b real the phase at the node's U-neighbours is
+        # exactly 0 and pi, a step that wraps to -pi both ways, and no cell winds at all
         grid = Grid2D((0.0, 1.0, 9), (0.0, 2.0, 9))
         u0, w0 = grid.u_values()[3], grid.w_values()[5]
         fld = sampled_field(grid, lambda u, w: b * (u - u0) + c * (w - w0))
         assert fld.log_magnitude[3, 5] == -np.inf
         cells = winding_cells(fld)
-        assert len(cells) == 1 and cells[0][0] in (2, 3) and cells[0][1] in (4, 5)
-        (u, w), = _det_zeros(fld)
-        assert (u, w) == pytest.approx((u0, w0), abs=1e-12)
+        if np.imag(b) == 0.0:
+            assert cells == []
+        else:
+            assert len(cells) == 1 and cells[0][0] in (2, 3) and cells[0][1] in (4, 5)
+        assert winding_cells(fld, skip_singular=True) == []
+        assert singular_nodes(fld) == [(3, 5)]
+        assert _det_zeros(fld) == [(u0, w0)]
 
     def test_all_singular_cells_give_none(self):
         grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
@@ -681,11 +686,15 @@ class TestDetZeros:
     @given(fld=det_fields())
     def test_random_fields_match_the_winding_loop(self, fld):
         # -inf nodes, underflowing corners, exact phases and flat rows: the same cells as
-        # the loop, in row-major order, each zero inside its cell
-        cells = winding_cells(fld)
+        # the loop, in row-major order, each zero inside its cell, then the isolated
+        # singular nodes
+        cells = winding_cells(fld, skip_singular=True)
+        nodes = singular_nodes(fld)
         got = _det_zeros(fld)
-        assert len(got) == len(cells)
+        assert len(got) == len(cells) + len(nodes)
         assert all(in_cell(fld.grid, c, p) for c, p in zip(cells, got))
+        us, ws = fld.grid.u_values(), fld.grid.w_values()
+        assert got[len(cells):] == [(us[i], ws[j]) for i, j in nodes]
 
 
 class TestEpsilonPseudospectrum:
