@@ -127,9 +127,7 @@ class RunConfig:
 
         continuation = _only(doc.get("continuation"), "continuation",
                              _field_names(cont.ContinuationSettings) + ("direction",))
-        direction = continuation.pop("direction", 1)
-        if direction not in (-1, 1):
-            raise ValueError(f"continuation.direction must be -1 or 1, not {direction!r}")
+        direction = cont._direction(continuation.pop("direction", 1), "continuation.direction")
         if overrides.get("ds") is not None:
             continuation["ds"] = overrides["ds"]
         if overrides.get("direction") is not None:
@@ -148,7 +146,7 @@ class RunConfig:
                    flutter=FlutterSearchSettings(**flutter),
                    continuation=cont.ContinuationSettings(**continuation),
                    natural=natural, output_dir=out_dir,
-                   direction=int(direction))
+                   direction=direction)
 
 
 def build_model(doc: Dict[str, Any]) -> ParametricOperator:

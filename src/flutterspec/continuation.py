@@ -175,6 +175,13 @@ def _resolve_scale(scale: Optional[Scale], p: EigenPoint) -> Scale:
     return scale if scale is not None else (max(abs(p.U), 1.0), max(abs(p.chi_R), 1.0))
 
 
+def _direction(value, name: str = "direction") -> int:
+    """``value`` if it is the int -1 or 1 (a bool or a float is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or abs(value) != 1:
+        raise ValueError(f"{name} must be -1 or 1, not {value!r}")
+    return int(value)
+
+
 def _arclength_row(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> RowFn:
     tu, tr, ti = t.du, t.dchi_r, t.dchi_i
     us, cs = scale
@@ -409,17 +416,12 @@ def trace_path(op: ParametricOperator, start: Union[FlutterPoint, EigenPoint],
     point = start.point if isinstance(start, FlutterPoint) else start
     if not _converged(point.residual):
         raise ValueError(f"start point residual {point.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    if direction not in (-1, 1):
-        raise ValueError(f"direction must be -1 or 1, not {direction!r}")
+    direction = _direction(direction)
     scale = _resolve_scale(settings.scale, point)
     settings = replace(settings, scale=scale)  # the correctors step on the start point's scale
     correct = _CORRECTORS[settings.corrector]
 
-    path = ModePath(points=[point], s=[0.0], origin=start, direction=int(direction), scale=scale)
-    if settings.max_steps == 0:
-        path.termination_reason = "max-steps"
-        return path
-
+    path = ModePath(points=[point], s=[0.0], origin=start, direction=direction, scale=scale)
     tangent = initial_tangent(op, point, scale=scale)
     if path.direction < 0:
         tangent = tangent.negated()

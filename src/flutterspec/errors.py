@@ -6,7 +6,7 @@ class FlutterSpecError(Exception):
 
 
 class NumericalError(FlutterSpecError):
-    """A linear-algebra kernel failed (SVD breakdown, singular Jacobian, ...)."""
+    """An SVD broke down.  A singular bordered Newton system is a ConvergenceError."""
 
 
 class ConvergenceError(FlutterSpecError):

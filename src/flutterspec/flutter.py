@@ -242,9 +242,9 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
     The solver is the one the continuation correctors use, started from
     the minimum singular vector at the candidate; it converges when the
     unit-eigenvector residual and |chi_I| are both <= tol.  The result
-    stores chi_I as exactly zero.  A singular Jacobian raises
-    NumericalError; no convergence raises ConvergenceError with
-    best = (U, chi_R, chi_I).  tol and max_iters outside the ranges of
+    stores chi_I as exactly zero.  No convergence (a singular Jacobian too)
+    raises the solver's ConvergenceError, best = (U, chi_R, chi_I); an SVD
+    breakdown raises NumericalError.  tol and max_iters outside the ranges of
     :class:`FlutterSearchSettings` raise ValueError before any evaluation.
     """
     FlutterSearchSettings(tol=tol, max_iters=max_iters)
@@ -253,14 +253,7 @@ def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],
         raise ValueError(f"candidate {candidate} outside operator window {op.window}")
     _, x0 = sigma_min(op, complex(w, 0.0), u)
     real_chi = DampingParameterization.CHI_I.row(0.0)
-    try:
-        pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, real_chi, tol, max_iters)
-    except ConvergenceError as exc:
-        if isinstance(exc.__cause__, np.linalg.LinAlgError):
-            raise NumericalError(
-                f"{exc} polishing candidate (U={u}, chi_R={w}); refine the search (a larger "
-                f"FlutterSearchSettings.grid_count or refine_iters) and retry") from exc
-        raise
+    pt, iterations = _solve_bordered(op, (u, w, 0.0), x0, real_chi, tol, max_iters)
     return FlutterPoint(point=EigenPoint.from_vector(op, pt.chi_R, 0.0, pt.U, pt.x),
                         iterations=iterations)
 

@@ -215,8 +215,7 @@ def _cell_segments(us: np.ndarray, ws: np.ndarray, values: np.ndarray, level: fl
     Returns per segment the global edge ids of its two ends (S, 2; u-directed
     edges first) and their (U, chi_R) vertices (S, 2, 2), in row-major cell
     order; a cell's segments follow ``_SEGMENT_TABLE`` in order and direction.
-    A grid edge gets its vertex once, from the first cell that crosses it, so
-    shared edges agree bit-exactly.
+    The cells on a grid edge read its corners in one order, so their vertices agree bit-exactly.
     """
     c00, c10, c11, c01 = corners = _cell_corners(values)
     case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
@@ -239,9 +238,7 @@ def _cell_segments(us: np.ndarray, ws: np.ndarray, values: np.ndarray, level: fl
     n_w = ws.size
     keys = np.where(along_u, i * n_w + j + (edge == 2),
                     (us.size - 1) * n_w + (i + (edge == 1)) * (n_w - 1) + j)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    verts = np.stack([vert_u, vert_w], axis=-1).reshape(-1, 2)[first][inverse.reshape(-1)]
-    return keys, verts.reshape(-1, 2, 2)
+    return keys, np.stack([vert_u, vert_w], axis=-1)
 
 
 def _chain_segments(segments, vertex_cache) -> List[np.ndarray]:

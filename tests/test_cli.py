@@ -571,6 +571,8 @@ class TestUsageErrors:
         ("trace", {"continuation": {"max_steps": 2, "direction": 0}}, [], DIRECTION_ERROR),
         ("trace", {"continuation": {"max_steps": 2, "direction": 7}}, [], DIRECTION_ERROR),
         ("trace", {"continuation": {"max_steps": 2, "direction": 1.5}}, [], DIRECTION_ERROR),
+        ("trace", {"continuation": {"max_steps": 2, "direction": True}}, [], DIRECTION_ERROR),
+        ("trace", {"continuation": {"max_steps": 2, "direction": 1.0}}, [], DIRECTION_ERROR),
         ("pseudo", {"eps_list": [-0.1, 0.04], "borderline": {"threshold": 0.15}}, [], EPS_ERROR),
         ("pseudo", {"eps_list": [-0.1, 0.04]}, [], EPS_ERROR),
         ("pseudo", {"eps_list": [0.08, 0.04]}, [], EPS_ERROR),
@@ -593,7 +595,8 @@ class TestUsageErrors:
         ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
         ("pseudo", {"grid": {"u_count": 101.0}}, [], "u_axis count must be an integer"),
         ("trace", {"continuation": {"max_steps": 2, "max_ds": math.inf}}, [], "max_ds < inf"),
-    ], ids=["direction_0", "direction_7", "direction_1.5", "negative_eps_with_threshold",
+    ], ids=["direction_0", "direction_7", "direction_1.5", "direction_true", "direction_1.0",
+            "negative_eps_with_threshold",
             "negative_eps", "descending_eps", "descending_eps_flag", "nan_eps_flag",
             "empty_eps", "empty_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",

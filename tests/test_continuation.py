@@ -584,6 +584,14 @@ class TestTracePath:
                           settings=ContinuationSettings(max_steps=0))
         assert len(path.points) == 1
         assert path.s == [0.0]
+        assert path.termination_reason == "max-steps"
+
+    def test_zero_steps_from_a_non_simple_start_is_a_degenerate_tangent(self):
+        # the start's tangent is taken before the step loop, whatever max_steps is
+        op = crossing_pencil()
+        start = EigenPoint.from_vector(op, 50.0, 0.0, 100.0, np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateTangentError, match="non-simple eigenvalue at U=100.0"):
+            trace_path(op, start, settings=ContinuationSettings(max_steps=0))
 
     def test_start_residual_validated(self, traj_op):
         bad = EigenPoint(54.0, 0.0, 119.0, np.array([1.0, 0.0]), residual=1.0)
@@ -642,10 +650,11 @@ class TestTracePath:
             assert path.termination_reason == "window-exit" and len(path.points) > 5
             assert path.notes == []
 
-    @pytest.mark.parametrize("direction", [0, 7, -2, 0.5])
+    # True == 1 and 1.0 == 1, but neither is the int -1 or 1
+    @pytest.mark.parametrize("direction", [0, 7, -2, 0.5, True, 1.0, -1.0])
     def test_direction_other_than_plus_or_minus_one_rejected(self, ts_op, ts_flutter,
                                                              direction):
-        with pytest.raises(ValueError, match="direction must be -1 or 1"):
+        with pytest.raises(ValueError, match=rf"direction must be -1 or 1, not {direction!r}"):
             trace_path(ts_op, ts_flutter, direction=direction)
 
     def test_direction_sign(self, traj_op, traj_flutter):

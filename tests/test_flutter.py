@@ -213,9 +213,12 @@ class TestPolish:
         assert fp.point.chi_R == pytest.approx(ts_oracle[1], rel=1e-6)
 
     def test_singular_jacobian_reported(self):
+        # the bordered solver's ConvergenceError comes through with its best iterate
         op = build_normal_operator([1.0, 3.0], Window(-10.0, 10.0, -1.0, 5.0))
-        with pytest.raises(NumericalError, match="refine"):
+        with pytest.raises(ConvergenceError, match="bordered Jacobian singular") as info:
             polish_flutter_point(op, (0.0, 2.0))
+        assert info.value.best == (0.0, 2.0, 0.0)
+        assert info.value.iterations == 0
 
     def test_candidate_outside_window_rejected(self, traj_op):
         with pytest.raises(ValueError):
@@ -494,7 +497,7 @@ def test_the_typical_section_window_excludes_only_a_mirror():
     assert hopf_points(op.func, w) == hits[1:]
 
 
-@pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8"])
+@pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8", "wing_n16"])
 def test_plain_callable_twin_finds_the_pencils_points(model):
     # one oracle for both candidate stages: the twin's det grid and the pencil's eigenvalue
     # rows return the same points, and they are the Hopf oracle's

@@ -132,6 +132,24 @@ class TestSigmaField:
         expected = np.abs(chis[:, None] - eigs[None, :]).min(axis=1)
         assert np.abs(fld.values - expected[None, :]).max() <= 1e-9
 
+    def test_failed_batch_redone_row_by_row(self, monkeypatch):
+        # the batched SVD of each chunk raises and every row's SVD succeeds: the redo row
+        # by row gives the field the batched SVD gives
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=2, n_torsion=2))
+        grid = Grid2D.over_window(op.window, 9, 11, chi_I_fixed=0.5)
+        expected = compute_sigma_field(op, grid).values
+        svd, ranks = np.linalg.svd, []
+
+        def stack_fails(a, *args, **kwargs):
+            ranks.append(np.ndim(a))
+            if np.ndim(a) == 4:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stack_fails)
+        assert np.array_equal(compute_sigma_field(op, grid).values, expected)
+        assert ranks.count(4) == 1 and ranks.count(3) == 9
+
     def test_nan_row_names_its_airspeed(self, monkeypatch):
         base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
 
@@ -489,6 +507,41 @@ class TestArrayMarch:
         assert len(np.unique(loop[:-1], axis=0)) == len(loop) - 1
         assert_vertices_match(polyline_vertices(cs),
                               edge_crossings(us, ws, _scalar_pairs(values), 0.07), grid, tol=0.0)
+
+
+@st.composite
+def marching_fields(draw):
+    """(us, ws, values, level) for _cell_segments: increasing axes of uneven spacing, and
+    values uniform, small integers or a checkerboard (a saddle of one of the two kinds in
+    every cell, its centre on either side), the level often tied to a node value."""
+    nu, nw = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    us, ws = (np.cumsum(rng.uniform(0.1, 2.0, count)) - 3.0 for count in (nu, nw))
+    kind = draw(st.sampled_from(["uniform", "integer", "saddle"]))
+    if kind == "uniform":
+        values = rng.uniform(1.0, 5.0, (nu, nw))
+    elif kind == "integer":
+        values = rng.integers(1, 6, (nu, nw)).astype(float)
+    else:
+        i, j = np.indices((nu, nw))
+        values = 3.0 + np.where((i + j) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 2.0, (nu, nw))
+    if draw(st.booleans()):
+        level = float(values.flat[rng.integers(values.size)])
+    else:
+        level = draw(st.floats(1.0, 5.0))
+    return us, ws, values, level
+
+
+class TestCellSegments:
+    @settings(max_examples=200)
+    @given(field=marching_fields())
+    def test_segment_ends_on_one_edge_have_one_vertex(self, field):
+        # the two cells on a grid edge read its corners in one order and interpolate them
+        # with one formula, so their vertices agree bit for bit
+        keys, verts = pseudospectrum._cell_segments(*field)
+        vertex = {}
+        for key, (u, w) in zip(keys.ravel().tolist(), verts.reshape(-1, 2).tolist()):
+            assert vertex.setdefault(key, (u.hex(), w.hex())) == (u.hex(), w.hex())
 
 
 def assert_same_polylines(got, expected):
