@@ -255,7 +255,7 @@ def read_path_file(path: Path) -> Tuple[cont.ModePath, Optional[Dict[str, Any]]]
             points.append(EigenPoint(rec["chi_R"], rec["chi_I"], rec["U"], x, rec["residual"]))
             s.append(rec["s"])
         mp = cont.ModePath(points=points, s=s, origin=doc["origin"].get("type", "natural"),
-                           direction=doc.get("direction", 1),
+                           direction=cont._direction(doc.get("direction", 1)),
                            scale=tuple(doc.get("scale", (1.0, 1.0))),
                            termination_reason=doc.get("termination_reason"))
         return mp, doc.get("model")

@@ -6,8 +6,8 @@ curve subject to the arclength constraint t.(p - p0) = ds; the constraint
 is imposed either through a multiparameter eigenvalue corrector solved by
 successive linear problems (the real arclength row eliminates one
 increment; the 2x2 operator determinants of the remaining two-parameter
-problem, each one Kronecker product made real in a Hermitian basis, give one
-real eigenproblem of size n^2 per step, shift-inverted on the target 0) or
+problem, each one outer product table gathered into a Hermitian basis and made
+real, give one real eigenproblem of size n^2 per step, shift-inverted on 0) or
 through a damped Newton solve of the bordered real system, which serves as
 the cross-check oracle.  Natural continuation in airspeed and continuation on
 a damping-parameter grid are provided as the classical reference methods; the
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateTangentError, NumericalError
 from .flutter import FlutterPoint
 from .operator import (NEWTON_MAX_ITERS, RESIDUAL_TOL, DampingParameterization, EigenPoint,
-                       ParametricOperator, RowFn, _check_count, _converged, _sigma_min_of,
+                       ParametricOperator, RowFn, _check_count, _converged, _norm, _sigma_min_of,
                        _solve_bordered, _unit_phased, _zeta, evaluate, param_derivatives)
 
 __all__ = [
@@ -160,14 +160,15 @@ class DampingExtremum:
 
 def _scaled_step(a: EigenPoint, b: EigenPoint, scale: Scale) -> np.ndarray:
     """b - a in scaled coordinates (U/u_scale, chi_R/chi_scale, chi_I/chi_scale)."""
-    div = (scale[0], scale[1], scale[1])
-    return np.array([b.U, b.chi_R, b.chi_I]) / div - np.array([a.U, a.chi_R, a.chi_I]) / div
+    us, cs = scale
+    return np.array([b.U / us - a.U / us, b.chi_R / cs - a.chi_R / cs, b.chi_I / cs - a.chi_I / cs])
 
 
 def _mode_jumped(x_ref: np.ndarray, x: np.ndarray) -> bool:
     """True when x, phase-aligned to x_ref, lies farther than MODE_SWITCH_NORM from it."""
-    aligned = x * np.exp(-1j * np.angle(np.vdot(x_ref, x)))
-    return bool(np.linalg.norm(aligned - x_ref) > MODE_SWITCH_NORM)
+    v = np.vdot(x_ref, x)
+    aligned = x * np.exp(-1j * np.arctan2(v.imag, v.real))  # np.angle(v) without its checks
+    return _norm(aligned - x_ref) > MODE_SWITCH_NORM
 
 
 def _resolve_scale(scale: Optional[Scale], p: EigenPoint) -> Scale:
@@ -206,10 +207,10 @@ def solve_at_airspeed(op: ParametricOperator, U: float, seed: EigenPoint) -> Eig
 def fd_tangent(prev: EigenPoint, curr: EigenPoint, scale: Scale) -> Tangent:
     """Normalized scaled secant from prev to curr."""
     delta = _scaled_step(prev, curr, scale)
-    nrm = float(np.linalg.norm(delta))
+    nrm = _norm(delta)
     if nrm == 0.0:
         raise DegenerateTangentError("tangent requested between coincident points")
-    return Tangent(delta[0] / nrm, delta[1] / nrm, delta[2] / nrm)
+    return Tangent(*(delta / nrm).tolist())
 
 
 def initial_tangent(op: ParametricOperator, fp: Union[FlutterPoint, EigenPoint],
@@ -231,10 +232,10 @@ def initial_tangent(op: ParametricOperator, fp: Union[FlutterPoint, EigenPoint],
         raise DegenerateTangentError(f"non-simple eigenvalue at U={point.U}, chi={point.chi}")
     dchi = complex(-(b.conjugate() * a_i).imag, -(a_r.conjugate() * b).imag) / det
     raw = np.array([1.0 / scale[0], dchi.real / scale[1], dchi.imag / scale[1]])
-    raw /= np.linalg.norm(raw)
+    raw /= _norm(raw)
     if raw[2] < 0.0 or (raw[2] == 0.0 and raw[0] < 0.0):
         raw = -raw
-    return Tangent(raw[0], raw[1], raw[2])
+    return Tangent(*raw.tolist())
 
 
 def predictor(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Triple:
@@ -245,11 +246,15 @@ def predictor(base: EigenPoint, t: Tangent, ds: float, scale: Scale) -> Triple:
 
 
 @functools.cache
-def _hermitian_index(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ii, ij, ji), shared and not to be written: the flat indices of e_ii and of
-    e_ij, e_ji for i < j in row-major order (e_ij = e_i (x) e_j)."""
+def _hermitian_index(n: int) -> np.ndarray:
+    """Shared and read-only (n^2, n^2) flat indices into the table T[(i, k), (j, l)] =
+    p_ik conj(q_jl) that gather G = p (x) conj(q), its rows and columns both in the order
+    e_ii, then e_ij and e_ji for i < j (e_ij = e_i (x) e_j)."""
     i, j = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), i * n + j, j * n + i
+    r, c = np.concatenate([np.arange(n), i, j]), np.concatenate([np.arange(n), j, i])
+    index = (r[:, None] * n + r) * (n * n) + c[:, None] * n + c
+    index.flags.writeable = False
+    return index
 
 
 def _real_forms(tops: np.ndarray) -> np.ndarray:
@@ -261,20 +266,21 @@ def _real_forms(tops: np.ndarray) -> np.ndarray:
     Delta_b = Delta(B_a, -B_0).  The Hermitian basis U (columns e_ii, then
     (e_ij + e_ji)/sqrt2, then i(e_ij - e_ji)/sqrt2) has conj(U) = P U for the swap P
     of the tensor factors, and q (x) conj(p) = P conj(G) P for G = p (x) conj(q), so
-    U^H (i Delta) U = -2 Im(U^H G U): one Kronecker product per determinant, its
-    columns and then its rows combined by indexing, in O(n^4).  The pencils keep
-    their eigenvalues.
+    U^H (i Delta) U = -2 Im(U^H G U): one outer product table per determinant, gathered
+    once into G (:func:`_hermitian_index`), then its column and its row slices combined,
+    in O(n^4).  The pencils keep their eigenvalues.
     """
     n = tops.shape[1]
-    ii, ij, ji = _hermitian_index(n)
-    h = math.sqrt(0.5)
+    nn, h = n * n, math.sqrt(0.5)
+    d, s, t = slice(n), slice(n, (nn + n) // 2), slice((nn + n) // 2, nn)  # ii, ij, ji
     p, q = tops[[0, 2, 0]], tops[[1, 1, 2]]
-    g = (p[:, :, None, :, None] * q.conj()[:, None, :, None, :]).reshape(3, n * n, n * n)
-    a, b = g[:, :, ij], g[:, :, ji]
-    gu = np.concatenate([g[:, :, ii], h * (a + b), 1j * h * (a - b)], axis=2)
+    g = np.take((p.reshape(3, nn, 1) * q.conj().reshape(3, 1, nn)).reshape(3, -1),
+                _hermitian_index(n), axis=1)
+    a, b = g[:, :, s], g[:, :, t]
+    gu = np.concatenate([g[:, :, d], h * (a + b), 1j * h * (a - b)], axis=2)
     # -2 Im of the rows e_ii, (e_ij + e_ji)/sqrt2 and -i(e_ij - e_ji)/sqrt2 of U^H
-    a, b = gu[:, ij], gu[:, ji]
-    return np.concatenate([-2.0 * gu[:, ii].imag, -2.0 * h * (a + b).imag,
+    a, b = gu[:, s], gu[:, t]
+    return np.concatenate([-2.0 * gu[:, d].imag, -2.0 * h * (a + b).imag,
                            2.0 * h * (a - b).real], axis=1)
 
 
@@ -288,7 +294,7 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     problem (B_0 + eta_a B_a + eta_b B_b) x = 0 with
     B_j = v_j - (t_j / t_k) v_k and B_0 = a0 + (r / t_k) v_k.  Its 2x2
     operator determinants turn it into the generalized eigenproblem
-    Delta_a z = eta_a Delta_0 z.  Its real form (one Kronecker product per
+    Delta_a z = eta_a Delta_0 z.  Its real form (one gathered product table per
     determinant in the Hermitian basis, :func:`_real_forms`), shift-inverted on
     the target 0, is the standard eigenproblem (R_a^-1 R_0) z = mu z of size n^2
     with eta_a = 1/mu (mu = 0 is dropped as infinite; an exactly singular R_a is
@@ -302,9 +308,10 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     if ts[k] == 0.0:
         raise ConvergenceError("no real increment triple found (zero tangent)")
     a, b = (j for j in range(3) if j != k)
-    r0, ra, rb = _real_forms(np.stack([
-        vs[a] - (ts[a] / ts[k]) * vs[k], vs[b] - (ts[b] / ts[k]) * vs[k],
-        -(a0 + (r / ts[k]) * vs[k])]))
+    tops = np.empty((3,) + a0.shape, dtype=complex)
+    tops[0], tops[1] = vs[a] - (ts[a] / ts[k]) * vs[k], vs[b] - (ts[b] / ts[k]) * vs[k]
+    tops[2] = -(a0 + (r / ts[k]) * vs[k])
+    r0, ra, rb = _real_forms(tops)
     try:
         mu, z = np.linalg.eig(np.linalg.solve(ra, r0))
     except np.linalg.LinAlgError as exc:
@@ -314,7 +321,7 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     with np.errstate(all="ignore"):
         d0z = r0 @ z
         eta[a] = 1.0 / mu
-        eta[b] = np.sum(d0z.conj() * (rb @ z), axis=0) / np.sum(d0z.conj() * d0z, axis=0)
+        eta[b] = (d0z.conj() * (rb @ z)).sum(axis=0) / (d0z.conj() * d0z).sum(axis=0)
         eta[k] = (r - ts[a] * eta[a] - ts[b] * eta[b]) / ts[k]
         re = eta.real
         real = (np.isfinite(eta).all(axis=0)
@@ -323,7 +330,7 @@ def _slp_increment(a0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarra
     if not real.any():
         raise ConvergenceError("no real increment triple found (Delta_0 may be singular)")
     candidate = re[:, np.argmin(norms)]
-    return candidate, float(np.linalg.norm(candidate))
+    return candidate, _norm(candidate)
 
 
 def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Tangent, ds: float,
@@ -337,7 +344,7 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
     and the 2x2 operator determinants of the remaining two-parameter
     problem give a generalized eigenproblem on n^2 x n^2 matrices, solved
     shift-inverted on the target 0 in the Hermitian basis where each
-    determinant is real and comes from one Kronecker product
+    determinant is real and comes from one gathered product table
     (:func:`_slp_increment`); the real increment triple of smallest scaled
     norm is applied and the eigenvector is refreshed as the minimum
     singular vector of the updated operator.
@@ -358,8 +365,9 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
     constraint = _arclength_row(base, t, ds, scale)
     x_prev, stalled, iteration = None, False, 0
     while iteration < settings.max_corrector_iters or stalled:
-        a0 = evaluate(op, complex(wr, wi), u)
-        sig, x, _ = _sigma_min_of(op, a0, complex(wr, wi), u)
+        chi = complex(wr, wi)
+        a0 = evaluate(op, chi, u)
+        sig, x, _ = _sigma_min_of(op, a0, chi, u)
         if x_prev is not None and _mode_jumped(x_prev, x):
             logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
         x_prev = x
@@ -377,9 +385,8 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at U={u}", iterations=iteration) from exc
 
-        wr += cs * candidate[0]
-        wi += cs * candidate[1]
-        u += us * candidate[2]
+        c_r, c_i, c_u = candidate.tolist()  # Python floats: the next iteration's scalar work
+        wr, wi, u = wr + cs * c_r, wi + cs * c_i, u + us * c_u
         stalled = candidate_norm <= 1e-2 * RESIDUAL_TOL
         iteration += 1
 
@@ -491,7 +498,7 @@ def natural_continuation(op: ParametricOperator, U_start: float, U_end: float, d
         except ConvergenceError as exc:
             path.termination_reason = f"non-convergence at U={u:.6g}: {exc}"
             return path
-        step = float(np.linalg.norm(_scaled_step(prev, nxt, scale)))
+        step = _norm(_scaled_step(prev, nxt, scale))
         path.points.append(nxt)
         path.s.append(path.s[-1] + step)
     path.termination_reason = "completed"
@@ -529,7 +536,7 @@ def damping_continuation(op: ParametricOperator, d_values: Sequence[float],
         except ConvergenceError:
             path.termination_reason = TURNING_POINT_REASON
             return path
-        jump = float(np.linalg.norm(_scaled_step(prev, nxt, scale)))
+        jump = _norm(_scaled_step(prev, nxt, scale))
         if jump > DAMPING_JUMP_GUARD:
             path.termination_reason = TURNING_POINT_REASON
             return path

@@ -157,15 +157,15 @@ class Pencil:
         coeffs.flags.writeable = False
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_top", (max(a for a, _ in exps), max(b for _, b in exps)))
 
     def _powers(self, chi, U) -> Tuple[list, list]:
         """chi^0..chi^max(a) and U^0..U^max(b), by repeated multiplication."""
         pc, pu = [1 + 0 * chi], [1 + 0 * U]
-        for a, b in self.exps:
-            while len(pc) <= a:
-                pc.append(pc[-1] * chi)
-            while len(pu) <= b:
-                pu.append(pu[-1] * U)
+        for _ in range(self._top[0]):
+            pc.append(pc[-1] * chi)
+        for _ in range(self._top[1]):
+            pu.append(pu[-1] * U)
         return pc, pu
 
     def __call__(self, chi, U) -> np.ndarray:
@@ -173,7 +173,7 @@ class Pencil:
         pc, pu = self._powers(chi, U)
         w = np.array([pc[a] * pu[b] for a, b in self.exps])
         return (w.T @ self.coeffs.reshape(len(self.exps), -1)).reshape(
-            np.shape(chi) + self.coeffs.shape[1:])
+            w.shape[1:] + self.coeffs.shape[1:])
 
     def derivs(self, chi: complex, U: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dA/dchi_R, dA/dchi_I = i dA/dchi_R, dA/dU) at one node: the same terms
@@ -251,9 +251,18 @@ class EigenPoint:
                    residual_norm(op, complex(chi_R, chi_I), U, x))
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 of a 1-D float or complex array by numpy's own formula, sqrt(x.x) or
+    sqrt(re.re + im.im), equal to np.linalg.norm(x) bit for bit without its dispatch."""
+    x = x.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _unit_phased(x: np.ndarray) -> np.ndarray:
     """x / ||x||, its free phase fixed: the largest-modulus entry (first on ties) real >= 0."""
-    nrm = np.linalg.norm(x)
+    nrm = _norm(x)
     if nrm == 0.0:
         raise ValueError("eigenvector must be nonzero")
     x = x / nrm
@@ -376,29 +385,30 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
     n = op.dim
     u, wr, wi = float(triple[0]), float(triple[1]), float(triple[2])
     x = np.asarray(x0, dtype=complex).reshape(n)
-    x = x / np.linalg.norm(x)
+    x = x / _norm(x)
     c = x.copy()
 
-    def full_residual(xv, wr_v, wi_v, u_v):
+    def full_residual(xv, wr_v, wi_v, u_v, out):  # F into out; returns A and the row gradient
         a = evaluate(op, complex(wr_v, wi_v), u_v)
         ax = a @ xv
         cn = np.vdot(c, xv) - 1.0
         rowv, rowg = row_fn(wr_v, wi_v, u_v)
-        return np.concatenate([ax.real, ax.imag, [cn.real, cn.imag, rowv]]), a, rowg
+        out[:n], out[n:2 * n], out[2 * n:] = ax.real, ax.imag, (cn.real, cn.imag, rowv)
+        return a, rowg
 
     jac = np.zeros((2 * n + 3, 2 * n + 3))
-    jac[2 * n, :n] = c.real
-    jac[2 * n, n:2 * n] = c.imag
-    jac[2 * n + 1, :n] = -c.imag
-    jac[2 * n + 1, n:2 * n] = c.real
+    jac[2 * n, :2 * n] = np.concatenate([c.real, c.imag])
+    jac[2 * n + 1, :2 * n] = np.concatenate([-c.imag, c.real])
+    mv = np.empty((n, 3), dtype=complex)
     best = (math.inf, None)
-    f, a, rowg = full_residual(x, wr, wi, u)
+    f, f_t = np.empty(2 * n + 3), np.empty(2 * n + 3)  # the residual and the line search's trial
+    a, rowg = full_residual(x, wr, wi, u, f)
     for iteration in range(max_iters):
-        xhat = x / np.linalg.norm(x)
-        res = float(np.linalg.norm(a @ xhat))
+        xhat = x / _norm(x)
+        res = _norm(a @ xhat)
         if _converged(res, f[-1], tol):
             return EigenPoint(float(wr), float(wi), float(u), _unit_phased(xhat), res), iteration
-        fn = float(np.linalg.norm(f))
+        fn = _norm(f)
         if fn < best[0]:
             best = (fn, (u, wr, wi))
 
@@ -407,7 +417,7 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
         jac[:n, n:2 * n] = -a.imag
         jac[n:2 * n, :n] = a.imag
         jac[n:2 * n, n:2 * n] = a.real
-        mv = np.stack([d_r @ x, d_i @ x, d_u @ x], axis=1)
+        mv[:, 0], mv[:, 1], mv[:, 2] = d_r @ x, d_i @ x, d_u @ x
         jac[:n, 2 * n:] = mv.real
         jac[n:2 * n, 2 * n:] = mv.imag
         jac[2 * n + 2, 2 * n:] = rowg
@@ -418,20 +428,19 @@ def _solve_bordered(op: ParametricOperator, triple: Tuple[float, float, float], 
             raise ConvergenceError(f"bordered Jacobian singular at U={u}, chi={wr}+{wi}j",
                                    best=best[1], iterations=iteration) from exc
 
+        dx, (dwr, dwi, du) = delta[:n] + 1j * delta[n:2 * n], delta[2 * n:].tolist()
         step = 1.0
         for _ in range(20):
-            x_t = x + step * (delta[:n] + 1j * delta[n:2 * n])
-            wr_t = wr + step * delta[2 * n]
-            wi_t = wi + step * delta[2 * n + 1]
-            u_t = u + step * delta[2 * n + 2]
-            f_t, a_t, rowg_t = full_residual(x_t, wr_t, wi_t, u_t)
-            if np.linalg.norm(f_t) < fn:
+            x_t = x + step * dx
+            wr_t, wi_t, u_t = wr + step * dwr, wi + step * dwi, u + step * du
+            a_t, rowg_t = full_residual(x_t, wr_t, wi_t, u_t, f_t)
+            if _norm(f_t) < fn:
                 break
             step *= 0.5
         else:
             raise ConvergenceError(f"bordered Newton stalled at U={u}, chi={wr}+{wi}j "
                                    f"(|F|={fn:.3e})", best=best[1], iterations=iteration)
-        x, wr, wi, u, f, a, rowg = x_t, wr_t, wi_t, u_t, f_t, a_t, rowg_t
+        x, wr, wi, u, a, rowg, f, f_t = x_t, wr_t, wi_t, u_t, a_t, rowg_t, f_t, f
 
     raise ConvergenceError(f"bordered Newton did not converge in {max_iters} iterations "
                            f"(best |F|={best[0]:.3e})", best=best[1], iterations=max_iters)

@@ -401,6 +401,19 @@ class TestEnvelopeCommand:
         assert len(doc["crossings"]) == 1
         assert doc["crossings"][0]["U_star"] == pytest.approx(120.0, abs=1e-8)
 
+    @pytest.mark.parametrize("direction", [True, 1.0, 0, 2, "1"])
+    def test_path_direction_other_than_the_int_1_or_minus_1_exits_1(self, tmp_path, capsys,
+                                                                      direction):
+        path_file = self._subcritical_path(tmp_path)
+        doc = json.loads(path_file.read_text(encoding="utf-8"))
+        doc["direction"] = direction
+        path_file.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["envelope", str(path_file), "--zeta-max", "0.05",
+                     "--output-dir", str(tmp_path / "env")])
+        assert code == 1
+        assert "direction" in capsys.readouterr().err
+        assert not (tmp_path / "env" / "envelope.json").exists()
+
     def test_unparseable_path_file_errors(self, tmp_path, capsys):
         bad = tmp_path / "junk.csv"
         bad.write_text("not,a,path\n", encoding="utf-8")

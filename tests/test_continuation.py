@@ -23,8 +23,8 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          reference_restabilization_spec, sigma_min, solve_at_airspeed,
                          trace_path, two_crossing_spec)
-from flutterspec.continuation import (_CORRECTORS, ModePath, _mode_jumped, _real_forms,
-                                      _slp_increment)
+from flutterspec.continuation import (_CORRECTORS, ModePath, _hermitian_index, _mode_jumped,
+                                      _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
 from flutterspec.operator import ParametricOperator, _converged, _sigma_min_of
 
@@ -416,8 +416,17 @@ def known_solution_problem(seed, n):
 
 
 class TestSlpLinearStep:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cached_gather_index_is_a_read_only_permutation(self, n):
+        index = _hermitian_index(n)
+        assert index is _hermitian_index(n) and index.shape == (n * n, n * n)
+        assert np.array_equal(np.sort(index, axis=None), np.arange(n ** 4))
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
+
+    # n up to 8, the largest SLP operator the benchmark traces (the n = 8 wing)
     @settings(max_examples=30)
-    @given(n=st.integers(1, 6), pivot=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    @given(n=st.integers(1, 8), pivot=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
     def test_real_forms_are_the_determinants_in_the_hermitian_basis(self, n, pivot, seed):
         # eliminating eta_k with the scalar row scales Delta_0, Delta_a, Delta_b
         # of the three-parameter problem by (-1)^k / t_k

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalError,
                          ParametricOperator, Window, build_normal_operator, compute_sigma_field,
                          evaluate, param_derivatives, residual_norm, sigma_min)
-from flutterspec.operator import Pencil, _solve_bordered, evaluate_batch, polynomial_pencil
+from flutterspec.operator import (Pencil, _norm, _solve_bordered, evaluate_batch,
+                                  polynomial_pencil)
 
 from conftest import NORMAL_EIGENVALUES, distance_to_spectrum
 
@@ -224,6 +225,27 @@ class TestPencil:
         coeffs[0, 0, 0] = 5.0
         assert pencil.coeffs[0, 0, 0] == 1.0
         assert np.array_equal(pencil(2.0 + 0j, 0.0), np.diag([3.0, 5.0]))
+
+
+# entries within a factor 1e4 of each other, so that the summation order shows in the
+# last bit, or zero; scaled by 10^-148 to 10^148, the squares neither overflow nor underflow
+ENTRIES = st.one_of(st.just(0.0), st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                                            st.floats(1.0, 10.0), st.integers(-2, 1),
+                                            st.sampled_from((-1.0, 1.0))))
+
+
+class TestNorm:
+    @settings(max_examples=200)
+    @given(re=st.lists(ENTRIES, max_size=80), im=st.lists(ENTRIES, max_size=80),
+           exponent=st.integers(-148, 148), is_complex=st.booleans(), stride=st.integers(1, 2))
+    def test_equals_numpy_bit_for_bit(self, re, im, exponent, is_complex, stride):
+        # length 0 to 40, contiguous or every other entry of a longer array
+        x = np.array(re)
+        if is_complex:
+            x = x[:len(im)] + 1j * np.array(im[:len(x)])
+        x = (x * 10.0 ** exponent)[::stride][:40]
+        assert type(_norm(x)) is float
+        assert _norm(x) == np.linalg.norm(x)
 
 
 class TestResidualNorm:
