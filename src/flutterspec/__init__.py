@@ -2,10 +2,10 @@
 
 Compute minimum-singular-value fields and epsilon-pseudospectra over
 (airspeed, frequency) windows, locate flutter points where a tracked
-eigenvalue branch crosses the real axis (or, for operators without a
-companion, in the grid cells the determinant's phase winds around), and
-trace modal damping paths outward from them by pseudo-arclength
-continuation with a multiparameter-eigenvalue corrector.
+eigenvalue branch (of a pencil's companion, or of a Chebyshev interpolant
+for any other operator) crosses the real axis, and trace modal damping
+paths outward from them by pseudo-arclength continuation with a
+multiparameter-eigenvalue corrector.
 """
 
 from .errors import (ConvergenceError, DegenerateTangentError, FlutterSpecError,

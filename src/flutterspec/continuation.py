@@ -20,7 +20,6 @@ All tangents and step lengths live in scaled coordinates
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
@@ -51,8 +50,6 @@ __all__ = [
     "flight_envelope",
     "extremum_damping",
 ]
-
-logger = logging.getLogger(__name__)
 
 TURNING_POINT_REASON = "turning-point suspected"
 
@@ -363,14 +360,11 @@ def corrector_slp(op: ParametricOperator, guess: Triple, base: EigenPoint, t: Ta
     u, wr, wi = float(guess[0]), float(guess[1]), float(guess[2])
     us, cs = scale
     constraint = _arclength_row(base, t, ds, scale)
-    x_prev, stalled, iteration = None, False, 0
+    stalled, iteration = False, 0
     while iteration < settings.max_corrector_iters or stalled:
         chi = complex(wr, wi)
         a0 = evaluate(op, chi, u)
         sig, x, _ = _sigma_min_of(op, a0, chi, u)
-        if x_prev is not None and _mode_jumped(x_prev, x):
-            logger.warning("SLP eigenvector jump at U=%.6g (mode switch suspected)", u)
-        x_prev = x
         g, _ = constraint(wr, wi, u)
         if _converged(sig, g):
             return EigenPoint(float(wr), float(wi), float(u), _unit_phased(x), sig), iteration

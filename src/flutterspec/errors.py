@@ -6,7 +6,8 @@ class FlutterSpecError(Exception):
 
 
 class NumericalError(FlutterSpecError):
-    """An SVD broke down.  A singular bordered Newton system is a ConvergenceError."""
+    """An SVD or a row of eigenvalues broke down.  A singular bordered Newton system is a
+    ConvergenceError."""
 
 
 class ConvergenceError(FlutterSpecError):

@@ -1,17 +1,17 @@
-"""Flutter point location from tracked eigenvalue rows, or from the zeros of a det grid.
+"""Flutter point location from tracked eigenvalue rows.
 
 Flutter points are real pairs (U, chi_R) with chi_I = 0 where A is
-singular.  The operator selects one of two candidate stages.  A pencil with
-a U-free, well-conditioned leading chi coefficient gets eigenvalue rows: the
-eigenvalues of its companion at evenly spaced airspeeds, matched from row to
+singular.  Every operator gets its candidates by one rule: the eigenvalues
+chi of A(., U) at evenly spaced airspeeds (the rows), matched from row to
 row, and a candidate where a branch's chi_I changes sign (the p-k view).
-Any other operator gets the zeros of one determinant grid: one per cell
-around which the phase of det winds (the argument principle), and one per
-isolated node where det is exactly zero.  The bordered Newton the
-continuation correctors share polishes each candidate onto chi_I = 0.  One
-rule retries a candidate whose polish fails, leaves the window or lands on a
-point already found: from the same stage's candidates in a shrunk window
-around it.
+The rows have two sources.  A pencil with a U-free, well-conditioned leading
+chi coefficient gives the eigenvalues of its companion.  Any other operator
+gives those of a Chebyshev interpolant of A(., U) over the window's chi_R
+range, linearized as a colleague pencil (Effenberger & Kressner, BIT 52,
+2012).  The bordered Newton the continuation correctors share polishes each
+candidate onto chi_I = 0.  One rule retries a candidate whose polish fails,
+leaves the window or lands on a point already found: from the candidates in
+a shrunk window around it.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .operator import (RESIDUAL_TOL, DampingParameterization, EigenPoint, ParametricOperator,
-                       Pencil, Window, _check_count, _solve_bordered, sigma_min)
-from .pseudospectrum import Grid2D, _det_zeros, compute_det_field
+                       Pencil, Window, _check_count, _solve_bordered, evaluate_batch, sigma_min)
 
 __all__ = [
     "FlutterSearchSettings",
@@ -43,8 +42,17 @@ logger = logging.getLogger(__name__)
 STATIC_CHI_R_FRACTION = 1e-6
 
 # A pencil whose leading chi coefficient depends on U or has a larger condition number has
-# no companion: its candidates come from the det grid.
+# no companion: its rows come from the Chebyshev interpolant, as a plain callable's do.
 LEAD_COND_MAX = 1e12
+
+# The Chebyshev rows: the interpolant's degree is at most CHEB_DEGREE_CAP, and ends at the
+# last coefficient above CHEB_TAIL of the largest; the colleague pencil is shift-inverted at
+# CHEB_SHIFT (in x, where chi = c + h x maps [-1, 1] onto the chi_R range), and a shifted
+# eigenvalue |mu| <= CHEB_INFINITE max |mu| is infinite.
+CHEB_DEGREE_CAP = 16
+CHEB_TAIL = 1e-13
+CHEB_SHIFT = 0.37 + 1.13j
+CHEB_INFINITE = 1e-14
 
 # A branch that moves between two rows by more than this share of its distance to the
 # nearest other eigenvalue of the next row, and by at least its distance to the real axis,
@@ -54,8 +62,7 @@ MATCH_FRACTION = 0.5
 BISECT_DEPTH = 6
 
 # A row whose every |chi_I| is within this share of its largest |chi| is real, as U = 0 is
-# for a real pencil, and is left out: the signs of its chi_I are rounding (the det grid's
-# flat-row rule).
+# for a real pencil, and is left out: the signs of its chi_I are rounding.
 REAL_ROW_TOL = 1e-12
 
 
@@ -63,11 +70,10 @@ REAL_ROW_TOL = 1e-12
 class FlutterSearchSettings:
     """Flutter search settings.
 
-    ``grid_count`` (>= 8) is the number of airspeed rows of the eigenvalue-row stage, or the
-    nodes per side of the det grid, whichever stage the operator selects (see
-    :func:`locate_candidates`).  ``refine_iters`` (>= 1) bounds how deep the retry windows
-    go and sets the size of the cell within which two points are one; ``tol`` and
-    ``max_iters`` are the polish's (see :func:`polish_flutter_point`).
+    ``grid_count`` (>= 8) is the number of airspeed rows that give the candidates, for every
+    operator (see :func:`locate_candidates`).  ``refine_iters`` (>= 1) bounds how deep the
+    retry windows go and sets the size of the cell within which two points are one; ``tol``
+    and ``max_iters`` are the polish's (see :func:`polish_flutter_point`).
     """
 
     grid_count: int = 64
@@ -128,6 +134,60 @@ def _row_chis(terms: np.ndarray, us: np.ndarray) -> np.ndarray:
     return -1j * np.linalg.eigvals(comp)
 
 
+def _colleague_eigvals(coeffs: np.ndarray) -> np.ndarray:
+    """The eigenvalues x of sum_k T_k(x) C_k per row of ``coeffs`` (rows, d + 1, n, n), d >= 1.
+
+    The colleague pencil x B - A on (T_0 y, ..., T_(d-1) y) takes x T_0 = T_1 and
+    x T_k = (T_(k-1) + T_(k+1)) / 2 as its first block rows and the polynomial, with
+    T_d = 2 x T_(d-1) - T_(d-2), as its last; one batched eigvals of (A - sigma B)^-1 B gives
+    mu = 1 / (x - sigma) at sigma = CHEB_SHIFT.  An infinite eigenvalue (mu = 0 up to
+    CHEB_INFINITE) is put at sigma: finite, with chi_I > 0 in every row.  A singular
+    A - sigma B (det A(., U) vanishing for every chi, say) raises NumericalError.
+    """
+    rows, d, n = coeffs.shape[0], coeffs.shape[1] - 1, coeffs.shape[-1]
+    recurrence = 0.5 * (np.eye(d * n, k=n) + np.eye(d * n, k=-n))
+    recurrence[:n] *= 2.0
+    a = np.repeat(recurrence[None].astype(complex), rows, axis=0)
+    a[:, -n:] = -coeffs[:, :d].transpose(0, 2, 1, 3).reshape(rows, n, d * n)
+    b = np.repeat(np.eye(d * n, dtype=complex)[None], rows, axis=0)
+    b[:, -n:, -n:] = coeffs[:, d] * (2.0 if d > 1 else 1.0)
+    if d > 1:
+        a[:, -n:, -2 * n:-n] += coeffs[:, d]
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(a - CHEB_SHIFT * b, b))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Chebyshev eigenvalue rows: {exc}") from exc
+    finite = np.abs(mu) > CHEB_INFINITE * np.abs(mu).max(axis=1, keepdims=True)
+    return CHEB_SHIFT + np.divide(1.0, mu, out=np.zeros_like(mu), where=finite)
+
+
+def _chebyshev_rows(op: ParametricOperator, window: Window
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """The row source of an operator without a companion: us -> the eigenvalues chi of the
+    Chebyshev interpolant of A(., U) over the window's chi_R range, (len(us), d n).
+
+    The coefficients of degree d come from A at the d + 1 first-kind Chebyshev points, times
+    the cosine matrix.  d is picked once, from interpolants of degree CHEB_DEGREE_CAP at the
+    window's first, middle and last airspeeds: the last coefficient whose norm is above
+    CHEB_TAIL of its row's largest, and at least 1.
+    """
+    c, h = 0.5 * (window.chi_r_min + window.chi_r_max), 0.5 * window.chi_r_span
+
+    def coeffs(us: np.ndarray, degree: int) -> np.ndarray:  # (len(us), degree + 1, n, n)
+        theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+        values = evaluate_batch(op, c + h * np.cos(theta), us[:, None]).reshape(
+            us.size, degree + 1, op.dim, op.dim)
+        cosines = np.cos(np.outer(np.arange(degree + 1), theta)) * (2.0 / (degree + 1))
+        cosines[0] *= 0.5
+        return np.einsum("kj,rjab->rkab", cosines, values)
+
+    norms = np.linalg.norm(coeffs(np.array([window.u_min, 0.5 * (window.u_min + window.u_max),
+                                            window.u_max]), CHEB_DEGREE_CAP), axis=(2, 3))
+    degree = max(1, int(np.nonzero(norms > CHEB_TAIL * norms.max(axis=1, keepdims=True))[1]
+                        .max(initial=0)))
+    return lambda us: c + h * _colleague_eigvals(coeffs(us, degree))
+
+
 def _match(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Greedy nearest matching of the two rows of each interval, all intervals at once.
 
@@ -161,22 +221,20 @@ def _real_rows(chis: np.ndarray) -> np.ndarray:
                   axis=1)
 
 
-def _eigenvalue_row_zeros(pencil: Pencil, window: Window, count: int
-                          ) -> Optional[List[Tuple[float, float]]]:
+def _eigenvalue_row_zeros(row_chis: Callable[[np.ndarray], np.ndarray], window: Window,
+                          count: int) -> List[Tuple[float, float]]:
     """Where a tracked eigenvalue branch crosses chi_I = 0 with chi_R in ``window``, sorted by U.
 
-    ``count`` airspeed rows span the window, and a row whose every eigenvalue is real is
-    left out, so its neighbours bound one interval.  The rows of each interval are matched
-    greedily, and an interval with an ambiguous match is halved, at most BISECT_DEPTH
-    times, unless its midpoint is such a real row.  A branch crosses where chi_I > 0 holds
-    at one end of an interval and not at the other (so a branch real at a row crosses
-    once), at the linear interpolant's zero.  None when the pencil has no companion.
+    ``row_chis`` maps airspeeds to their rows of eigenvalues chi, (len(us), k).  ``count``
+    airspeed rows span the window, and a row whose every eigenvalue is real is left out, so
+    its neighbours bound one interval.  The rows of each interval are matched greedily, and
+    an interval with an ambiguous match is halved, at most BISECT_DEPTH times, unless its
+    midpoint is such a real row.  A branch crosses where chi_I > 0 holds at one end of an
+    interval and not at the other (so a branch real at a row crosses once), at the linear
+    interpolant's zero.
     """
-    terms = _monic_terms(pencil)
-    if terms is None:
-        return None
     us = np.linspace(window.u_min, window.u_max, count)
-    chis = _row_chis(terms, us)
+    chis = row_chis(us)
     complex_rows = ~_real_rows(chis)
     us, chis = us[complex_rows], chis[complex_rows]
     u0, u1, c0, c1 = us[:-1], us[1:], chis[:-1], chis[1:]
@@ -186,7 +244,7 @@ def _eigenvalue_row_zeros(pencil: Pencil, window: Window, count: int
         split &= depth < BISECT_DEPTH
         if split.any():
             um = 0.5 * (u0[split] + u1[split])
-            mid = _row_chis(terms, um)
+            mid = row_chis(um)
             complex_rows = ~_real_rows(mid)  # a real midpoint leaves its interval whole
             split[split] = complex_rows
             um, mid = um[complex_rows], mid[complex_rows]
@@ -209,16 +267,15 @@ def _eigenvalue_row_zeros(pencil: Pencil, window: Window, count: int
 def locate_candidates(op: ParametricOperator, window: Window,
                       grid_count: int = FlutterSearchSettings.grid_count
                       ) -> List[Tuple[float, float]]:
-    """Candidate (U, chi_R) pairs in ``window``, from one of two stages the operator selects.
+    """Candidate (U, chi_R) pairs in ``window``: where an eigenvalue branch crosses chi_I = 0.
 
-    A :class:`Pencil` whose leading chi coefficient is U-free and well conditioned (see
-    ``LEAD_COND_MAX``) gets the eigenvalue rows: the chi-companion's eigenvalues at
-    ``grid_count`` airspeeds, tracked from row to row, and a candidate where a branch's
-    chi_I changes sign (bisecting a row interval whose match is ambiguous near the real
-    axis).  Any other operator gets the zeros of one det grid of ``grid_count`` nodes per
-    side: one per cell the phase winds around, and one per isolated node where det is
-    exactly zero.  No
-    zeros is not an error.  A ``grid_count`` outside the range of
+    The eigenvalues chi of A(., U) at ``grid_count`` airspeeds are tracked from row to row,
+    and a candidate lies where a branch's chi_I changes sign (a row interval whose match is
+    ambiguous near the real axis is bisected).  A :class:`Pencil` whose leading chi
+    coefficient is U-free and well conditioned (see ``LEAD_COND_MAX``) gives the rows from
+    its chi-companion; any other operator from the colleague pencil of a Chebyshev
+    interpolant of A(., U) over the window's chi_R range, whose degree is picked once per
+    call.  No candidate is not an error.  A ``grid_count`` outside the range of
     :class:`FlutterSearchSettings`, or a window outside the operator window, raises
     ValueError before any evaluation.
     """
@@ -226,12 +283,10 @@ def locate_candidates(op: ParametricOperator, window: Window,
     if not (op.window.contains(window.u_min, window.chi_r_min)
             and op.window.contains(window.u_max, window.chi_r_max)):
         raise ValueError(f"search window {window} exceeds the operator window {op.window}")
-    zeros = (_eigenvalue_row_zeros(op.func, window, grid_count)
-             if isinstance(op.func, Pencil) else None)
-    if zeros is None:
-        zeros = _det_zeros(compute_det_field(op, Grid2D.over_window(window, grid_count,
-                                                                   grid_count, 0.0)))
-    return zeros
+    terms = _monic_terms(op.func) if isinstance(op.func, Pencil) else None
+    row_chis = (_chebyshev_rows(op, window) if terms is None
+                else lambda us: _row_chis(terms, us))
+    return _eigenvalue_row_zeros(row_chis, window, grid_count)
 
 
 def polish_flutter_point(op: ParametricOperator, candidate: Tuple[float, float],

@@ -4,11 +4,9 @@ The epsilon-pseudospectrum is the sublevel set of the minimum-singular-value
 field; its contours come from marching squares with linear edge
 interpolation, run as array code over the cells a contour crosses, whose
 segments are then chained into polylines.  Determinant fields are stored as
-(log-magnitude, phase) pairs so that they survive overflow.  Their zeros (the
-flutter candidates of operators without a companion) come from the argument
-principle: a cell holds a zero when the phase winds around it, and the zero
-is placed where the linear part of the cell's interpolant, rescaled by its
-largest |det|, vanishes; an isolated node where det is exactly zero is one.
+(log-magnitude, phase) pairs so that they survive overflow; the flutter
+search does not use them (its candidates come from eigenvalue rows, see
+:mod:`flutterspec.flutter`).
 """
 
 from __future__ import annotations
@@ -35,10 +33,6 @@ __all__ = [
     "epsilon_pseudospectrum",
     "find_borderline_regions",
 ]
-
-# Relative size below which a det component counts as identically zero
-# along a grid row (real pencils give |sin(phase)| at rounding level).
-DEGENERATE_COMPONENT_TOL = 1e-12
 
 # Complex entries (1 MB) per field chunk: a whole n=16 grid in one stack ran slower.
 # The chunk count also caps the sigma field's worker threads, so its parallelism.
@@ -203,11 +197,6 @@ for _code, _segs in _SEGMENT_TABLE.items():
 _EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 
 
-def _cell_corners(values: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(c00, c10, c11, c01) of every cell, each (u_count - 1, w_count - 1)."""
-    return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
-
-
 def _cell_segments(us: np.ndarray, ws: np.ndarray, values: np.ndarray, level: float
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Marching-squares segments of the cells the contour {values = level} crosses.
@@ -217,7 +206,8 @@ def _cell_segments(us: np.ndarray, ws: np.ndarray, values: np.ndarray, level: fl
     order; a cell's segments follow ``_SEGMENT_TABLE`` in order and direction.
     The cells on a grid edge read its corners in one order, so their vertices agree bit-exactly.
     """
-    c00, c10, c11, c01 = corners = _cell_corners(values)
+    c00, c10, c11, c01 = corners = (values[:-1, :-1], values[1:, :-1], values[1:, 1:],
+                                    values[:-1, 1:])
     case = ((c00 >= level) | (c10 >= level) << 1 | (c11 >= level) << 2
             | (c01 >= level) << 3).astype(int)
     saddle = (case == 5) | (case == 10)
@@ -280,50 +270,6 @@ def extract_contours(fld: ScalarField, level: float) -> ContourSet:
     keys, verts = _cell_segments(fld.grid.u_values(), fld.grid.w_values(), fld.values, level)
     vertex_cache = dict(zip(keys.ravel().tolist(), map(tuple, verts.reshape(-1, 2).tolist())))
     return ContourSet(level, _chain_segments(keys.tolist(), vertex_cache))
-
-
-def _det_zeros(fld: ComplexField) -> List[Tuple[float, float]]:
-    """Zeros (U, chi_R) of a determinant field: one per cell its phase winds around, then
-    one per isolated singular node.
-
-    The four phase steps around a cell, c00 -> c10 -> c11 -> c01 -> c00, each
-    wrapped into [-pi, pi), sum to 2 pi times the number of zeros inside (the
-    argument principle); a cell holds a zero when the sum exceeds pi in size.
-    A node with log|det| = -inf and no such neighbour along the axes is a zero itself,
-    and its cells are left out: a neighbour's phase at pi from the node's stored phase 0
-    wraps to -pi both ways and would miscount them.  Nodes and cells on a row where
-    Re(det) or Im(det) vanishes identically are left out: a real pencil makes Im(det)
-    zero along whole airspeed slices, whose phase flips would give spurious zeros.  Each
-    cell's zero sits where the linear part of the cell's bilinear interpolant vanishes,
-    the corners rescaled by their largest |det|; clamped into the cell, and at its centre
-    when that part is singular.  Cells, then nodes, in row-major order.
-    """
-    us, ws = fld.grid.u_values(), fld.grid.w_values()
-    phase = _cell_corners(fld.phase)
-    winding = sum((b - a + math.pi) % (2.0 * math.pi) - math.pi
-                  for a, b in zip(phase, phase[1:] + phase[:1]))
-    unit = np.stack([np.cos(fld.phase), np.sin(fld.phase)])
-    flat = np.any(np.all(np.abs(unit) <= DEGENERATE_COMPONENT_TOL, axis=-1), axis=0)
-    singular = fld.log_magnitude == -math.inf
-    ii, jj = np.nonzero((np.abs(winding) > math.pi) & ~(flat[:-1] | flat[1:])[:, None]
-                        & ~np.logical_or.reduce(_cell_corners(singular)))
-    pad = np.pad(singular, 1)
-    ni, nj = np.nonzero(singular & ~flat[:, None] & ~(pad[:-2, 1:-1] | pad[2:, 1:-1]
-                                                       | pad[1:-1, :-2] | pad[1:-1, 2:]))
-
-    lm = [c[ii, jj] for c in _cell_corners(fld.log_magnitude)]
-    top = np.maximum.reduce(lm)
-    z00, z10, z11, z01 = (np.exp(m - top + 1j * p[ii, jj]) for m, p in zip(lm, phase))
-    f_c = 0.25 * (z00 + z10 + z11 + z01)
-    f_s = 0.5 * (z10 + z11 - z00 - z01)
-    f_t = 0.5 * (z01 + z11 - z00 - z10)
-    with np.errstate(divide="ignore", invalid="ignore"):  # Cramer's rule, Re and Im rows
-        det = (f_s.conj() * f_t).imag
-        offsets = [(f_t.conj() * f_c).imag / det, (f_c.conj() * f_s).imag / det]
-    ds, dt = (np.clip(np.nan_to_num(d, nan=0.0), -0.5, 0.5) + 0.5 for d in offsets)
-    u = np.concatenate([us[ii] + ds * (us[ii + 1] - us[ii]), us[ni]])
-    w = np.concatenate([ws[jj] + dt * (ws[jj + 1] - ws[jj]), ws[nj]])
-    return list(zip(u.tolist(), w.tolist()))
 
 
 def epsilon_pseudospectrum(op: ParametricOperator, grid: Grid2D,

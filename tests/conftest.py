@@ -5,14 +5,11 @@ computation that does not share code with the path it checks: closed-form
 polynomial trajectories, brute-force distance-to-spectrum, the bialternate
 Hopf test for the flutter and damping-level points of real pencils, and
 explicit Kronecker expansions for the SLP corrector's operator determinants
-with the three-parameter linear step built on them, marching squares cell
-by cell (the Python loop that the array code replaced), and the phase
-winding of a det field around each cell, counted one cell at a time, with
-its isolated singular nodes found one node at a time.
+with the three-parameter linear step built on them, and marching squares cell
+by cell (the Python loop that the array code replaced).
 """
 
 import itertools
-import math
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -328,80 +325,6 @@ def reference_segments(us, ws, corners, level):
 def reference_march(us, ws, corners, level):
     """The polylines of :func:`reference_segments`."""
     return pseudospectrum._chain_segments(*reference_segments(us, ws, corners, level))
-
-
-# ---------------------------------------------------------------------------
-# argument principle: the phase of det turns once around each simple zero
-
-
-def sampled_field(grid, f):
-    """The ComplexField of ``f(u, w)`` (vectorized) on a grid, from numpy's log|f| and
-    angle(f): an exact zero gets log|det| = -inf and phase 0, as a det field stores it."""
-    us, ws = np.meshgrid(grid.u_values(), grid.w_values(), indexing="ij")
-    z = f(us, ws)
-    with np.errstate(divide="ignore"):
-        return pseudospectrum.ComplexField(grid, np.log(np.abs(z)), np.angle(z))
-
-
-def _turn(a, b):
-    """The step from phase a to phase b, moved into [-pi, pi) by whole turns."""
-    d = b - a
-    while d >= math.pi:
-        d -= 2.0 * math.pi
-    while d < -math.pi:
-        d += 2.0 * math.pi
-    return d
-
-
-def _flat_rows(phase):
-    """Per row: |cos(phase)| <= 1e-12 at every node, or |sin(phase)| <= 1e-12 at every node."""
-    return [all(abs(math.cos(p)) <= 1e-12 for p in row)
-            or all(abs(math.sin(p)) <= 1e-12 for p in row) for row in phase]
-
-
-def winding_cells(fld, skip_flat_rows=True, skip_singular=False):
-    """Cells (i, j), row-major, around which a det field's phase winds: the four steps
-    c00 -> c10 -> c11 -> c01 -> c00, each taken the short way, sum to a nonzero number of
-    whole turns.  With ``skip_flat_rows`` a cell is left out when one of its rows is flat
-    (see ``_flat_rows``); with ``skip_singular``, when one of its corners has log|det| = -inf."""
-    phase, log_mag = fld.phase.tolist(), fld.log_magnitude.tolist()
-    flat = _flat_rows(phase)
-    cells = []
-    for i in range(len(phase) - 1):
-        if skip_flat_rows and (flat[i] or flat[i + 1]):
-            continue
-        for j in range(len(phase[0]) - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if skip_singular and any(log_mag[p][q] == -math.inf for p, q in corners):
-                continue
-            loop = [phase[p][q] for p, q in corners]
-            turns = sum(_turn(a, b) for a, b in zip(loop, loop[1:] + loop[:1])) / (2.0 * math.pi)
-            if round(turns) != 0:
-                cells.append((i, j))
-    return cells
-
-
-def singular_nodes(fld):
-    """Nodes (i, j), row-major, off the flat rows, with log|det| = -inf and no node next to
-    them along an axis with log|det| = -inf."""
-    log_mag = fld.log_magnitude.tolist()
-    flat = _flat_rows(fld.phase.tolist())
-    rows, cols = len(log_mag), len(log_mag[0])
-
-    def singular(i, j):
-        return 0 <= i < rows and 0 <= j < cols and log_mag[i][j] == -math.inf
-
-    return [(i, j) for i in range(rows) for j in range(cols)
-            if not flat[i] and singular(i, j)
-            and not any(singular(i + di, j + dj)
-                        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)))]
-
-
-def in_cell(grid, cell, point):
-    """Whether ``point`` (U, chi_R) lies in the closed cell (i, j) of the grid."""
-    (i, j), (u, w) = cell, point
-    us, ws = grid.u_values(), grid.w_values()
-    return us[i] <= u <= us[i + 1] and ws[j] <= w <= ws[j + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,13 @@ class TestCorrectors:
             corrector_slp(op, guess, base, t, 0.05)
         assert info.value.iterations == 2
 
-    def test_slp_eigenvector_jump_warns_once(self, ts_op, ts_flutter, monkeypatch, caplog):
-        # from the second iteration on, the sigma_min vector is swapped for its orthogonal one
+    def test_slp_eigenvector_jump_is_noted_once_by_trace_path(self, ts_op, ts_flutter,
+                                                              monkeypatch, caplog):
+        # from the second call on (the first is initial_tangent's), the sigma_min vector is
+        # swapped for its orthogonal one: the SLP corrector only returns it, so the step
+        # lands where it did unswapped, and trace_path notes the switch once, logging nothing
+        settings = ContinuationSettings(corrector="slp", max_steps=1)
+        plain = trace_path(ts_op, ts_flutter, settings=settings)
         vectors = []
 
         def swapped(op, a, chi, u):
@@ -346,16 +351,14 @@ class TestCorrectors:
             vectors.append(x)
             return sigma, x if len(vectors) == 1 else np.array([-x[1].conj(), x[0].conj()]), y
 
-        scale = (max(abs(ts_flutter.point.U), 1.0), max(abs(ts_flutter.point.chi_R), 1.0))
-        t = initial_tangent(ts_op, ts_flutter)  # its SVD is not the corrector's
-        base = ts_flutter.point
         monkeypatch.setattr("flutterspec.continuation._sigma_min_of", swapped)
-        with caplog.at_level(logging.WARNING, logger="flutterspec.continuation"):
-            corrector_slp(ts_op, predictor(base, t, 0.1, scale), base, t, 0.1,
-                          ContinuationSettings(scale=scale))
-        assert len(vectors) >= 2
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "eigenvector jump" in caplog.records[0].getMessage()
+        with caplog.at_level(logging.DEBUG):
+            path = trace_path(ts_op, ts_flutter, settings=settings)
+        assert len(vectors) >= 3  # the tangent's, then two corrector iterations or more
+        assert plain.notes == [] and path.notes == ["mode switch suspected at step 1"]
+        assert [(p.U, p.chi_R, p.chi_I) for p in path.points] == [
+            (p.U, p.chi_R, p.chi_I) for p in plain.points]
+        assert caplog.records == []
 
     def test_slp_zero_tangent_has_no_increment(self, ts_op, ts_flutter):
         # every term of Delta_0 carries a tangent component, so Delta_0 = 0

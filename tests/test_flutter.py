@@ -1,6 +1,6 @@
-"""Flutter location: eigenvalue-row candidates for pencils, det-grid candidates for plain
-callables, Newton polish and retries, checked against the grid-free Hopf oracle, which is
-itself checked here against closed forms."""
+"""Flutter location: eigenvalue-row candidates from a pencil's companion or from a Chebyshev
+interpolant (plain callables, pencils without a companion), Newton polish and retries, checked
+against the grid-free Hopf oracle, which is itself checked here against closed forms."""
 
 import dataclasses
 import functools
@@ -23,7 +23,7 @@ from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSp
                          two_crossing_spec)
 from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
 from flutterspec.operator import ParametricOperator, Pencil
-from flutterspec.pseudospectrum import Grid2D, _det_zeros, compute_det_field
+from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
 from conftest import crossing_pencil, draw_oscillators, hopf_points, oscillator_operator
 
@@ -44,7 +44,7 @@ def wing_and_oracle(n):
 
 def plain_twin(op):
     """``op`` with its Pencil behind a plain callable: the same values and ``derivs``, but
-    the search takes the det grid, the one candidate stage a plain callable has."""
+    the search takes its rows from the Chebyshev interpolant, as for any plain callable."""
     return dataclasses.replace(op, func=lambda chi, u: op.func(chi, u))
 
 
@@ -152,29 +152,87 @@ class TestLocateCandidates:
 
     @pytest.mark.parametrize("b, c", [(1.0, 1j), (2.0, 1.0 + 1j)], ids=["unit", "skew"])
     def test_det_zero_on_a_grid_node_of_a_plain_callable(self, b, c):
-        # det = b (U - 31) + c (chi - 31) is zero on the det grid's node (31, 31), and the
-        # phase at its U-neighbours is exactly 0 and pi, so no cell around it winds
+        # det = b (U - 31) + c (chi - 31) is zero at (31, 31), on the airspeed row U = 31,
+        # where the interpolant's one eigenvalue is real: the branch crosses once
         op = ParametricOperator(
             "node", 1, lambda chi, u: np.array([[b * (u - 31.0) + c * (chi - 31.0)]]),
             Window(0.0, 63.0, 0.0, 63.0))
-        assert locate_candidates(op, op.window) == [(31.0, 31.0)]
+        (candidate,) = locate_candidates(op, op.window)
+        assert candidate == pytest.approx((31.0, 31.0), rel=1e-12)
         (fp,) = find_flutter_points(op)
-        assert (fp.point.U, fp.point.chi_R) == (31.0, 31.0)
+        assert (fp.point.U, fp.point.chi_R) == pytest.approx((31.0, 31.0), rel=1e-12)
 
-    @pytest.mark.parametrize("a, b, scale", [(2, 0, 0.0), (1, 1, 1e-4)],
-                             ids=["singular_lead", "airspeed_lead"])
-    def test_pencil_without_a_companion_takes_the_det_grid(self, a, b, scale):
-        # a zero chi^2 term makes the leading chi coefficient singular, a chi U term makes
-        # it depend on U: neither pencil has a monic companion, so the det grid gives the
-        # candidates; the chi_I = 0 crossings stay at U = 120 and 300
+    @pytest.mark.parametrize("a, b, lead", [
+        (2, 0, np.zeros((2, 2))), (2, 0, np.diag([1e-4, 0.0])), (2, 0, np.diag([1e-3, 0.0])),
+        (2, 0, np.diag([1e-2, 0.0])), (1, 1, 1e-4 * np.eye(2))],
+        ids=["zero_lead", "singular_lead_1e-4", "singular_lead_1e-3", "singular_lead_1e-2",
+             "airspeed_lead"])
+    def test_pencil_without_a_companion_takes_the_chebyshev_rows(self, a, b, lead):
+        # a chi^2 term with a singular coefficient makes the leading chi coefficient singular,
+        # a chi U term makes it depend on U: neither pencil has a monic companion, so the
+        # Chebyshev interpolant gives the rows.  The mode-1 entry s chi^2 + chi - chi_1(U) has
+        # real roots where chi_1 does, so the chi_I = 0 crossings stay at U = 120 and 300
         base = build_trajectory_operator(two_crossing_spec())
-        pencil = Pencil(base.func.exps + ((a, b),), [*base.func.coeffs, scale * np.eye(2)])
+        pencil = Pencil(base.func.exps + ((a, b),), [*base.func.coeffs, lead])
+        assert flutter._monic_terms(pencil) is None
         op = ParametricOperator("no_companion", 2, pencil, base.window, derivs=pencil.derivs)
         window = Window(10.0, 500.0, 20.0, 200.0)
-        grid = Grid2D.over_window(window, 64, 64)
-        assert locate_candidates(op, window) == _det_zeros(compute_det_field(op, grid))
+        assert [u for u, _ in locate_candidates(op, window)] == pytest.approx([120.0, 300.0],
+                                                                             rel=1e-3)
         points = find_flutter_points(op, window)
         assert [fp.point.U for fp in points] == pytest.approx([120.0, 300.0], rel=1e-9)
+
+    def test_infinite_eigenvalues_give_no_candidate(self):
+        # lead diag(1e-2, 0) is exactly singular: the degree-2 interpolant's colleague pencil
+        # has one infinite eigenvalue per row, put at the shift in every row, where its chi_I
+        # never changes sign; the candidates are the two crossings alone
+        base = build_trajectory_operator(two_crossing_spec())
+        pencil = Pencil(base.func.exps + ((2, 0),), [*base.func.coeffs, np.diag([1e-2, 0.0])])
+        op = ParametricOperator("singular_lead", 2, pencil, base.window, derivs=pencil.derivs)
+        window = Window(10.0, 500.0, 20.0, 200.0)
+        rows = flutter._chebyshev_rows(op, window)(np.linspace(10.0, 500.0, 64))
+        assert rows.shape == (64, 4) and np.isfinite(rows).all()
+        shift = 110.0 + 90.0 * flutter.CHEB_SHIFT
+        assert (np.abs(rows - shift) <= 1e-9 * abs(shift)).sum(axis=1).tolist() == [1] * 64
+        candidates = locate_candidates(op, window)
+        assert [u for u, _ in candidates] == pytest.approx([120.0, 300.0], rel=1e-3)
+        for (_, w), u in zip(candidates, (120.0, 300.0)):
+            chi_1 = float(two_crossing_spec().modes[0].omega(u))
+            assert w == pytest.approx((math.sqrt(1.0 + 4e-2 * chi_1) - 1.0) / 2e-2, rel=1e-3)
+
+    def test_identically_singular_callable_is_a_numerical_error(self):
+        # a zero row makes det A(., U) vanish for every chi: the colleague pencil is singular
+        op = ParametricOperator("zero_row", 2, lambda chi, u: np.array(
+            [[chi - 40.0 + 0.01j * (u - 50.0), 1.0], [0.0, 0.0]]), Window(0.0, 100.0, 10.0, 60.0))
+        with pytest.raises(NumericalError, match="Chebyshev eigenvalue rows: Singular matrix"):
+            find_flutter_points(op)
+
+    def test_chebyshev_rows_are_the_companion_rows(self):
+        # on 50 quasi-steady draws the twin's colleague-pencil eigenvalues are the pencil's
+        # companion eigenvalues, each to 1e-12 of the row's largest
+        us = np.linspace(1.0, 100.0, 64)
+        for k, op in enumerate(draw_quasi_steady(np.random.default_rng(1), 50)):
+            rows = flutter._chebyshev_rows(plain_twin(op), op.window)(us)
+            companion = flutter._row_chis(flutter._monic_terms(op.func), us)
+            assert rows.shape == companion.shape, k
+            gap = np.abs(rows[:, :, None] - companion[:, None, :]).min(axis=2)
+            assert np.all(gap <= 1e-12 * np.abs(companion).max(axis=1, keepdims=True)), k
+
+    @pytest.mark.parametrize("model, degree", [
+        ("typical_section", 2), ("wing_n4", 2), ("wing_n16", 2), ("restabilization", 1),
+        ("rational", flutter.CHEB_DEGREE_CAP)])
+    def test_chebyshev_degree_is_picked_once_from_the_coefficients(self, model, degree):
+        # a plain-callable pencil twin gets its own chi degree; a rational callable, whose
+        # coefficients never fall below the tail, gets the cap: d n eigenvalues per row
+        if model == "rational":
+            op = ParametricOperator("rational", 1, lambda chi, u: np.array(
+                [[chi - 40.0 + 0.01j * u + 5.0 / (chi + 30j)]]), Window(0.0, 100.0, 10.0, 60.0))
+            window = op.window
+        else:
+            pencil, window, _ = sweep_model(model)
+            op = plain_twin(pencil)
+        rows = flutter._chebyshev_rows(op, window)(np.array([window.u_min, window.u_max]))
+        assert rows.shape == (2, degree * op.dim)
 
     def test_argument_validation(self, traj_op):
         with pytest.raises(ValueError):
@@ -300,16 +358,32 @@ class TestFindFlutterPoints:
         for u, w in seen:
             assert f"candidate (U={u:.6g}, chi_R={w:.6g}): no polish at U={u}" in str(info.value)
 
-    def test_outside_landings_alone_give_an_empty_result(self):
-        # no in-window point: the pencil's eigenvalue rows give no candidate, and on the det
-        # grid of its plain-callable twin the candidates polish to the U = 0 singularity,
-        # below u_min = 1, and their retries find no point; such landings are no failure
+    def test_outside_landings_alone_give_an_empty_result(self, monkeypatch, caplog):
+        # every polish is made to land below u_min: each candidate, then two retries of each,
+        # and no point; such landings are no failure, so nothing raises and nothing is logged
+        op = build_trajectory_operator(two_crossing_spec())
+        window = Window(10.0, 500.0, 20.0, 200.0)
+        seen, polish = [], flutter.polish_flutter_point
+
+        def outside(op, candidate, **kwargs):
+            seen.append(candidate)
+            fp = polish(op, candidate, **kwargs)
+            return dataclasses.replace(fp, point=dataclasses.replace(fp.point, U=5.0))
+
+        monkeypatch.setattr(flutter, "polish_flutter_point", outside)
+        with caplog.at_level(logging.WARNING, logger="flutterspec.flutter"):
+            points = find_flutter_points(op, window,
+                                         FlutterSearchSettings(grid_count=32, refine_iters=2))
+        assert points == [] and len(seen) == 6
+        assert caplog.records == []
+
+    def test_window_without_a_hopf_point_gives_no_candidate(self):
+        # no in-window point: neither the pencil's companion rows nor its plain-callable
+        # twin's Chebyshev rows give a candidate
         op = list(draw_quasi_steady(np.random.default_rng(1), 275))[-1]
         assert hopf_points(op.func, op.window) == []
         assert locate_candidates(op, op.window) == []
-        twin = plain_twin(op)
-        assert locate_candidates(twin, op.window)
-        assert find_flutter_points(twin) == []
+        assert locate_candidates(plain_twin(op), op.window) == []
 
     def test_divergence_flagged_static(self):
         # singular along chi_R = 0 at U = 150: a static (divergence) point
@@ -356,11 +430,23 @@ class TestFindFlutterPoints:
             assert fp.point.U == pytest.approx(u, rel=1e-9)
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
 
+    @pytest.mark.parametrize("grid_count", range(8, 33))
+    @pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8",
+                                       "restabilization", "two_crossing"])
+    def test_coarse_grids_on_the_twins_find_exactly_the_oracle_points(self, model, grid_count):
+        # the same sweep on the plain-callable twins, whose rows are the Chebyshev ones
+        op, window, expected = sweep_model(model)
+        points = find_flutter_points(plain_twin(op), window,
+                                     FlutterSearchSettings(grid_count=grid_count))
+        assert len(points) == len(expected)
+        for fp, (u, chi_r) in zip(points, expected):
+            assert fp.point.U == pytest.approx(u, rel=1e-9)
+            assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
+
     @pytest.mark.parametrize("grid_count", [10, 11])
-    def test_coarse_grid_retry_recovers_the_lowest_wing_point(self, grid_count):
-        # on the det grids of the plain-callable twin the candidate near U = 9.25 polishes
-        # to the U = 0 singularity, outside the window; its retry in a shrunk window finds
-        # the point
+    def test_coarse_grid_twin_finds_the_lowest_wing_point(self, grid_count):
+        # the plain-callable twin's Chebyshev rows at 10 and 11 airspeeds find all three
+        # points, the one near U = 9.25 too, next to the U = 0 singularity
         op, expected = wing_and_oracle(4)
         points = find_flutter_points(plain_twin(op),
                                      settings=FlutterSearchSettings(grid_count=grid_count))
@@ -369,7 +455,6 @@ class TestFindFlutterPoints:
             assert fp.point.U == pytest.approx(u, rel=1e-9)
             assert fp.point.chi_R == pytest.approx(chi_r, rel=1e-9)
         assert points[0].point.U == pytest.approx(9.2458, abs=1e-4)
-        assert len(points[0].window_history) >= 2
 
     def test_jordan_crossing_point_to_solver_accuracy(self):
         # both eigenvalues of the triangular crossing pencil reach chi_I = 0 at U = 100,
@@ -380,16 +465,35 @@ class TestFindFlutterPoints:
         assert len(points) == 1
         assert points[0].point.U == pytest.approx(100.0, rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute 1e-10 polish gate "
+    def test_jordan_crossing_twin_finds_the_point(self):
+        # the plain-callable twin's Chebyshev rows cross at U = 100 too
+        twin = plain_twin(crossing_pencil())
+        points = find_flutter_points(twin, Window(50.0, 150.0, 30.0, 70.0))
+        assert len(points) == 1
+        assert points[0].point.U == pytest.approx(100.0, rel=1e-9)
+        assert points[0].point.chi_R == pytest.approx(50.0, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: the absolute 1e-10 polish gate "
                        "passes U = 99.99938743, 6e-6 off the Jordan point")
     def test_jordan_polish_from_the_det_grid_candidate(self):
-        # the det grid's first zero on the crossing pencil is U ~ 77.57, chi_R = 50; from
-        # there the polish residual falls below 1e-10 while the two eigenvalues are still
-        # apart, and the polish stops there
-        op, window = crossing_pencil(), Window(50.0, 150.0, 30.0, 70.0)
-        candidate = _det_zeros(compute_det_field(op, Grid2D.over_window(window, 64, 64)))[0]
-        assert candidate == pytest.approx((77.57, 50.0), abs=0.01)
-        assert polish_flutter_point(op, candidate).point.U == pytest.approx(100.0, rel=1e-9)
+        # (77.57, 50) is where a 64^2 det grid put its first zero on the crossing pencil;
+        # from there the polish residual falls below 1e-10 while the two eigenvalues are
+        # still apart, and the polish stops there
+        op = crossing_pencil()
+        assert polish_flutter_point(op, (77.57, 50.0)).point.U == pytest.approx(100.0, rel=1e-9)
+
+    def test_non_holomorphic_callable_gives_its_crossing(self):
+        # A = chi_R - (50 - 0.05 U) + 2i (chi_I - 0.01 (U - 100)) is not holomorphic in chi;
+        # the interpolant in real chi has the eigenvalue chi_R + 2i chi_I of A's zero, whose
+        # chi_I changes sign where A's does: at U = 100, chi_R = 45
+        def func(chi, u):
+            return np.array([[chi.real - (50.0 - 0.05 * u) + 2j * (chi.imag - 0.01 * (u - 100.0))]])
+
+        op = ParametricOperator("non_holomorphic", 1, func, Window(0.0, 200.0, 10.0, 90.0))
+        (candidate,) = locate_candidates(op, op.window)
+        assert candidate == pytest.approx((100.0, 45.0), rel=1e-9)
+        (fp,) = find_flutter_points(op)
+        assert (fp.point.U, fp.point.chi_R) == pytest.approx((100.0, 45.0), rel=1e-9)
 
     @pytest.mark.parametrize("grid_count", range(8, 17))
     def test_points_and_their_windows_lie_in_the_search_window(self, grid_count):
@@ -416,7 +520,6 @@ class TestFindFlutterPoints:
         field = compute_det_field(op, Grid2D.over_window(window, 64, 64))
         assert field.log_magnitude[31, 31] == -np.inf
         assert locate_candidates(op, window) == [(120.0, 52.5)]
-        assert _det_zeros(field) == [(120.0, 52.5)]
         points = find_flutter_points(op, window)
         assert len(points) == 1
         assert points[0].point.U == pytest.approx(120.0, rel=1e-9)
@@ -445,6 +548,14 @@ class TestFindFlutterPoints:
             assert len(got) == len(u_k), (k, got, u_k, omega)
             assert np.array(got) == pytest.approx(np.column_stack([u_k, omega]), rel=1e-9), k
 
+    def test_default_grid_finds_every_point_of_100_generated_oscillator_twins(self):
+        # the plain-callable twins of the first 100 oscillator draws, on the Chebyshev rows
+        for k, (u_k, omega, a, q) in enumerate(draw_oscillators(np.random.default_rng(0), 100)):
+            points = find_flutter_points(plain_twin(oscillator_operator(u_k, omega, a, q)))
+            got = [(fp.point.U, fp.point.chi_R) for fp in points]
+            assert len(got) == len(u_k), (k, got, u_k, omega)
+            assert np.array(got) == pytest.approx(np.column_stack([u_k, omega]), rel=1e-9), k
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_quasi_steady_family_points_are_hopf_points(self, seed):
         # 300 generated quasi-steady operators per seed (ROADMAP item 13): no search raises,
@@ -458,6 +569,17 @@ class TestFindFlutterPoints:
         missed = [k for k, (hits, got) in enumerate(quasi_steady_family(seed))
                   if not all(any(same_point(p, h) for p in got) for h in hits)]
         assert missed == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quasi_steady_family_twins_find_exactly_the_hopf_points(self, seed):
+        # the plain-callable twins take the Chebyshev rows: no search raises, every oracle
+        # point is returned, and no other
+        ops = draw_quasi_steady(np.random.default_rng(seed), 300)
+        for k, (op, (hits, _)) in enumerate(zip(ops, quasi_steady_family(seed))):
+            got = [(fp.point.U, fp.point.chi_R) for fp in find_flutter_points(plain_twin(op))]
+            assert len(got) == len(hits), (k, got, hits)
+            assert all(any(same_point(p, h) for h in hits) for p in got), (k, got, hits)
+            assert all(any(same_point(p, h) for p in got) for h in hits), (k, got, hits)
 
 
 # The wing's Hopf points above chi_R = 60 in its default U range, (U, chi_R) by mode count: the
@@ -499,12 +621,13 @@ def test_the_typical_section_window_excludes_only_a_mirror():
 
 @pytest.mark.parametrize("model", ["typical_section", "wing_n4", "wing_n8", "wing_n16"])
 def test_plain_callable_twin_finds_the_pencils_points(model):
-    # one oracle for both candidate stages: the twin's det grid and the pencil's eigenvalue
-    # rows return the same points, and they are the Hopf oracle's
+    # one oracle for both row sources: the twin's Chebyshev rows and the pencil's companion
+    # rows give the same candidates and points, and they are the Hopf oracle's
     op, window, expected = sweep_model(model)
     twin = plain_twin(op)
-    grid = Grid2D.over_window(window, 64, 64)
-    assert locate_candidates(twin, window) == _det_zeros(compute_det_field(op, grid))
+    twin_candidates, candidates = locate_candidates(twin, window), locate_candidates(op, window)
+    assert len(twin_candidates) == len(candidates)
+    assert all(same_point(p, q) for p, q in zip(twin_candidates, candidates))
     twin_points, points = find_flutter_points(twin, window), find_flutter_points(op, window)
     assert len(twin_points) == len(points) == len(expected)
     for tp, fp, h in zip(twin_points, points, expected):

@@ -1,7 +1,6 @@
 """Fields, marching-squares contours, pseudospectra, borderline regions."""
 
 import dataclasses
-import itertools
 import math
 import threading
 import time
@@ -20,11 +19,9 @@ from flutterspec import (GalerkinWingSpec, Grid2D, NumericalError, ParametricOpe
 from flutterspec.operator import evaluate_batch
 from flutterspec.models import ModeTrajectory, TrajectorySpec, reference_restabilization_spec
 from flutterspec import pseudospectrum
-from flutterspec.pseudospectrum import ComplexField, _det_zeros
 
 from conftest import (NORMAL_EIGENVALUES, distance_to_spectrum, edge_crossings, hopf_points,
-                      in_cell, reference_march, sampled_field, singular_nodes,
-                      winding_cells)
+                      reference_march)
 
 
 def assert_contours_on_grid(contour, grid):
@@ -244,10 +241,6 @@ class TestDetField:
         values = np.exp(fld.log_magnitude[0]) * np.exp(1j * fld.phase[0])
         assert np.allclose(values.real, expected, atol=1e-12)
         assert np.allclose(values.imag, 0.0, atol=1e-12)
-        # det always real: Im(det) vanishes on every row, so the phase flips by pi at
-        # chi_R = 1 and 3 count as no zero, though the bare winding sees some
-        assert winding_cells(fld, skip_flat_rows=False)
-        assert _det_zeros(fld) == []
 
     def test_typical_section_real_slice_at_zero_airspeed(self, ts_op):
         grid = Grid2D((0.5, 20.0, 6), (10.0, 60.0, 31))
@@ -259,27 +252,18 @@ class TestDetField:
         fld0 = compute_det_field(op0, grid0)
         degen = imag_degenerate_rows(fld0)
         assert degen[0] and not degen[1:].any()
-        # A is singular on the real U = 0 slice at the two natural frequencies, on the
-        # grid's edge, and the slice gives no zero; the one zero lies in the flutter
-        # point's cell
+        # A is singular on the real U = 0 slice at the two natural frequencies, where the
+        # real det changes sign: twice along that row
         at_rest = hopf_points(op0.func, Window(0.0, 60.0, 10.0, 60.0))
         assert len({round(w, 6) for u, w in at_rest if u < 1e-9}) == 2
-        cells = winding_cells(fld0)
-        assert len(cells) == 1 and cells[0][0] > 0
-        (u, w), = _det_zeros(fld0)
-        assert in_cell(grid0, cells[0], (u, w))
-        (flutter,) = hopf_points(op0.func, Window(1.0, 60.0, 10.0, 60.0))
-        assert in_cell(grid0, cells[0], flutter)
+        assert np.count_nonzero(np.diff(np.sign(np.cos(fld0.phase[0])))) == 2
 
-    def test_restabilization_zero_near_flutter(self, traj_op, traj_oracle):
+    def test_restabilization_smallest_det_at_flutter(self, traj_op, traj_oracle):
+        # the flutter point (120, 54) is the node (16, 16) of this grid
         grid = Grid2D((100.0, 140.0, 33), (48.0, 60.0, 33))
         fld = compute_det_field(traj_op, grid)
-        pts = _det_zeros(fld)
-        assert len(pts) >= 1
-        cell_u, cell_w = 40.0 / 32, 12.0 / 32
-        hits = [(u, w) for u, w in pts
-                if abs(u - 120.0) <= cell_u and abs(w - traj_oracle.omega(120.0)) <= cell_w]
-        assert len(hits) >= 1
+        i, j = np.unravel_index(np.argmin(fld.log_magnitude), fld.log_magnitude.shape)
+        assert (grid.u_values()[i], grid.w_values()[j]) == (120.0, traj_oracle.omega(120.0))
 
     def test_det_field_is_not_a_sigma_field(self, traj_op):
         grid = Grid2D((100.0, 140.0, 5), (48.0, 60.0, 5))
@@ -289,8 +273,8 @@ class TestDetField:
 
 
 def imag_degenerate_rows(fld):
-    """Rows on which Im(det) vanishes identically (|sin(phase)| at rounding level)."""
-    return np.all(np.abs(np.sin(fld.phase)) <= pseudospectrum.DEGENERATE_COMPONENT_TOL, axis=1)
+    """Rows on which Im(det) vanishes identically (|sin(phase)| <= 1e-12 at every node)."""
+    return np.all(np.abs(np.sin(fld.phase)) <= 1e-12, axis=1)
 
 
 def build_typical_window_op(ts_op):
@@ -554,40 +538,6 @@ def cell_corners(values):
     return values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:]
 
 
-def saddle_phase(rng, nu, nw):
-    """Phases whose Re signs alternate like a checkerboard (a saddle in every
-    cell) and whose Im signs alternate by U row, each away from the axes."""
-    i, j = np.indices((nu, nw))
-    angle = rng.uniform(0.1, 1.4, (nu, nw))
-    return np.where((i + j) % 2 == 0, angle, np.pi - angle) * np.where(i % 2 == 0, 1.0, -1.0)
-
-
-@st.composite
-def det_fields(draw):
-    """Det fields on up to 9 x 9 nodes with what the zero contours must survive:
-    -inf nodes, nodes more than 745 below a neighbour (scaled to +-0, inside),
-    exact phases 0, +-pi/2 and pi, rows where one component vanishes, and
-    saddle cells of both kinds."""
-    nu, nw = draw(st.integers(2, 9)), draw(st.integers(2, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    log_mag = rng.uniform(-5.0, 5.0, (nu, nw))
-    if draw(st.booleans()):
-        phase = saddle_phase(rng, nu, nw)
-    else:
-        phase = rng.uniform(-np.pi, np.pi, (nu, nw))
-
-    def some(share):
-        return rng.random((nu, nw)) < share
-
-    exact = some(draw(st.sampled_from([0.0, 0.2, 0.5])))
-    phase[exact] = rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], exact.sum())
-    log_mag[some(draw(st.sampled_from([0.0, 0.1, 0.3])))] = -np.inf
-    log_mag[some(draw(st.sampled_from([0.0, 0.2, 0.4])))] -= 800.0
-    rows = rng.random(nu) < draw(st.sampled_from([0.0, 0.3]))
-    phase[rows] = rng.choice([0.0, np.pi, np.pi / 2, -np.pi / 2])
-    return ComplexField(Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw)), log_mag, phase)
-
-
 class TestMarchMatchesReference:
     """The array marching gives the per-cell loop's polylines bit for bit."""
 
@@ -618,136 +568,6 @@ class TestMarchMatchesReference:
         assert bool(cs.polylines) is (level > 0.1)
         assert_same_polylines(cs.polylines, reference_march(
             fld.grid.u_values(), fld.grid.w_values(), cell_corners(fld.values), level))
-
-
-def node_offset(draw, count):
-    """A position on a grid axis of ``count`` nodes, in cells from its first node: up to two
-    cells beyond either end, and at least 1e-3 cell from every node."""
-    return draw(st.integers(-2, count)) + draw(st.floats(1e-3, 1.0 - 1e-3))
-
-
-class TestDetZeros:
-    """Zero cells by the argument principle, against fields whose zeros are known."""
-
-    @settings(max_examples=200)
-    @given(data=st.data(), nu=st.integers(2, 12), nw=st.integers(2, 12),
-           decade=st.floats(-100.0, 100.0), turn=st.floats(-np.pi, np.pi),
-           b_size=st.floats(-2.0, 2.0), b_angle=st.floats(-np.pi, np.pi),
-           c_size=st.floats(-2.0, 2.0), spread=st.floats(0.1, np.pi - 0.1),
-           sign=st.sampled_from([1.0, -1.0]))
-    def test_affine_field_has_its_one_zero(self, data, nu, nw, decade, turn, b_size, b_angle,
-                                           c_size, spread, sign):
-        # det = a (b (u - u0) + c (w - w0)) with Im(conj(b) c) of either sign: one zero,
-        # found at (u0, w0) exactly when it lies inside the grid
-        grid = Grid2D((100.0, 140.0, nu), (48.0, 60.0, nw))
-        du, dw = 40.0 / (nu - 1), 12.0 / (nw - 1)
-        cu, cw = node_offset(data.draw, nu), node_offset(data.draw, nw)
-        u0, w0 = 100.0 + cu * du, 48.0 + cw * dw
-        a = 10.0 ** decade * np.exp(1j * turn)
-        b = 10.0 ** b_size / du * np.exp(1j * b_angle)
-        c = 10.0 ** c_size / dw * np.exp(1j * (b_angle + sign * spread))
-        fld = sampled_field(grid, lambda u, w: a * (b * (u - u0) + c * (w - w0)))
-        zeros = _det_zeros(fld)
-        if 0.0 < cu < nu - 1 and 0.0 < cw < nw - 1:
-            assert len(zeros) == 1
-            assert zeros[0][0] == pytest.approx(u0, abs=1e-12 * 40.0)
-            assert zeros[0][1] == pytest.approx(w0, abs=1e-12 * 12.0)
-        else:
-            assert zeros == []
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ccw", "cw"])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_polynomial_zeros_one_per_cell(self, seed, sign):
-        # a cubic in z = u + sign i w is a product of three affine factors; numpy's roots
-        # give its zeros, drawn at least 6 cells apart and 0.1 cell off every grid line,
-        # so no cell edge turns the phase by pi or more
-        grid = Grid2D((-3.0, 3.0, 61), (-3.0, 3.0, 61))
-        rng = np.random.default_rng(seed)
-        while True:
-            coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            roots = np.roots(coeffs)
-            zeros = np.column_stack([roots.real, sign * roots.imag])
-            frac = (zeros + 3.0) / 0.1 % 1.0
-            apart = min(abs(p - q) for p, q in itertools.combinations(roots, 2))
-            if apart >= 0.6 and np.all((frac >= 0.1) & (frac <= 0.9)):
-                break
-        fld = sampled_field(grid, lambda u, w: np.polyval(coeffs, u + sign * 1j * w))
-        inside = [z for z in zeros if np.all(np.abs(z) < 3.0)]
-        cells = [tuple(int(k) for k in np.floor((z + 3.0) / 0.1)) for z in inside]
-        got = _det_zeros(fld)
-        assert cells and len(got) == len(cells)
-        assert sorted(winding_cells(fld)) == sorted(cells)
-        for cell, zero in zip(cells, inside):
-            (p,) = [p for p in got if in_cell(grid, cell, p)]
-            # the linear placement's error is second order: within 0.05 cell here
-            assert np.abs(np.array(p) - zero).max() <= 0.05 * 0.1
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ccw", "cw"])
-    def test_flat_row_field_gives_no_zero(self, sign):
-        # det = (w - 1)(w - 3) + i u (1 + 0.3 w) is real on the row u = 0, where its zeros
-        # w = 1 and 3 lie on the grid's edge; without the flat-row rule a cell of that
-        # row would wind
-        grid = Grid2D((0.0, 1.0, 11), (0.0, 4.0, 17))
-        fld = sampled_field(grid, lambda u, w: (w - 1.0) * (w - 3.0)
-                            + sign * 1j * u * (1.0 + 0.3 * w))
-        assert [i for i, _ in winding_cells(fld, skip_flat_rows=False)] == [0]
-        assert winding_cells(fld) == []
-        assert _det_zeros(fld) == []
-
-    def test_degenerate_rows_skipped(self):
-        # zeros at the centres of cells (0, 2), (2, 6), (4, 1) and (5, 5); then Im(det)
-        # made identically zero on rows 0 and 3, which leaves out the cells of rows 0, 2, 3
-        grid = Grid2D((0.0, 1.0, 7), (0.0, 1.0, 9))
-        roots = [((i + 0.5) / 6.0) + 1j * ((j + 0.5) / 8.0) for i, j in
-                 [(0, 2), (2, 6), (4, 1), (5, 5)]]
-        fld = sampled_field(grid, lambda u, w: np.prod([u + 1j * w - r for r in roots], axis=0))
-        fld.phase[[0, 3]] = 0.0
-        assert {i for i, _ in winding_cells(fld, skip_flat_rows=False)} & {0, 2, 3}
-        cells = winding_cells(fld)
-        assert cells == [(4, 1), (5, 5)]
-        got = _det_zeros(fld)
-        assert len(got) == 2 and all(in_cell(grid, c, p) for c, p in zip(cells, got))
-
-    @pytest.mark.parametrize("b, c", [(1.0 + 0.1j, 0.3 + 1j), (2.0 - 1j, 0.5 + 3j),
-                                      (-1.0 + 0.2j, -0.3 - 1j), (1.0, 1j), (2.0, 1.0 + 1j)])
-    def test_zero_on_a_grid_node(self, b, c):
-        # an exact zero on a node (log|det| = -inf, phase 0 there) is a zero itself, and its
-        # four cells are left out.  With b real the phase at the node's U-neighbours is
-        # exactly 0 and pi, a step that wraps to -pi both ways, and no cell winds at all
-        grid = Grid2D((0.0, 1.0, 9), (0.0, 2.0, 9))
-        u0, w0 = grid.u_values()[3], grid.w_values()[5]
-        fld = sampled_field(grid, lambda u, w: b * (u - u0) + c * (w - w0))
-        assert fld.log_magnitude[3, 5] == -np.inf
-        cells = winding_cells(fld)
-        if np.imag(b) == 0.0:
-            assert cells == []
-        else:
-            assert len(cells) == 1 and cells[0][0] in (2, 3) and cells[0][1] in (4, 5)
-        assert winding_cells(fld, skip_singular=True) == []
-        assert singular_nodes(fld) == [(3, 5)]
-        assert _det_zeros(fld) == [(u0, w0)]
-
-    def test_all_singular_cells_give_none(self):
-        grid = Grid2D((0.0, 1.0, 4), (0.0, 1.0, 4))
-        log_mag = np.full((4, 4), -np.inf)
-        log_mag[3, 3] = 0.0
-        phase = np.zeros((4, 4))
-        phase[3, 3] = np.pi
-        assert _det_zeros(ComplexField(grid, log_mag, phase)) == []
-
-    @settings(max_examples=300)
-    @given(fld=det_fields())
-    def test_random_fields_match_the_winding_loop(self, fld):
-        # -inf nodes, underflowing corners, exact phases and flat rows: the same cells as
-        # the loop, in row-major order, each zero inside its cell, then the isolated
-        # singular nodes
-        cells = winding_cells(fld, skip_singular=True)
-        nodes = singular_nodes(fld)
-        got = _det_zeros(fld)
-        assert len(got) == len(cells) + len(nodes)
-        assert all(in_cell(fld.grid, c, p) for c, p in zip(cells, got))
-        us, ws = fld.grid.u_values(), fld.grid.w_values()
-        assert got[len(cells):] == [(us[i], ws[j]) for i, j in nodes]
 
 
 class TestEpsilonPseudospectrum:
