@@ -6,9 +6,12 @@ turns the document and the flags into the library's own objects (the
 operator, its window and grid, the flutter and continuation settings)
 once, so every section and key is checked before a subcommand starts: a
 bad section, or a key that nothing reads, writes no file.  The CLI emits
-data only (no plotting): CSV for tables, JSON for structured records, UTF-8
-with LF line endings, and shortest round-trip float formatting so identical
-runs are byte-identical.
+data only (no plotting): CSV for tables, JSON for structured records
+(two-space indent, one trailing newline), UTF-8 with LF line endings, and
+shortest round-trip float formatting so identical runs are byte-identical.
+One writer per format, :func:`_write_csv` and :func:`_write_json`, makes
+every file; path CSVs and path JSON points share one column list,
+``PATH_COLUMNS``.
 
 Exit codes: 0 success with results, 2 continuation first-step failure,
 3 success with an empty result, 1 any error.
@@ -42,19 +45,16 @@ EXIT_ERROR = 1
 EXIT_FIRST_STEP = 2
 EXIT_EMPTY = 3
 
-PATH_CSV_HEADER = "s,U,chi_R,chi_I,zeta,residual"
-FIELD_CSV_HEADER = "U,chi_R,sigma_min"
-CONTOUR_CSV_HEADER = "eps,polyline_id,vertex_id,U,chi_R"
+# The columns of a path CSV, which are also the leading keys of a path JSON's points.
+PATH_COLUMNS = ("s", "U", "chi_R", "chi_I", "zeta", "residual")
+FIELD_COLUMNS = ("U", "chi_R", "sigma_min")
+CONTOUR_COLUMNS = ("eps", "polyline_id", "vertex_id", "U", "chi_R")
 
 # The keys of a config document and of its `natural` section.  The sections read
 # into a dataclass take its field names (continuation also takes `direction`).
 _CONFIG_KEYS = ("model", "window", "grid", "eps_list", "borderline", "flutter", "continuation",
                "natural", "output")
 _NATURAL_KEYS = ("u_start", "u_end", "du", "seed_chi_r", "seed_chi_i")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _field_names(cls) -> Tuple[str, ...]:
@@ -192,32 +192,26 @@ def build_model(doc: Dict[str, Any]) -> ParametricOperator:
     return models.build_galerkin_wing(models.GalerkinWingSpec(**doc), **kwargs)
 
 
-def _write_text(path: Path, lines: Sequence[str]):
+def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(text)
 
 
-def _write_json(path: Path, obj):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence[Any]]):
+    """The header and one line per row of Python numbers, each by its shortest repr."""
+    _write(path, "".join([",".join(columns) + "\n"]
+                         + [",".join(map(repr, row)) + "\n" for row in rows]))
 
 
-def _point_record(s: float, p: EigenPoint, zeta: float) -> Dict[str, Any]:
-    return {"s": s, "U": p.U, "chi_R": p.chi_R, "chi_I": p.chi_I,
-            "zeta": float(zeta), "residual": p.residual,
-            "x_re": [float(v) for v in p.x.real], "x_im": [float(v) for v in p.x.imag]}
+def _write_json(path: Path, doc: Dict[str, Any]):
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: Dict[str, Any]):
-    lines = [PATH_CSV_HEADER]
-    zetas = mode_path.zetas()
-    for s, p, zeta in zip(mode_path.s, mode_path.points, zetas):
-        lines.append(",".join(_fmt(v) for v in (s, p.U, p.chi_R, p.chi_I, zeta, p.residual)))
-    _write_text(out_dir / f"{stem}.csv", lines)
+    rows = np.array([(s, p.U, p.chi_R, p.chi_I, zeta, p.residual) for s, p, zeta
+                     in zip(mode_path.s, mode_path.points, mode_path.zetas())]).tolist()
+    _write_csv(out_dir / f"{stem}.csv", PATH_COLUMNS, rows)
 
     origin = mode_path.origin
     if isinstance(origin, FlutterPoint):
@@ -236,8 +230,8 @@ def _write_path(out_dir: Path, stem: str, mode_path: cont.ModePath, model_doc: D
         "scale": list(mode_path.scale),
         "notes": list(mode_path.notes),
         "model": model_doc,
-        "points": [_point_record(s, p, zeta)
-                   for s, p, zeta in zip(mode_path.s, mode_path.points, zetas)],
+        "points": [dict(zip(PATH_COLUMNS, row), x_re=p.x.real.tolist(), x_im=p.x.imag.tolist())
+                   for row, p in zip(rows, mode_path.points)],
     })
 
 
@@ -262,7 +256,7 @@ def read_path_file(path: Path) -> Tuple[cont.ModePath, Optional[Dict[str, Any]]]
 
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != PATH_CSV_HEADER:
+        if tuple(header.split(",")) != PATH_COLUMNS:
             raise ValueError(f"unexpected path CSV header {header!r}")
         points, s = [], []
         for line in fh:
@@ -278,7 +272,7 @@ def _flutter_point_record(fp: FlutterPoint) -> Dict[str, Any]:
     p = fp.point
     return {"U": p.U, "chi_R": p.chi_R, "chi_I": p.chi_I, "residual": p.residual,
             "iterations": fp.iterations, "static": fp.static,
-            "x_re": [float(v) for v in p.x.real], "x_im": [float(v) for v in p.x.imag],
+            "x_re": p.x.real.tolist(), "x_im": p.x.imag.tolist(),
             "window_history": [asdict(w) for w in fp.window_history]}
 
 
@@ -293,20 +287,13 @@ def cmd_flutter(cfg: RunConfig) -> int:
 def cmd_pseudo(cfg: RunConfig) -> int:
     fld = compute_sigma_field(cfg.op, cfg.grid)
 
-    us, ws = cfg.grid.u_values(), cfg.grid.w_values()
-    lines = [FIELD_CSV_HEADER]
-    for i, u in enumerate(us):
-        for j, w in enumerate(ws):
-            lines.append(",".join((_fmt(u), _fmt(w), _fmt(fld.values[i, j]))))
-    _write_text(cfg.output_dir / "sigma_field.csv", lines)
-
-    lines = [CONTOUR_CSV_HEADER]
-    for eps in cfg.eps_list:
-        contour = extract_contours(fld, eps)
-        for pid, pl in enumerate(contour.polylines):
-            for vid, (u, w) in enumerate(pl):
-                lines.append(",".join((_fmt(eps), str(pid), str(vid), _fmt(u), _fmt(w))))
-    _write_text(cfg.output_dir / "contours.csv", lines)
+    us, ws = np.meshgrid(cfg.grid.u_values(), cfg.grid.w_values(), indexing="ij")
+    _write_csv(cfg.output_dir / "sigma_field.csv", FIELD_COLUMNS,
+               np.column_stack([us.ravel(), ws.ravel(), fld.values.ravel()]).tolist())
+    _write_csv(cfg.output_dir / "contours.csv", CONTOUR_COLUMNS,
+               [(eps, pid, vid, u, w) for eps in cfg.eps_list
+                for pid, pl in enumerate(extract_contours(fld, eps).polylines)
+                for vid, (u, w) in enumerate(pl.tolist())])
 
     try:
         flutter_points = find_flutter_points(cfg.op, cfg.window, cfg.flutter)

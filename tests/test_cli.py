@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import flutterspec
-from flutterspec import models
+from flutterspec import (EigenPoint, Grid2D, Window, compute_sigma_field, extract_contours,
+                         find_flutter_points, models, natural_continuation, sigma_min,
+                         solve_at_airspeed, trace_path)
 from flutterspec.cli import RunConfig, build_model, main, read_path_file
 from flutterspec.continuation import ContinuationSettings
 from flutterspec.operator import evaluate
@@ -354,6 +356,58 @@ def test_reruns_are_byte_identical(tmp_path, command, files):
     assert {name: (tmp_path / "out" / name).read_bytes() for name in files} == first
 
 
+def csv_text(header, rows):
+    """The documented CSV text: the header, then each value by its shortest repr, LF endings."""
+    return "".join(line + "\n" for line in [header] + [",".join(map(repr, r)) for r in rows])
+
+
+def test_output_text_is_the_library_results_by_repr(tmp_path):
+    # the text format pinned against the library's own results on the same inputs, not
+    # against an earlier run of the CLI
+    cfg = write_config(tmp_path, grid={"u_count": 21, "w_count": 17}, eps_list=[1.0, 4.0],
+                       borderline={"threshold": 1.0},
+                       continuation={"ds": 0.05, "max_steps": 25},
+                       natural={"u_start": 100.0, "u_end": 140.0, "du": 1.7, "seed_chi_r": 55.0})
+    for command in ("pseudo", "trace", "damping-plot"):
+        assert main([command, "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+
+    op = models.build_trajectory_operator(models.reference_restabilization_spec())
+    window = Window(10.0, 400.0, 20.0, 200.0)
+    grid = Grid2D.over_window(window, 21, 17)
+    fld = compute_sigma_field(op, grid)
+    field_rows = [[float(u), float(w), float(fld.values[i, j])]
+                  for i, u in enumerate(grid.u_values()) for j, w in enumerate(grid.w_values())]
+    contour_rows = [[eps, pid, vid, float(u), float(w)] for eps in (1.0, 4.0)
+                    for pid, pl in enumerate(extract_contours(fld, eps).polylines)
+                    for vid, (u, w) in enumerate(pl)]
+    assert contour_rows
+    _, x = sigma_min(op, 55.0 + 0j, 100.0)
+    seed = solve_at_airspeed(op, 100.0, EigenPoint.from_vector(op, 55.0, 0.0, 100.0, x))
+    paths = {"path": trace_path(op, find_flutter_points(op, window)[0], 1,
+                                ContinuationSettings(ds=0.05, max_steps=25)),
+             "damping_plot": natural_continuation(op, 100.0, 140.0, 1.7, seed)}
+
+    path_header = "s,U,chi_R,chi_I,zeta,residual"
+    expected = {"sigma_field.csv": csv_text("U,chi_R,sigma_min", field_rows),
+                "contours.csv": csv_text("eps,polyline_id,vertex_id,U,chi_R", contour_rows)}
+    for stem, path in paths.items():
+        rows = [[float(v) for v in (s, p.U, p.chi_R, p.chi_I, zeta, p.residual)]
+                for s, p, zeta in zip(path.s, path.points, path.zetas())]
+        assert len(rows) > 1
+        expected[f"{stem}.csv"] = csv_text(path_header, rows)
+        # a path JSON's points lead with the CSV's columns, in its order and with its values
+        doc = json.loads((out / f"{stem}.json").read_text(encoding="utf-8"))
+        assert [list(point)[:6] for point in doc["points"]] == [path_header.split(",")] * len(rows)
+        assert [list(point.values())[:6] for point in doc["points"]] == rows
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+    for name in ("borderline.json", "path.json", "damping_plot.json"):
+        text = (out / name).read_bytes().decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
 class TestEnvelopeCommand:
     def _subcritical_path(self, tmp_path):
         cfg = write_config(tmp_path, continuation={
@@ -437,6 +491,17 @@ class TestEnvelopeCommand:
         assert code == 0
         doc = json.loads((tmp_path / "env2" / "envelope.json").read_text())
         assert doc["refined"] is False
+
+    def test_blank_lines_in_a_path_csv_are_skipped(self, tmp_path):
+        csv_file = self._subcritical_path(tmp_path).with_suffix(".csv")
+        lines = csv_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("".join(lines[:3] + ["\n"] + lines[3:] + [" \n"]), encoding="utf-8")
+        for source, name in ((csv_file, "plain"), (gapped, "gapped")):
+            assert main(["envelope", str(source), "--zeta-max", "0.05",
+                         "--output-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "gapped" / "envelope.json").read_bytes()
+                == (tmp_path / "plain" / "envelope.json").read_bytes())
 
 
 class TestDampingPlotCommand:

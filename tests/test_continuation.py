@@ -23,6 +23,7 @@ from flutterspec import (ContinuationSettings, ConvergenceError, DampingParamete
                          initial_tangent, natural_continuation, predictor, residual_norm,
                          reference_restabilization_spec, sigma_min, solve_at_airspeed,
                          trace_path, two_crossing_spec)
+from flutterspec import continuation
 from flutterspec.continuation import (_CORRECTORS, ModePath, _hermitian_index, _mode_jumped,
                                       _real_forms, _slp_increment)
 from flutterspec.models import ModeTrajectory, TrajectorySpec
@@ -517,6 +518,30 @@ class TestWingSlp:
         newton = trace_path(op, start, +1, ContinuationSettings(corrector="newton"))
         assert slp.termination_reason == newton.termination_reason == "window-exit"
         assert off_newton_branch(op, slp, newton) <= 1e-8
+
+    @pytest.mark.parametrize("n, rank", [(4, 0), (4, 1), (8, 0), (8, 1)])
+    def test_paths_are_robust_to_rounding_in_the_slp_increment(self, monkeypatch, n, rank):
+        # each increment scaled by 1 + 1e-13 N(0, 1) keeps the path's point count and end;
+        # the counts themselves depend on the BLAS build, so only their invariance is pinned
+        op = build_galerkin_wing(GalerkinWingSpec(n_bending=n // 2, n_torsion=n // 2))
+        start = sorted(find_flutter_points(op), key=lambda fp: fp.point.U)[rank]
+        base = trace_path(op, start, +1)
+        increment = continuation._slp_increment
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            calls = []
+
+            def perturbed(*args):
+                eta, norm = increment(*args)
+                factor = 1.0 + 1e-13 * rng.standard_normal()
+                calls.append(factor)
+                return eta * factor, norm * factor
+
+            monkeypatch.setattr(continuation, "_slp_increment", perturbed)
+            path = trace_path(op, start, +1)
+            assert calls
+            assert ((len(path.points), path.termination_reason)
+                    == (len(base.points), base.termination_reason)), seed
 
 
 @pytest.fixture(scope="module")
