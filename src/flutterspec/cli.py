@@ -112,6 +112,7 @@ class RunConfig:
             if overrides.get(key) is not None:
                 window[key] = overrides[key]
         window = replace(op.window, **window)
+        op.window._admit(window)
 
         grid = {"u_count": 101, "w_count": 101,
                 **_only(doc.get("grid"), "grid", ("u_count", "w_count"))}

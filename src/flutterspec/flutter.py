@@ -73,7 +73,8 @@ class FlutterSearchSettings:
     ``grid_count`` (>= 8) is the number of airspeed rows that give the candidates, for every
     operator (see :func:`locate_candidates`).  ``refine_iters`` (>= 1) bounds how deep the
     retry windows go and sets the size of the cell within which two points are one; ``tol``
-    and ``max_iters`` are the polish's (see :func:`polish_flutter_point`).
+    and ``max_iters`` are the polish's (see :func:`polish_flutter_point`).  ``tol`` lies in
+    (0, RESIDUAL_TOL]: a looser polish keeps points that ``trace_path``'s start check refuses.
     """
 
     grid_count: int = 64
@@ -82,8 +83,9 @@ class FlutterSearchSettings:
     max_iters: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
+        if not 0.0 < self.tol <= RESIDUAL_TOL:
+            raise ValueError(f"tol must be positive and finite, at most the trace gate "
+                             f"operator.RESIDUAL_TOL = {RESIDUAL_TOL!r}, not {self.tol!r}")
         for name, least in {"grid_count": 8, "refine_iters": 1, "max_iters": 1}.items():
             _check_count(name, getattr(self, name), least)
 
@@ -280,9 +282,7 @@ def locate_candidates(op: ParametricOperator, window: Window,
     ValueError before any evaluation.
     """
     FlutterSearchSettings(grid_count=grid_count)
-    if not (op.window.contains(window.u_min, window.chi_r_min)
-            and op.window.contains(window.u_max, window.chi_r_max)):
-        raise ValueError(f"search window {window} exceeds the operator window {op.window}")
+    op.window._admit(window)
     terms = _monic_terms(op.func) if isinstance(op.func, Pencil) else None
     row_chis = (_chebyshev_rows(op, window) if terms is None
                 else lambda us: _row_chis(terms, us))

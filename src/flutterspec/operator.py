@@ -71,6 +71,12 @@ class Window:
     def contains(self, U: float, chi_R: float) -> bool:
         return self.u_min <= U <= self.u_max and self.chi_r_min <= chi_R <= self.chi_r_max
 
+    def _admit(self, inner: "Window"):
+        """The rule for grids, search and config windows: ``inner`` lies inside this one."""
+        if not (self.contains(inner.u_min, inner.chi_r_min)
+                and self.contains(inner.u_max, inner.chi_r_max)):
+            raise ValueError(f"window {inner} exceeds the operator window {self}")
+
 
 class DampingParameterization(enum.Enum):
     """How a scalar damping level d maps to a complex frequency, and back.
@@ -198,9 +204,9 @@ class ParametricOperator:
     A ``func`` that is a :class:`Pencil` (see :func:`polynomial_pencil`) is
     summed over many nodes at once by :func:`evaluate_batch`; any other
     callable is evaluated node by node.  Replacing ``func`` keeps ``derivs``.
-    A :class:`Pencil` is read-only, and the sigma field evaluates its chunks on
-    worker threads; any other ``func``, and ``derivs``, only run on the
-    caller's thread: they need not be thread-safe.
+    A :class:`Pencil` is read-only, and the sigma and det fields evaluate its
+    chunks on worker threads; any other ``func``, and ``derivs``, only run on
+    the caller's thread: they need not be thread-safe.
     """
 
     name: str
@@ -227,10 +233,10 @@ def polynomial_pencil(name: str, terms: Sequence[Term], window: Window) -> Param
                               derivs=pencil.derivs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPoint:
-    """A solved triple (chi_R, chi_I, U), its unit eigenvector and the residual that
-    :func:`_converged` accepted: sigma_min of A for SLP, ||A x|| for Newton and from_vector."""
+    """A solved triple (chi_R, chi_I, U), its unit eigenvector and its residual: sigma_min
+    of A for SLP, ||A x|| at the stored triple for Newton and from_vector; equal only to itself."""
 
     chi_R: float
     chi_I: float

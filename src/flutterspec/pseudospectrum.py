@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # Complex entries (1 MB) per field chunk: a whole n=16 grid in one stack ran slower.
-# The chunk count also caps the sigma field's worker threads, so its parallelism.
+# The chunk count also caps a field's worker threads, so its parallelism.
 CHUNK_ENTRIES = 1 << 16
 
 # Semi-axes of the ellipse that marks a borderline region near a flutter point,
@@ -111,70 +111,59 @@ class BorderlineRegion:
     near_flutter: bool
 
 
-def _chunk_rows(op: ParametricOperator, grid: Grid2D) -> List[slice]:
-    """Grid rows of each field chunk: <= 2^16 entries (``CHUNK_ENTRIES``) or one row."""
-    if not (op.window.contains(grid.u_axis[0], grid.w_axis[0])
-            and op.window.contains(grid.u_axis[1], grid.w_axis[1])):
-        raise ValueError(f"grid {grid.u_axis[:2]}x{grid.w_axis[:2]} exceeds the "
-                         f"operator window {op.window}")
-    step = max(1, CHUNK_ENTRIES // (grid.w_axis[2] * op.dim * op.dim))
-    return [slice(i0, min(i0 + step, grid.u_axis[2])) for i0 in range(0, grid.u_axis[2], step)]
-
-
 def _rows_stack(op: ParametricOperator, chis: np.ndarray, us: np.ndarray) -> np.ndarray:
     """stack[r, j] = A(chis[j], us[r]) for one chunk of U rows."""
     return evaluate_batch(op, chis[None, :], us[:, None]).reshape(-1, chis.size, op.dim, op.dim)
 
 
-def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
-    """Minimum-singular-value field over the grid, one batched SVD per chunk of U rows.
+def _map_chunks(op: ParametricOperator, grid: Grid2D,
+                reduce: Callable[[slice, np.ndarray], object]) -> list:
+    """``reduce(rows, stack)`` of each chunk of U rows of a grid inside the operator window,
+    in row order.  A chunk is at most ``CHUNK_ENTRIES`` complex entries, or one row.
 
-    Each chunk is evaluated and decomposed as one unit of work.  A :class:`Pencil`
-    ``func`` (read-only numpy) has its chunks mapped over one worker thread per
-    available CPU and chunk; any other ``func`` runs chunk by chunk on the calling
-    thread.  Results come in row order, and a failing chunk cancels the later ones.
+    Each chunk is evaluated and reduced as one unit of work, so its stack lives only in the
+    worker that reduces it.  A :class:`Pencil` ``func`` (read-only numpy) has its chunks
+    mapped over one worker thread per available CPU and chunk; any other ``func`` runs chunk
+    by chunk on the calling thread.  A failing chunk cancels the later ones.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of `import flutterspec`
 
-    u_nodes, chis = grid.u_values(), grid.w_values() + 1j * grid.chi_I_fixed
-
-    def chunk_sigma(rows: slice) -> np.ndarray:
-        us = u_nodes[rows]
-        stack = _rows_stack(op, chis, us)
-        try:
-            return np.linalg.svd(stack, compute_uv=False)[..., -1]
-        except np.linalg.LinAlgError:  # redo row by row, to name the first failing row
-            sigma = np.empty(stack.shape[:2])
-            for r, (u, row) in enumerate(zip(us, stack)):
-                try:
-                    sigma[r] = np.linalg.svd(row, compute_uv=False)[:, -1]
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalError(f"sigma field row i={rows.start + r}, U={u} of "
-                                         f"operator '{op.name}': {exc}") from exc
-            return sigma
-
-    chunks = _chunk_rows(op, grid)
+    op.window._admit(Window(*grid.u_axis[:2], *grid.w_axis[:2]))
+    us, chis = grid.u_values(), grid.w_values() + 1j * grid.chi_I_fixed
+    step = max(1, CHUNK_ENTRIES // (grid.w_axis[2] * op.dim * op.dim))
+    chunks = [slice(i0, i0 + step) for i0 in range(0, grid.u_axis[2], step)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(min(cpus or 1, len(chunks))) as pool:
         run = pool.map if isinstance(op.func, Pencil) else map
-        values = np.concatenate(list(run(chunk_sigma, chunks)))
-    return ScalarField(grid, values)
+        return list(run(lambda rows: reduce(rows, _rows_stack(op, chis, us[rows])), chunks))
+
+
+def compute_sigma_field(op: ParametricOperator, grid: Grid2D) -> ScalarField:
+    """Minimum-singular-value field over the grid, one batched SVD per chunk of U rows
+    (see :func:`_map_chunks`); a failing chunk is redone row by row, and the NumericalError
+    names the first failing row."""
+    def sigma(rows: slice, stack: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.svd(stack, compute_uv=False)[..., -1]
+        except np.linalg.LinAlgError:
+            out = np.empty(stack.shape[:2])
+            for i, row in enumerate(stack, rows.start):
+                try:
+                    out[i - rows.start] = np.linalg.svd(row, compute_uv=False)[:, -1]
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(f"sigma field row i={i}, U={grid.u_values()[i]} of "
+                                         f"operator '{op.name}': {exc}") from exc
+            return out
+
+    return ScalarField(grid, np.concatenate(_map_chunks(op, grid, sigma)))
 
 
 def compute_det_field(op: ParametricOperator, grid: Grid2D) -> ComplexField:
-    """Determinant field in (log|det|, phase) form, one batched slogdet per chunk of U rows.
-
-    A singular node gets log|det| = -inf and phase 0 (the angle of sign 0).
-    Serial: its chunks mapped over threads as the sigma field's gave bit-identical fields, no
-    faster (2 CPUs, 64^2 grid, serial/mapped ms: n=2 1.7/2.2, 8 7.4/7.8, 16 21/25, 32 90/99).
-    """
-    log_mag = np.empty((grid.u_axis[2], grid.w_axis[2]))
-    phase = np.empty_like(log_mag)
-    us, chis = grid.u_values(), grid.w_values() + 1j * grid.chi_I_fixed
-    for rows in _chunk_rows(op, grid):
-        sign, log_mag[rows] = np.linalg.slogdet(_rows_stack(op, chis, us[rows]))
-        phase[rows] = np.angle(sign)
-    return ComplexField(grid, log_mag, phase)
+    """Determinant field in (log|det|, phase) form, one batched slogdet per chunk of U rows
+    (see :func:`_map_chunks`); a singular node gets log|det| = -inf and phase 0 (sign 0)."""
+    sign, log_mag = (np.concatenate(part) for part in zip(
+        *_map_chunks(op, grid, lambda rows, stack: np.linalg.slogdet(stack))))
+    return ComplexField(grid, log_mag, np.angle(sign))
 
 
 # Marching squares.  Corners of cell (i, j): c00=(i,j), c10=(i+1,j),

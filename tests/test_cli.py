@@ -141,7 +141,7 @@ class TestConfig:
     def test_model_file_path_is_relative_to_the_config(self, tmp_path, monkeypatch):
         (tmp_path / "cfg").mkdir()
         (tmp_path / "cfg" / "model.json").write_text(json.dumps(NORMAL_MODEL), encoding="utf-8")
-        cfg = write_config(tmp_path, name="cfg/config.json", model="model.json")
+        cfg = write_config(tmp_path, name="cfg/config.json", model="model.json", window={})
         monkeypatch.chdir(tmp_path)
         assert RunConfig.load(cfg, {}).model == NORMAL_MODEL
 
@@ -149,6 +149,25 @@ class TestConfig:
     def test_model_must_be_an_object_or_a_path(self, doc):
         with pytest.raises(ValueError, match="model object or model file path"):
             RunConfig.from_dict(doc, {})
+
+    @pytest.mark.parametrize("command, window, flags", [
+        ("flutter", {"u_max": 5000.0}, []), ("pseudo", {"u_max": 5000.0}, []),
+        ("trace", {"u_max": 5000.0}, ["--start-point", "120,54,0"]),
+        ("damping-plot", {"u_max": 5000.0}, []), ("flutter", {}, ["--u-max", "1100.5"]),
+        ("pseudo", {}, ["--chi-r-min", "-1"])],
+        ids=["flutter", "pseudo", "trace_start_point", "damping_plot", "flutter_flag",
+             "pseudo_flag"])
+    def test_window_beyond_the_model_window_exits_1(self, tmp_path, capsys, command, window,
+                                                     flags):
+        # the restabilization preset's window ends at U = 1100 and chi_R = 1: the config is
+        # refused when it is read, whichever subcommand runs, before any file is written
+        window = {"u_min": 10.0, "u_max": 400.0, "chi_r_min": 20.0, "chi_r_max": 200.0, **window}
+        cfg = write_config(tmp_path, window=window, natural={
+            "u_start": 100.0, "u_end": 110.0, "du": 5.0, "seed_chi_r": 55.0})
+        assert main([command, "--config", str(cfg)] + flags) == 1
+        model_window = build_model(TRAJ_MODEL).window
+        assert f"exceeds the operator window {model_window!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_window_flags_apply_over_the_model_window(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -547,7 +566,7 @@ class TestDampingPlotCommand:
 
     def test_seed_solve_failure_exits_2(self, tmp_path, capsys):
         # from chi = 0 at U = 1 the typical section's bordered Newton stalls
-        cfg = write_config(tmp_path, model={"kind": "typical_section"},
+        cfg = write_config(tmp_path, model={"kind": "typical_section"}, window={},
                            natural={"u_start": 1.0, "u_end": 2.0, "du": 1.0, "seed_chi_r": 0.0})
         assert main(["damping-plot", "--config", str(cfg)]) == 2
         assert "seed solve failed" in capsys.readouterr().err
@@ -662,13 +681,14 @@ class TestUsageErrors:
         ("pseudo", {"borderline": {"threshold": math.nan}}, [], THRESHOLD_ERROR),
         ("pseudo", {"flutter": {"grid_count": 4}}, [], "grid_count must be >= 8"),
         # the model has no flutter point, so a trace that searched first would exit 3
-        ("trace", {"model": NORMAL_MODEL, "continuation": {"max_steps": 2, "bogus": 1.0}}, [],
-         "bogus"),
+        ("trace", {"model": NORMAL_MODEL, "window": {},
+                   "continuation": {"max_steps": 2, "bogus": 1.0}}, [], "bogus"),
         ("damping-plot", {"window": {"u_min": 400.0, "u_max": 10.0},
                           "natural": {"u_start": 100.0, "u_end": 110.0, "du": 5.0,
                                       "seed_chi_r": 55.0}}, [], "degenerate window"),
         ("flutter", {"flutter": {"refine_iters": 1.5}}, [], "refine_iters must be an integer"),
         ("flutter", {"flutter": {"tol": math.inf}}, [], "tol must be positive and finite"),
+        ("trace", {"flutter": {"tol": 1e-8}}, [], "at most the trace gate"),
         ("flutter", {"natural": {"du": "abc"}}, [], "could not convert string to float"),
         ("flutter", {"natural": {"u_end": math.inf}}, [], "natural values must be finite"),
         ("pseudo", {"grid": {"u_count": 101.0}}, [], "u_axis count must be an integer"),
@@ -679,6 +699,7 @@ class TestUsageErrors:
             "empty_eps", "empty_eps_flag",
             "zero_threshold", "nan_threshold", "flutter_grid_count", "continuation_key",
             "inverted_window", "flutter_refine_iters_float", "flutter_infinite_tol",
+            "flutter_tol_above_the_trace_gate",
             "natural_not_a_number", "natural_infinite", "grid_float_count",
             "infinite_max_ds"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, command, fields, flags,

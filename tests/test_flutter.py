@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from flutterspec import (ConvergenceError, FlutterSearchSettings, GalerkinWingSp
                          reference_restabilization_spec, residual_norm, sigma_min,
                          two_crossing_spec)
 from flutterspec.models import MAX_MIXING_CONDITION, ModeTrajectory, TrajectorySpec
-from flutterspec.operator import ParametricOperator, Pencil
+from flutterspec.operator import RESIDUAL_TOL, ParametricOperator, Pencil
 from flutterspec.pseudospectrum import Grid2D, compute_det_field
 
 from conftest import crossing_pencil, draw_oscillators, hopf_points, oscillator_operator
@@ -282,6 +283,16 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish_flutter_point(traj_op, (5000.0, 54.0))
 
+    def test_tol_above_the_trace_gate_rejected(self, traj_op):
+        # a looser polish kept the wing's points at U = 9.2458 and 53.4609 with residuals
+        # 2.7e-10 and 1.9e-10, which trace_path's start check then refused
+        message = r"at most the trace gate operator\.RESIDUAL_TOL = 1e-10, not 1e-08"
+        with pytest.raises(ValueError, match=message):
+            FlutterSearchSettings(tol=1e-8)
+        with pytest.raises(ValueError, match=message):
+            polish_flutter_point(traj_op, (119.7, 54.0), tol=1e-8)
+        assert FlutterSearchSettings(tol=RESIDUAL_TOL).tol == RESIDUAL_TOL
+
 
 class TestFindFlutterPoints:
     def test_window_without_instability_is_empty(self, traj_op):
@@ -395,6 +406,28 @@ class TestFindFlutterPoints:
         assert points[0].static is True
         assert points[0].point.U == pytest.approx(150.0, rel=1e-8)
         assert abs(points[0].point.chi_R) < 1e-6 * 10.0
+
+    def test_wing_divergence_points_flagged_static(self):
+        # widened to chi_R >= -1, the default wing's window holds two divergence points
+        # besides its three flutter points; the oracle is det(K + U^2 E) = 0 at chi = 0,
+        # from the pencil's terms and scipy alone
+        op = build_galerkin_wing()
+        wide = dataclasses.replace(op, window=dataclasses.replace(op.window, chi_r_min=-1.0))
+        points = find_flutter_points(wide)
+        terms = dict(zip(op.func.exps, op.func.coeffs))
+        lam = scipy.linalg.eigvals(terms[(0, 0)], -terms[(0, 2)])
+        lam = lam[np.isfinite(lam) & (np.abs(lam.imag) <= 1e-12 * np.abs(lam)) & (lam.real > 0)]
+        speeds = np.sort(np.sqrt(lam.real))
+        speeds = speeds[speeds <= wide.window.u_max].tolist()
+        assert speeds == pytest.approx([22.64758, 67.94275], abs=5e-6)
+
+        assert len(points) == 5
+        static = [fp.point for fp in points if fp.static]
+        assert [p.chi_R for p in static] == [0.0, 0.0]
+        assert [p.U for p in static] == pytest.approx(speeds, rel=1e-12)
+        flutter_points = [(fp.point.U, fp.point.chi_R) for fp in points if not fp.static]
+        assert flutter_points == [(fp.point.U, fp.point.chi_R) for fp in find_flutter_points(op)]
+        assert not any(fp.static for fp in find_flutter_points(op))
 
     @pytest.mark.parametrize("grid_count", [16, 64], ids=["grid16", "grid64"])
     @pytest.mark.parametrize("n", [4, 8, 16], ids=["n4", "n8", "n16"])

@@ -1,5 +1,6 @@
 """Operator evaluation, singular values, derivatives, damping maps."""
 
+import copy
 import dataclasses
 import math
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from flutterspec import (DampingParameterization, EigenPoint, Grid2D, NumericalError,
                          ParametricOperator, Window, build_normal_operator, compute_sigma_field,
                          evaluate, param_derivatives, residual_norm, sigma_min)
+from flutterspec.continuation import ModePath
+from flutterspec.flutter import FlutterPoint
 from flutterspec.operator import (Pencil, _norm, _solve_bordered, evaluate_batch,
                                   polynomial_pencil)
 
@@ -437,6 +440,20 @@ class TestEigenPoint:
         pt = EigenPoint.from_vector(ts_op, 30.0, 1.0, 20.0, np.array([0.6j, -0.6]))
         assert np.abs(pt.x - np.array([1.0, 1.0j]) / math.sqrt(2.0)).max() <= 1e-15
 
+    def test_equal_only_to_itself(self, ts_op):
+        # comparing the eigenvector array raised for n >= 2; a point, and so each record
+        # that holds one, compares and hashes by identity
+        p = EigenPoint.from_vector(ts_op, 30.0, 1.0, 20.0, np.array([0.6, 0.8j]))
+        twin = copy.copy(p)
+        assert p == p and p != twin
+        assert p in [twin, p] and twin not in [p]
+        assert hash(p) == hash(p)
+        fp = FlutterPoint(p, (ts_op.window,), iterations=3)
+        table = {fp: "first", FlutterPoint(twin): "twin"}
+        assert table[fp] == "first" and table[dataclasses.replace(fp)] == "first"
+        path = ModePath(points=[p, twin], s=[0.0, 0.1], origin=fp)
+        assert path == path and path != ModePath(points=[twin, p], s=[0.0, 0.1], origin=fp)
+
 
 class TestSolveBordered:
     def test_accepted_point_is_not_evaluated_again(self, ts_op):
@@ -467,6 +484,17 @@ class TestWindow:
         w = Window(0.0, 10.0, 1.0, 5.0)
         assert w.contains(0.0, 1.0) and w.contains(10.0, 5.0)
         assert not w.contains(-0.1, 2.0) and not w.contains(5.0, 5.1)
+
+    def test_admits_only_rectangles_inside_it(self):
+        w = Window(0.0, 10.0, 1.0, 5.0)
+        w._admit(w)
+        w._admit(Window(2.0, 3.0, 4.0, 5.0))
+        for inner in (Window(-0.1, 3.0, 2.0, 3.0), Window(2.0, 10.1, 2.0, 3.0),
+                      Window(2.0, 3.0, 0.5, 3.0), Window(2.0, 3.0, 2.0, 5.5),
+                      Window(-1.0, 11.0, 0.0, 6.0)):
+            with pytest.raises(ValueError) as info:
+                w._admit(inner)
+            assert str(info.value) == f"window {inner!r} exceeds the operator window {w!r}"
 
 
 @pytest.mark.parametrize("call, message", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import threading
 import time
 
@@ -76,10 +77,15 @@ class TestGrid2D:
         assert grid.u_values().tolist() == [0.0, 0.5, 1.0]
         assert grid.w_values().size == 4
 
-    def test_outside_window_rejected(self, normal_op):
+    @pytest.mark.parametrize("compute", [compute_sigma_field, compute_det_field],
+                             ids=["sigma", "det"])
+    def test_outside_window_rejected(self, normal_op, compute):
+        # both fields take the operator window's one rule, whose error names both rectangles
         grid = Grid2D((-50.0, 50.0, 4), (0.0, 1.0, 4))
-        with pytest.raises(ValueError):
-            compute_sigma_field(normal_op, grid)
+        message = (r"window Window\(u_min=-50\.0, u_max=50\.0, chi_r_min=0\.0, chi_r_max=1\.0\) "
+                   rf"exceeds the operator window {re.escape(repr(normal_op.window))}$")
+        with pytest.raises(ValueError, match=message):
+            compute(normal_op, grid)
 
     def test_axes_built_once_and_read_only(self):
         grid = Grid2D((10.0, 400.0, 101), (20.0, 200.0, 64))
@@ -185,8 +191,10 @@ class TestSigmaField:
         with pytest.raises(ValueError, match="no model at U=3"):
             compute_sigma_field(op, grid)
 
+    @pytest.mark.parametrize("compute", [compute_sigma_field, compute_det_field],
+                             ids=["sigma", "det"])
     @pytest.mark.parametrize("cpus", [1, 4])
-    def test_plain_callable_runs_on_the_calling_thread(self, monkeypatch, cpus):
+    def test_plain_callable_runs_on_the_calling_thread(self, monkeypatch, cpus, compute):
         base = build_normal_operator([1.0, 2.0], Window(0.0, 4.0, 0.0, 3.0))
         callers = set()
 
@@ -198,10 +206,13 @@ class TestSigmaField:
         grid = Grid2D((0.0, 4.0, 9), (0.0, 3.0, 7))
         monkeypatch.setattr(pseudospectrum, "CHUNK_ENTRIES", 60)  # two rows per chunk
         set_available_cpus(monkeypatch, cpus)
-        fld = compute_sigma_field(op, grid)
+        fld = compute(op, grid)
         assert callers == {threading.get_ident()}
-        expected = np.abs(grid.w_values()[:, None] - np.array([1.0, 2.0])).min(axis=1)
-        assert np.abs(fld.values - expected).max() <= 1e-12
+        distances = np.abs(grid.w_values()[:, None] - np.array([1.0, 2.0]))
+        if compute is compute_sigma_field:
+            assert np.abs(fld.values - distances.min(axis=1)).max() <= 1e-12
+        else:
+            assert np.abs(np.exp(fld.log_magnitude) - distances.prod(axis=1)).max() <= 1e-12
 
 
     def test_nan_rows_of_pencil_chunks_on_workers(self, monkeypatch):
@@ -306,22 +317,22 @@ def test_batched_fields_match_per_node_numpy(model, u_count):
             assert det.phase[i, j] == pytest.approx(np.angle(sign), rel=1e-13, abs=1e-13)
 
 
-def test_sigma_field_identical_for_any_worker_count(monkeypatch):
+def test_fields_identical_for_any_worker_count(monkeypatch):
     """wing_n16 on 30x11 (chunks of 23 and 7 rows): 1 and 4 workers give the bytes of a
-    serial per-chunk SVD of the same evaluate_batch stacks."""
+    serial per-chunk SVD and slogdet of the same evaluate_batch stacks."""
     op = build_galerkin_wing(GalerkinWingSpec(n_bending=8, n_torsion=8))
     grid = Grid2D.over_window(op.window, 30, 11, chi_I_fixed=0.5)
     chis, us = grid.w_values() + 0.5j, grid.u_values()
-    serial = np.concatenate([
-        np.linalg.svd(evaluate_batch(op, chis[None, :], us[rows, None]).reshape(-1, 11, 16, 16),
-                      compute_uv=False)[..., -1]
-        for rows in (slice(0, 23), slice(23, 30))])
-    fields = []
+    stacks = [evaluate_batch(op, chis[None, :], us[rows, None]).reshape(-1, 11, 16, 16)
+              for rows in (slice(0, 23), slice(23, 30))]
+    sign, log_mag = (np.concatenate(part) for part in zip(*map(np.linalg.slogdet, stacks)))
+    serial = [np.concatenate([np.linalg.svd(a, compute_uv=False)[..., -1] for a in stacks]),
+              log_mag, np.angle(sign)]
     for cpus in (1, 4):
         set_available_cpus(monkeypatch, cpus)
-        fields.append(compute_sigma_field(op, grid).values)
-    assert np.array_equal(fields[0], fields[1])
-    assert np.array_equal(fields[0], serial)
+        det = compute_det_field(op, grid)
+        fields = [compute_sigma_field(op, grid).values, det.log_magnitude, det.phase]
+        assert all(np.array_equal(a, b) for a, b in zip(fields, serial))
 
 
 def test_sigma_chunks_in_flight_are_bounded(monkeypatch):
@@ -351,8 +362,10 @@ def test_sigma_chunks_in_flight_are_bounded(monkeypatch):
     assert max(ahead) <= 2
 
 
-def test_small_det_field_is_one_batch(monkeypatch):
-    """A 64x64 n=2 det field fits one chunk: one evaluate_batch call, not one per row."""
+@pytest.mark.parametrize("compute", [compute_sigma_field, compute_det_field],
+                         ids=["sigma", "det"])
+def test_small_field_is_one_batch(monkeypatch, compute):
+    """A 64x64 n=2 field fits one chunk: one evaluate_batch call, not one per row."""
     calls, evaluate_batch = [], pseudospectrum.evaluate_batch
 
     def counting(*args):
@@ -361,7 +374,7 @@ def test_small_det_field_is_one_batch(monkeypatch):
 
     op = build_typical_section()
     monkeypatch.setattr(pseudospectrum, "evaluate_batch", counting)
-    compute_det_field(op, Grid2D.over_window(op.window, 64, 64))
+    compute(op, Grid2D.over_window(op.window, 64, 64))
     assert len(calls) == 1
 
 
